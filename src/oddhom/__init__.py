@@ -60,7 +60,6 @@ from .search import (
     ORDER15_VALID_RULES,
     SearchConfig,
     SearchReport,
-    assume_minimal_rules,
     claim_filter,
     enumerate_graphs,
     eta_search,

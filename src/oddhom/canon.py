@@ -9,11 +9,15 @@ graphs receive equal canonical bytes exactly when they are isomorphic; the
 test suite checks this against a brute-force permutation oracle on small
 orders rather than trusting the algorithm.
 
-An optional initial partition supports coloured variants, in particular the
-"one marked vertex" forms the enumeration module uses for its canonical
-deletion test.  The marked cell sits first, so the mark always lands on
-canonical position 0 and the adjacency bytes alone identify the coloured
-isomorphism class.
+The same walk over the individualization tree yields generators of the
+automorphism group when asked for them.  The tree has no pruning, so every
+automorphism maps the best leaf onto another leaf with equal bytes, and
+each such leaf gives one generator; a branch stopped early because its
+partition is homogeneous contributes the transpositions inside its cells,
+which are automorphisms whatever the bytes.  ``orbits`` turns generators
+into vertex orbits.  The enumeration module uses both for canonical
+augmentation: the canonical position picks the deletion vertex, and the
+orbits decide acceptance and drop isomorphic siblings.
 """
 
 from __future__ import annotations
@@ -99,11 +103,19 @@ def _homogeneous(rows, cells):
     return True
 
 
-def _canonical_search(rows, n, cells):
+def canonical_search(rows, n, cells, gens=None):
+    """Least adjacency bytes below an equitable ordered partition ``cells``.
+
+    Returns ``(bytes, perm)`` with ``perm[v]`` the position of ``v`` in the
+    best ordering.  When ``gens`` is a list, automorphisms found on the way
+    are appended to it as tuples (``g[v]`` is the image of ``v``); together
+    they generate the automorphisms of the graph that preserve ``cells``.
+    """
     best = None
+    best_inv = None
 
     def emit(cells):
-        nonlocal best
+        nonlocal best, best_inv
         perm = [0] * n
         pos = 0
         for c in cells:
@@ -115,24 +127,59 @@ def _canonical_search(rows, n, cells):
         b = _adj_bytes(rows, n, perm)
         if best is None or b < best[0]:
             best = (b, tuple(perm))
+            if gens is not None:
+                best_inv = [0] * n
+                for v, p in enumerate(perm):
+                    best_inv[p] = v
+        elif gens is not None and b == best[0]:
+            gens.append(tuple(best_inv[p] for p in perm))
+
+    def transpositions(cells):
+        for c in cells:
+            members = list(_bits(c))
+            for a, b in zip(members, members[1:]):
+                g = list(range(n))
+                g[a], g[b] = b, a
+                g = tuple(g)
+                if g not in gens:
+                    gens.append(g)
 
     def rec(cells):
-        cells = refine_partition(rows, cells)
         for i, c in enumerate(cells):
             if c & (c - 1):
                 if _homogeneous(rows, cells):
+                    if gens is not None:
+                        transpositions(cells)
                     emit(cells)
                     return
                 m = c
                 while m:
                     b = m & -m
                     m ^= b
-                    rec(cells[:i] + [b, c ^ b] + cells[i + 1:])
+                    rec(refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:]))
                 return
         emit(cells)
 
-    rec(list(cells))
+    rec(cells)
     return best
+
+
+def orbits(n, gens):
+    """``out[v]`` is the least vertex in the orbit of ``v`` under ``gens``."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for g in gens:
+        for v, w in enumerate(g):
+            a, b = find(v), find(w)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
 
 
 @dataclass(frozen=True)
@@ -146,28 +193,14 @@ class CanonicalForm:
     relabeling: tuple
 
 
-def canonical_form(g: Graph, marked=None) -> CanonicalForm:
-    """Canonical form of ``g``; ``marked`` singles out one vertex as a colour."""
-    n = g.order
-    full = (1 << n) - 1
-    if marked is None:
-        cells = [full]
-    else:
-        cells = [1 << marked, full ^ (1 << marked)] if n > 1 else [full]
-    b, perm = _canonical_search(g.rows, n, cells)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Canonical form of ``g``."""
+    b, perm = canonical_search(g.rows, g.order, refine_uniform(g.rows, g.order))
     return CanonicalForm(b, perm)
 
 
 def canonical_bytes(g: Graph) -> bytes:
     return canonical_form(g).canonical_bytes
-
-
-def marked_bytes(rows, n, v) -> bytes:
-    """Canonical bytes of the vertex-coloured graph with ``v`` marked."""
-    full = (1 << n) - 1
-    if n == 1:
-        return _canonical_search(rows, n, [full])[0]
-    return _canonical_search(rows, n, [1 << v, full ^ (1 << v)])[0]
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -34,7 +34,7 @@ from .hom import (
     find_homomorphism,
     has_homomorphism,
 )
-from .search import CLAIM_RULES, SearchConfig, assume_minimal_rules, eta_search
+from .search import ALL_RULES, CLAIM_RULES, SearchConfig, eta_search
 from .witness import find_odd_k32, find_odd_k4
 
 EXIT_OK = 0
@@ -286,7 +286,7 @@ def _cmd_v_special(args) -> int:
 def _cmd_search_eta(args) -> int:
     rules = frozenset({"CONNECTED"})
     if args.assume_minimal:
-        rules = assume_minimal_rules()
+        rules = ALL_RULES
     cfg = SearchConfig(k=args.k, l=args.l, n_max=args.max_n,
                        prune_rules=rules, parallel_width=args.split or 0)
     report = eta_search(cfg, jobs=args.jobs, checkpoint=args.checkpoint,
@@ -295,13 +295,13 @@ def _cmd_search_eta(args) -> int:
         print(line)
     mode = "minimal-counterexample mode (claim rules assumed)" if report.minimal_counterexample_mode \
         else "unconditional exhaustive mode"
+    if report.truncated:
+        print(f"search-eta: {mode}; BUDGET EXCEEDED after {report.wall_time_s:.1f}s, "
+              "output is partial and excludes nothing", file=sys.stderr)
+        return EXIT_BUDGET
     print(f"search-eta: {mode}; first witness order: {report.first_witness_order}; "
           f"eta({args.k},{args.l}) >= {report.eta_lower_bound_established}; "
           f"wall time {report.wall_time_s:.1f}s", file=sys.stderr)
-    if report.truncated:
-        print("search-eta: BUDGET EXCEEDED, output is partial and excludes nothing",
-              file=sys.stderr)
-        return EXIT_BUDGET
     return EXIT_OK
 
 

@@ -1,17 +1,29 @@
 """Isomorph-free exhaustive enumeration and the eta(k, l) search driver.
 
-Enumeration is by canonical vertex augmentation: a connected graph of order
-n is generated exactly once, from the parent obtained by deleting its
-canonical non-cutvertex.  Concretely, a child built by attaching a new
-vertex to a subset S of a parent is accepted iff the new vertex attains the
-minimum of an isomorphism-invariant key (refined-colour cell, then canonical
-bytes of the graph with that vertex marked) over all non-cutvertices.  Every
-connected graph has a non-cutvertex, the properties enforced during growth
-are hereditary (closed under vertex deletion), and accepted children of one
-parent are deduplicated by marked canonical bytes whenever the parent has a
-non-trivial automorphism, so the stream contains exactly one representative
-per isomorphism class.  The test suite checks this against brute-force
-enumeration for small orders.
+Enumeration is canonical vertex augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): a connected graph of order
+n is generated only from the parent obtained by deleting its canonical
+non-cutvertex, and only once from that parent.  The canonical deletion
+vertex is chosen by isomorphism-invariant keys: first the earliest
+refined-colour cell holding a non-cutvertex, then, within that cell, the
+non-cutvertex with the least position in the canonical labelling.  A child
+built by attaching a new vertex to a subset S of a parent is accepted iff
+the new vertex lies in the automorphism orbit of that vertex.  Most children
+are settled by the degrees and the refined cells alone; one canonical search
+of the child, which also yields its automorphism generators, settles the
+rest.  Among siblings, S is tried only if it is the first-enumerated member
+of its orbit under the parent's automorphism group.
+
+Why this gives one representative per isomorphism class: every connected
+graph has a non-cutvertex, so it has a canonical parent, and the properties
+enforced during growth are hereditary (closed under vertex deletion), so
+that parent is in the stream; by induction it appears exactly once.  Two
+accepted children of it that are isomorphic have an isomorphism taking new
+vertex to new vertex (both lie in the canonical orbit), which restricts to
+an automorphism of the parent taking one attachment set to the other; so
+one attachment set per orbit yields each child exactly once.  The test
+suite checks the counts against brute-force enumeration and published
+sequences.
 
 Growth never creates a short odd cycle: attaching a vertex adjacent to S
 creates an odd cycle shorter than 2k+1 iff two members of S are joined by an
@@ -42,11 +54,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .budget import Budget, BudgetExceededError
-from .canon import marked_bytes, refine_partition
+from .canon import canonical_search, orbits, refine_partition
 from .constructions import cycle
 from .graphs import (
     Graph,
     _bits,
+    _odd_walk_back_to,
     connected_without,
     from_graph6,
     has_walk_of_length,
@@ -119,11 +132,6 @@ class SearchConfig:
              "rules": sorted(self.prune_rules), "width": self.parallel_width},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def assume_minimal_rules() -> frozenset:
-    """The full rule set for minimal-counterexample mode."""
-    return frozenset(ALL_RULES)
 
 
 # -- structural predicates (claim_filter) --------------------------------------
@@ -279,19 +287,20 @@ def _child_ok(rows_t, n, hered):
     return True
 
 
-def _accepted(rows_t, n, need_bytes):
-    """Canonical-deletion acceptance test for a child with added vertex n-1.
+def _accepted(rows_t, n):
+    """Canonical-deletion test for a child whose added vertex is n-1.
 
-    Returns (accepted, marked_bytes_or_None); bytes are produced when the
-    caller needs them for sibling deduplication and they were computed
-    anyway, or on request.
+    Returns None when the child is rejected.  Otherwise returns its refined
+    cells and, when the test ran a canonical search, the automorphism
+    generators it found (else None); the caller keeps both as the child's
+    state when it grows the child further.
     """
     added = n - 1
     degs = [r.bit_count() for r in rows_t]
     da = degs[added]
     for v in range(added):
         if degs[v] < da and (degs[v] == 1 or connected_without(rows_t, n, v)):
-            return False, None
+            return None
     cells = refine_partition(rows_t, [(1 << n) - 1])
     ca = 0
     for i, cell in enumerate(cells):
@@ -305,8 +314,8 @@ def _accepted(rows_t, n, need_bytes):
             m ^= b
             v = b.bit_length() - 1
             if degs[v] == da and (degs[v] == 1 or connected_without(rows_t, n, v)):
-                return False, None
-    tie = []
+                return None
+    tie = [added]
     m = cells[ca] & ~(1 << added)
     while m:
         b = m & -m
@@ -314,23 +323,44 @@ def _accepted(rows_t, n, need_bytes):
         v = b.bit_length() - 1
         if degs[v] == 1 or connected_without(rows_t, n, v):
             tie.append(v)
-    if not tie:
-        if need_bytes:
-            return True, marked_bytes(rows_t, n, added)
-        return True, None
-    ba = marked_bytes(rows_t, n, added)
-    for v in tie:
-        if marked_bytes(rows_t, n, v) < ba:
-            return False, None
-    return True, ba
+    if len(tie) == 1:
+        return cells, None
+    gens = []
+    perm = canonical_search(rows_t, n, cells, gens)[1]
+    orbit = orbits(n, gens)
+    if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
+        return None
+    return cells, gens
 
 
-def _descendants(rows, n, cfg: SearchConfig, budget, stop_order=None):
+def _set_orbit(s, gens):
+    """Orbit of the vertex set ``s`` (a bitmask) under the group ``gens``."""
+    out = {s}
+    todo = [s]
+    while todo:
+        t = todo.pop()
+        for g in gens:
+            img = 0
+            m = t
+            while m:
+                b = m & -m
+                m ^= b
+                img |= 1 << g[b.bit_length() - 1]
+            if img not in out:
+                out.add(img)
+                todo.append(img)
+    return out
+
+
+def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
+                 cells=None, gens=None):
     """DFS over accepted descendants of one augmentation node.
 
-    Yields (order, rows) for each accepted graph strictly below the node.
-    When ``stop_order`` is given, graphs of that order are yielded but not
-    expanded (they form the frontier for parallel workers).
+    Yields (order, rows, odd girth) for each accepted graph strictly below
+    the node, whose odd girth is ``og``.  ``cells`` and ``gens`` are the
+    node's refined partition and automorphism generators when already
+    known.  When ``stop_order`` is given, graphs of that order are yielded
+    but not expanded (they form the frontier for parallel workers).
     """
     if n >= cfg.n_max or (stop_order is not None and n >= stop_order):
         return
@@ -346,14 +376,24 @@ def _descendants(rows, n, cfg: SearchConfig, budget, stop_order=None):
             if rows[v].bit_count() >= 3:
                 cand &= ~(1 << v)
         max_size = 3
-    parent_cells = refine_partition(rows, [full])
-    parent_discrete = all(c & (c - 1) == 0 for c in parent_cells)
-    seen = None if parent_discrete else set()
+    if cells is None:
+        cells = refine_partition(rows, [full])
+    if gens is None and any(c & (c - 1) for c in cells):
+        gens = []
+        canonical_search(rows, n, cells, gens)
+    # Later members of an orbit of attachment sets, waiting to be skipped.
+    pending = set()
     nc = n + 1
     newbit = 1 << n
     for S in _indep_sets(cand, conf, max_size):
         if budget is not None:
             budget.tick("enumeration")
+        if S in pending:
+            pending.remove(S)
+            continue
+        if gens:
+            pending |= _set_orbit(S, gens)
+            pending.remove(S)
         child = [r | newbit if S >> i & 1 else r for i, r in enumerate(rows)]
         child.append(S)
         child_t = tuple(child)
@@ -364,21 +404,21 @@ def _descendants(rows, n, cfg: SearchConfig, budget, stop_order=None):
             g = Graph(child_t, _validate=False)
             if _thread_break_need(g) > cap * (cfg.n_max - nc):
                 continue
-        ok, dedup_key = _accepted(child_t, nc, need_bytes=seen is not None)
-        if not ok:
+        state = _accepted(child_t, nc)
+        if state is None:
             continue
-        if seen is not None:
-            if dedup_key in seen:
-                continue
-            seen.add(dedup_key)
-        yield nc, child_t
-        yield from _descendants(child_t, nc, cfg, budget, stop_order)
+        # A shorter odd cycle than the parent's must pass through the new vertex.
+        d = _odd_walk_back_to(child_t, n, og - 1)
+        child_og = og if d is None else d
+        yield nc, child_t, child_og
+        yield from _descendants(child_t, nc, child_og, cfg, budget, stop_order, *state)
 
 
 def _root_stream(cfg: SearchConfig, budget=None, stop_order=None):
     root = (0,)
-    yield 1, root
-    yield from _descendants(root, 1, cfg, budget, stop_order)
+    og = odd_girth(Graph(root, _validate=False))
+    yield 1, root, og
+    yield from _descendants(root, 1, og, cfg, budget, stop_order)
 
 
 def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
@@ -390,7 +430,7 @@ def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
     restrict the stream; they are applied by the eta driver when it tests
     witnesses, because they are not preserved while a graph is still growing.
     """
-    for n, rows in _root_stream(config, budget):
+    for _, rows, _ in _root_stream(config, budget):
         yield Graph(rows, _validate=False)
 
 
@@ -419,8 +459,9 @@ class SearchReport:
     ``eta_lower_bound_established`` is the first order not excluded by the
     run: the first witness order when one is found, else n_max + 1.  When
     ``minimal_counterexample_mode`` is set the bound is conditional on the
-    minimal-counterexample rules that pruned the enumeration, and when
-    ``truncated`` is set the run exceeded its budget and excludes nothing.
+    minimal-counterexample rules that pruned the enumeration.  When
+    ``truncated`` is set the run exceeded its budget, excludes nothing, and
+    the bound is None.
     """
 
     k: int
@@ -430,7 +471,7 @@ class SearchReport:
     minimal_counterexample_mode: bool
     records: tuple
     first_witness_order: int | None
-    eta_lower_bound_established: int
+    eta_lower_bound_established: int | None
     wall_time_s: float
     truncated: bool = False
 
@@ -457,16 +498,17 @@ def _final_filters_pass(g: Graph, rules) -> bool:
     return True
 
 
-def _test_witness(rows, n, k, l, rules):
+def _test_witness(rows, og, k, l, rules):
     """graph6 of a verified witness, or None.
 
-    A witness has odd-girth exactly 2k+1, no homomorphism to C_{2l+1}, and
-    passes the final-graph rules.  Before reporting, the graph is round
-    tripped through graph6 and re-checked with fresh solver state.
+    A witness has odd-girth ``og`` exactly 2k+1, no homomorphism to
+    C_{2l+1}, and passes the final-graph rules.  Before reporting, the graph
+    is round tripped through graph6 and re-checked, odd-girth included, with
+    fresh state.
     """
-    g = Graph(rows, _validate=False)
-    if odd_girth(g) != 2 * k + 1:
+    if og != 2 * k + 1:
         return None
+    g = Graph(rows, _validate=False)
     if not _final_filters_pass(g, rules):
         return None
     if find_homomorphism(g, cycle(2 * l + 1)) is not None:
@@ -485,9 +527,9 @@ def _expand_subtree(args):
     g = from_graph6(g6)
     counts = Counter()
     wits = defaultdict(list)
-    for n, rows in _descendants(g.rows, g.order, cfg, None):
+    for n, rows, og in _descendants(g.rows, g.order, odd_girth(g), cfg, None):
         counts[n] += 1
-        w = _test_witness(rows, n, k, l, cfg.prune_rules)
+        w = _test_witness(rows, og, k, l, cfg.prune_rules)
         if w is not None:
             wits[n].append(w)
     return dict(counts), {n: ws for n, ws in wits.items()}
@@ -555,9 +597,9 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     if not resumed:
         stop = split if split else None
         try:
-            for n, rows in _root_stream(config, budget, stop_order=stop):
+            for n, rows, og in _root_stream(config, budget, stop_order=stop):
                 counts[n] += 1
-                w = _test_witness(rows, n, config.k, config.l, config.prune_rules)
+                w = _test_witness(rows, og, config.k, config.l, config.prune_rules)
                 if w is not None:
                     wits[n].append(w)
                 if stop is not None and n == stop:
@@ -589,7 +631,10 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
         for n in range(1, config.n_max + 1)
     )
     first = next((r.n for r in records if r.witness_count), None)
-    bound = first if first is not None else config.n_max + 1
+    if truncated:
+        bound = None
+    else:
+        bound = first if first is not None else config.n_max + 1
     return SearchReport(
         k=config.k, l=config.l, n_max=config.n_max,
         prune_rules=config.prune_rules,
@@ -635,10 +680,10 @@ def rediscover_order15(budget: Budget | None = None,
     out = []
     complete = True
     try:
-        for n, rows in _root_stream(cfg, budget):
+        for n, rows, og in _root_stream(cfg, budget):
             if n != 15:
                 continue
-            w = _test_witness(rows, n, 3, 2, cfg.prune_rules)
+            w = _test_witness(rows, og, 3, 2, cfg.prune_rules)
             if w is not None:
                 out.append(from_graph6(w))
     except BudgetExceededError:

@@ -1,0 +1,194 @@
+"""Enumeration, canonical augmentation and the eta driver (search.py).
+
+Counts are checked against brute-force classes and published sequences,
+automorphism generators against a permutation oracle, and the eta driver
+against its own serial run under every way of splitting or resuming it.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from oddhom import (
+    ALL_RULES,
+    Budget,
+    Graph,
+    SearchConfig,
+    enumerate_graphs,
+    eta_search,
+    from_graph6,
+    generalized_mycielski,
+    odd_girth,
+)
+from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_uniform
+from oddhom.cli import EXIT_BUDGET, EXIT_OK, main
+from oddhom.search import _root_stream, _set_orbit
+
+from conftest import brute_classes, random_graph
+
+A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]  # connected graphs
+A024607 = [1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832]  # connected triangle-free graphs
+ODD_GIRTH_7 = [1, 1, 1, 3, 5, 17, 45, 184, 748, 4143]  # connected, odd-girth >= 7
+MINIMAL_OG7 = [1, 1, 1, 2, 2, 4, 7, 13, 23, 51, 105, 246, 556, 452]  # ALL_RULES, k=3
+
+
+def stream_counts(cfg):
+    counts = Counter(g.order for g in enumerate_graphs(cfg))
+    return [counts[n] for n in range(1, cfg.n_max + 1)]
+
+
+class TestEnumerationCounts:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_against_brute_force_classes(self, k):
+        by_order = {}
+        for g in enumerate_graphs(SearchConfig(k=k, l=1, n_max=6)):
+            by_order.setdefault(g.order, []).append(canonical_bytes(g))
+        for n in range(1, 7):
+            got = by_order.get(n, [])
+            assert len(got) == len(set(got)), f"isomorphic duplicates at order {n}"
+            want = {canonical_bytes(g) for g in brute_classes(n, min_odd_girth=2 * k + 1)}
+            assert set(got) == want, f"order {n}"
+
+    def test_connected_graphs_a001349(self):
+        assert stream_counts(SearchConfig(k=1, l=1, n_max=8)) == A001349
+
+    def test_triangle_free_a024607(self):
+        assert stream_counts(SearchConfig(k=2, l=1, n_max=10)) == A024607
+
+    def test_odd_girth_7(self):
+        assert stream_counts(SearchConfig(k=3, l=2, n_max=10)) == ODD_GIRTH_7
+
+    def test_minimal_counterexample_rules(self):
+        cfg = SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES)
+        assert stream_counts(cfg) == MINIMAL_OG7
+
+    def test_no_isomorphic_duplicates_triangle_free(self):
+        seen = [canonical_bytes(g) for g in enumerate_graphs(SearchConfig(k=2, l=1, n_max=9))]
+        assert len(seen) == len(set(seen)) == sum(A024607[:9])
+
+
+def brute_automorphisms(g):
+    edges = set(g.edges())
+    return {
+        p for p in itertools.permutations(range(g.order))
+        if all((min(p[a], p[b]), max(p[a], p[b])) in edges for a, b in edges)
+    }
+
+
+def brute_orbits(n, autos):
+    return [min(p[v] for p in autos) for v in range(n)]
+
+
+def group_closure(n, gens):
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            hg = tuple(g[h[v]] for v in range(n))
+            if hg not in group:
+                group.add(hg)
+                todo.append(hg)
+    return group
+
+
+def generators(g):
+    gens = []
+    result = canonical_search(g.rows, g.order, refine_uniform(g.rows, g.order), gens)
+    return result, gens
+
+
+class TestAutomorphismOrbits:
+    def test_every_class_up_to_6(self):
+        for n in range(1, 7):
+            for g in brute_classes(n, connected_only=False):
+                autos = brute_automorphisms(g)
+                result, gens = generators(g)
+                assert set(gens) <= autos
+                assert group_closure(n, gens) == autos, g.edges()
+                assert orbits(n, gens) == brute_orbits(n, autos)
+                # Collecting generators must not change the result.
+                assert result == canonical_search(g.rows, n, refine_uniform(g.rows, n))
+
+    def test_random_graphs_order_7_8(self):
+        rng = random.Random(7)
+        for _ in range(8):
+            n = rng.choice([7, 8])
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            autos = brute_automorphisms(g)
+            result, gens = generators(g)
+            assert set(gens) <= autos
+            assert orbits(n, gens) == brute_orbits(n, autos)
+            assert result == canonical_search(g.rows, n, refine_uniform(g.rows, n))
+
+    def test_attachment_set_orbits(self):
+        # Sibling pruning needs the whole group, not only its vertex orbits:
+        # compare orbits of vertex sets with the brute-force group's.
+        for g in brute_classes(5, connected_only=False):
+            autos = brute_automorphisms(g)
+            _, gens = generators(g)
+            for s in range(1, 1 << 5):
+                want = {sum(1 << p[v] for v in range(5) if s >> v & 1) for p in autos}
+                assert _set_orbit(s, gens) == want
+
+
+class TestIncrementalOddGirth:
+    def test_streamed_value_matches_full_odd_girth(self):
+        cfg = SearchConfig(k=2, l=1, n_max=9)
+        for _, rows, og in _root_stream(cfg):
+            assert og == odd_girth(Graph(rows)), rows
+
+
+def records_of(report):
+    return [(r.n, r.enumerated, r.witness_count, r.witnesses) for r in report.records]
+
+
+class TestEtaDriver:
+    CFG = SearchConfig(k=2, l=1, n_max=9)
+
+    def test_split_and_resume_agree(self, tmp_path):
+        serial = eta_search(self.CFG)
+        assert not serial.truncated
+        assert [r.enumerated for r in serial.records] == A024607[:9]
+        assert serial.eta_lower_bound_established == 10
+        want = records_of(serial)
+        assert records_of(eta_search(self.CFG, jobs=2)) == want
+        width6 = SearchConfig(k=2, l=1, n_max=9, parallel_width=6)
+        assert records_of(eta_search(width6)) == want
+        path = tmp_path / "eta.ckpt"
+        assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
+        assert path.exists()
+        assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
+
+    def test_truncated_report_claims_no_bound(self):
+        report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=200))
+        assert report.truncated
+        assert report.eta_lower_bound_established is None
+
+    def test_cli_truncated_prints_no_bound(self, monkeypatch, capsys):
+        monkeypatch.setenv("ODDHOM_BUDGET_SECONDS", "0.001")
+        code = main(["search-eta", "--k", "2", "--l", "1", "--max-n", "10"])
+        err = capsys.readouterr().err
+        assert code == EXIT_BUDGET
+        assert "BUDGET EXCEEDED" in err
+        assert "eta(2,1) >=" not in err
+
+    def test_cli_complete_prints_bound(self, monkeypatch, capsys):
+        monkeypatch.delenv("ODDHOM_BUDGET_SECONDS", raising=False)
+        code = main(["search-eta", "--k", "2", "--l", "1", "--max-n", "7"])
+        assert code == EXIT_OK
+        assert "eta(2,1) >= 8" in capsys.readouterr().err
+
+    @pytest.mark.slow
+    def test_eta_2_1_is_grotzsch(self):
+        report = eta_search(SearchConfig(k=2, l=1, n_max=11), jobs=2)
+        assert not report.truncated
+        assert report.first_witness_order == 11
+        assert report.eta_lower_bound_established == 11
+        assert [r.enumerated for r in report.records] == A024607 + [90842]
+        witnesses = report.witnesses_at(11)
+        assert len(witnesses) == 1
+        assert canonical_bytes(from_graph6(witnesses[0])) == canonical_bytes(generalized_mycielski(2))
