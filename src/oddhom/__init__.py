@@ -45,7 +45,6 @@ from .hom import (
     VSpecialColouring,
     chromatic_number,
     circular_chromatic_number,
-    circular_clique_hom_criterion_check,
     compute_core,
     exists_v_special,
     extend_v_special,
@@ -63,7 +62,6 @@ from .search import (
     claim_filter,
     enumerate_graphs,
     eta_search,
-    rediscover_order15,
 )
 from .witness import (
     DichotomyReport,

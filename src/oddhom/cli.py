@@ -34,7 +34,7 @@ from .hom import (
     find_homomorphism,
     has_homomorphism,
 )
-from .search import ALL_RULES, CLAIM_RULES, SearchConfig, eta_search
+from .search import ALL_RULES, RULE_CONNECTED, SearchConfig, eta_search
 from .witness import find_odd_k32, find_odd_k4
 
 EXIT_OK = 0
@@ -284,9 +284,7 @@ def _cmd_v_special(args) -> int:
 
 
 def _cmd_search_eta(args) -> int:
-    rules = frozenset({"CONNECTED"})
-    if args.assume_minimal:
-        rules = ALL_RULES
+    rules = ALL_RULES if args.assume_minimal else frozenset({RULE_CONNECTED})
     cfg = SearchConfig(k=args.k, l=args.l, n_max=args.max_n,
                        prune_rules=rules, parallel_width=args.split or 0)
     report = eta_search(cfg, jobs=args.jobs, checkpoint=args.checkpoint,
@@ -358,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--assume-minimal", action="store_true",
-                   help="enable minimal-counterexample claim rules (conditional result)")
+                   help="enable the minimal-counterexample claim rules (conditional result); "
+                        "they are proved only for --k 3 --l 2 --max-n 14 or less")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--split", type=int, default=0,
                    help="order at which to split the augmentation tree into parallel subtrees")

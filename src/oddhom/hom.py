@@ -219,20 +219,6 @@ def circular_chromatic_number(g: Graph) -> Fraction:
     raise AssertionError("unreachable: K_n always admits the identity colouring")
 
 
-def circular_clique_hom_criterion_check(p: int, q: int, r: int, s: int) -> bool:
-    """Self-test of the fraction criterion: C(p,q) -> C(r,s) iff p/q <= r/s.
-
-    Runs the solver on the actual circular cliques and reports whether its
-    decision agrees with the fraction comparison.
-    """
-    from math import gcd
-
-    if gcd(p, q) != 1 or gcd(r, s) != 1 or p < 2 * q or r < 2 * s:
-        raise ValueError("parameters must be coprime with p >= 2q and r >= 2s")
-    found = find_homomorphism(circular_clique(p, q), circular_clique(r, s)) is not None
-    return found == (Fraction(p, q) <= Fraction(r, s))
-
-
 # -- v-special colourings ------------------------------------------------------
 
 C1, C2, C3 = 1, 2, 3

@@ -28,15 +28,15 @@ sequences.
 Growth never creates a short odd cycle: attaching a vertex adjacent to S
 creates an odd cycle shorter than 2k+1 iff two members of S are joined by an
 odd walk of length at most 2k-3, so admissible S are exactly the independent
-sets of a per-parent "conflict graph".  The claim-style rules used for
-minimal-counterexample searches split into hereditary ones applied during
-growth (no 4-cycle: no common neighbour in S; no 6-cycle: no length-4 path
-inside S; degree/second-neighbourhood caps) and final-graph filters
-(connectivity is guaranteed, minimum degree 2, exact thread bound, core,
-5-walks) that are only consulted when a completed graph is tested as a
-witness.  The thread rule additionally prunes during growth by a potential
-count: a thread can still be broken by later attachments, but each future
-vertex supplies at most three of them under the degree cap.
+sets of a per-parent "conflict graph".  The claim rules of minimal-
+counterexample searches are written once, in the table ``RULES``: hereditary
+ones prune during growth (no 4-cycle: no common neighbour in S; no 6-cycle:
+no length-4 path inside S; degree/second-neighbourhood caps, checked on each
+child), so the stream does not depend on n_max, and the rest (minimum degree
+2, thread bound, 5-walks, core) are consulted only when a completed graph is
+tested as a witness.  Each claim rule carries its scope, for which the paper
+proves it of a minimal counterexample: (k, l) = (3, 2) with n_max <= 14, or
+<= 15 for ORDER15_VALID_RULES; SearchConfig rejects runs outside it.
 
 eta(k, l) itself is the smallest order of a graph of odd-girth exactly 2k+1
 with no homomorphism to C_{2l+1}; the driver enumerates, tests candidates,
@@ -51,7 +51,8 @@ import json
 import os
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .budget import Budget, BudgetExceededError
 from .canon import canonical_search, orbits, refine_partition
@@ -59,12 +60,12 @@ from .constructions import cycle
 from .graphs import (
     Graph,
     _bits,
+    _neighbors_of_set,
     _odd_walk_back_to,
     connected_without,
     from_graph6,
     has_walk_of_length,
     is_connected,
-    list_threads,
     max_thread_length,
     odd_girth,
     odd_reach_within,
@@ -81,19 +82,133 @@ RULE_NO_6_CYCLE = "NO_6_CYCLE"
 RULE_CORE_ONLY = "CORE_ONLY"
 RULE_FIVE_WALK = "FIVE_WALK"
 
-ALL_RULES = frozenset({
-    RULE_CONNECTED, RULE_MIN_DEGREE_2, RULE_MAX_DEGREE_3_SECONDNBHD,
-    RULE_NO_THREAD_GE_4, RULE_NO_4_CYCLE, RULE_NO_6_CYCLE,
-    RULE_CORE_ONLY, RULE_FIVE_WALK,
-})
 
-#: Rules justified only for minimal counterexamples; enabling them weakens
-#: the unconditional exhaustiveness claim and requires an explicit opt-in on
-#: the command line.
-CLAIM_RULES = frozenset(ALL_RULES - {RULE_CONNECTED})
+# -- structural predicates -------------------------------------------------------
 
-_HEREDITARY = frozenset({RULE_NO_4_CYCLE, RULE_NO_6_CYCLE, RULE_MAX_DEGREE_3_SECONDNBHD})
-_FINAL = frozenset({RULE_MIN_DEGREE_2, RULE_NO_THREAD_GE_4, RULE_CORE_ONLY, RULE_FIVE_WALK})
+def _no_4_cycle(g: Graph) -> bool:
+    for u in range(g.order):
+        ru = g.rows[u]
+        for w in range(u + 1, g.order):
+            if (ru & g.rows[w]).bit_count() >= 2:
+                return False
+    return True
+
+
+def _no_6_cycle(g: Graph) -> bool:
+    n, rows = g.order, g.rows
+    # A 6-cycle exists iff some edge (u, w) closes a 5-path; scan paths of
+    # length 5 from each vertex with the start fixed as the cycle minimum.
+    for s in range(n):
+        allowed = ~((1 << s) - 1)
+        stack = [(s, 1 << s, 1)]
+        while stack:
+            cur, used, ln = stack.pop()
+            if ln == 6:
+                if rows[cur] >> s & 1:
+                    return False
+                continue
+            for w in _bits(rows[cur] & allowed & ~used):
+                stack.append((w, used | 1 << w, ln + 1))
+    return True
+
+
+def _second_neighbourhood_ok(g: Graph) -> bool:
+    for v, row in enumerate(g.rows):
+        d = row.bit_count()
+        if d >= 4:
+            return False
+        if d == 3 and (_neighbors_of_set(g.rows, row) & ~row & ~(1 << v)).bit_count() >= 5:
+            return False
+    return True
+
+
+def _five_walks(g: Graph) -> bool:
+    n = g.order
+    return all(has_walk_of_length(g, u, v, 5) for u in range(n) for v in range(u + 1, n))
+
+
+def _common_neighbour_partners(rows, u):
+    """Vertices sharing a neighbour with ``u``: joining both closes a 4-cycle."""
+    return _neighbors_of_set(rows, rows[u])
+
+
+def _path4_targets(rows, u):
+    """Vertices reachable from ``u`` by a simple path of exactly 4 edges."""
+    out = 0
+    base = 1 << u
+    for a in _bits(rows[u]):
+        ua = base | 1 << a
+        for b in _bits(rows[a] & ~ua):
+            uab = ua | 1 << b
+            for c in _bits(rows[b] & ~uab):
+                out |= rows[c] & ~(uab | 1 << c)
+    return out
+
+
+# -- the rule table -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """One structural rule: its predicate ``check``, where it acts, its scope.
+
+    ``stage`` is "scheme" (guaranteed by the generation), "growth" (hereditary,
+    enforced by ``conflict``, the vertices ``u`` may not share a new neighbour
+    with, or else by ``check`` on each child) or "final" (checked on witness
+    candidates).  ``scope`` is (k, l, largest n_max) for which a minimal
+    counterexample provably satisfies the rule; None means every search.
+    """
+
+    name: str
+    check: Callable[[Graph], bool]
+    stage: str
+    scope: tuple | None = None
+    conflict: Callable | None = None
+
+
+_UP_TO_14 = (3, 2, 14)
+_UP_TO_15 = (3, 2, 15)
+
+# Cheap checks first, is_core last.  The checks look their helpers up at
+# call time, so wrappers installed on this module's names see every call.
+RULES = (
+    Rule(RULE_CONNECTED, lambda g: is_connected(g), "scheme"),
+    Rule(RULE_MIN_DEGREE_2, lambda g: all(d >= 2 for d in g.degrees()), "final", _UP_TO_15),
+    Rule(RULE_MAX_DEGREE_3_SECONDNBHD, _second_neighbourhood_ok, "growth", _UP_TO_14),
+    Rule(RULE_NO_THREAD_GE_4, lambda g: max_thread_length(g) <= 3, "final", _UP_TO_15),
+    Rule(RULE_NO_4_CYCLE, _no_4_cycle, "growth", _UP_TO_14, _common_neighbour_partners),
+    Rule(RULE_NO_6_CYCLE, _no_6_cycle, "growth", _UP_TO_14, _path4_targets),
+    Rule(RULE_FIVE_WALK, _five_walks, "final", _UP_TO_15),
+    Rule(RULE_CORE_ONLY, lambda g: is_core(g), "final", _UP_TO_15),
+)
+_BY_NAME = {rule.name: rule for rule in RULES}
+ALL_RULES = frozenset(_BY_NAME)
+
+#: Rules justified only for minimal counterexamples; enabling them makes the
+#: result conditional on their proofs and requires an explicit opt-in on the
+#: command line.
+CLAIM_RULES = frozenset(rule.name for rule in RULES if rule.scope)
+
+#: Rules that remain valid for a minimal witness of order 15: being a core
+#: (hence minimum degree 2 and no contained neighbourhood), the 5-walk rule
+#: and the thread bound follow from minimality together with the order-14
+#: colourability theorem.  The 4-cycle, 6-cycle and second-neighbourhood
+#: rules do not: their derivations count vertices against a budget of 14,
+#: and the known order-15 witnesses genuinely violate them (fig2a contains
+#: 4- and 6-cycles and a degree-3 vertex with five second neighbours, fig2c
+#: a degree-4 vertex).
+ORDER15_VALID_RULES = frozenset(r.name for r in RULES if r.scope is None or r.scope[2] >= 15)
+
+
+def _rules(names, stage):
+    """The table entries named in ``names`` that act at ``stage``, in table order."""
+    return [rule for rule in RULES if rule.stage == stage and rule.name in names]
+
+
+def claim_filter(g: Graph, rule: str) -> bool:
+    """True iff ``g`` satisfies the named structural rule."""
+    if rule not in _BY_NAME:
+        raise ValueError(f"unknown rule {rule!r}")
+    return _BY_NAME[rule].check(g)
 
 
 @dataclass(frozen=True)
@@ -102,7 +217,8 @@ class SearchConfig:
 
     ``k`` enforces odd-girth >= 2k+1 during growth, ``l`` names the target
     cycle C_{2l+1}, ``n_max`` caps the order.  ``prune_rules`` draws from
-    ALL_RULES; CONNECTED is implicit in the generation scheme.
+    ALL_RULES, and each must be within its scope (see ``Rule``) for this
+    k, l and n_max; CONNECTED is implicit in the generation scheme.
     ``parallel_width`` is the order at which the augmentation tree is split
     into independent subtrees for parallel running or checkpointing
     (0 means no split).
@@ -123,6 +239,11 @@ class SearchConfig:
         if unknown:
             raise ValueError(f"unknown prune rules: {sorted(unknown)}")
         object.__setattr__(self, "prune_rules", frozenset(self.prune_rules))
+        outside = [f"{r.name} (proved for k={r.scope[0]}, l={r.scope[1]}, n_max <= {r.scope[2]})"
+                   for r in RULES if r.name in self.prune_rules and r.scope
+                   and ((self.k, self.l) != r.scope[:2] or self.n_max > r.scope[2])]
+        if outside:
+            raise ValueError("prune rules outside their scope: " + ", ".join(outside))
         if self.parallel_width and not 1 <= self.parallel_width < self.n_max:
             raise ValueError("parallel_width must satisfy 1 <= width < n_max")
 
@@ -134,107 +255,18 @@ class SearchConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-# -- structural predicates (claim_filter) --------------------------------------
-
-def _has_4_cycle(g: Graph) -> bool:
-    for u in range(g.order):
-        ru = g.rows[u]
-        for w in range(u + 1, g.order):
-            if (ru & g.rows[w] & ~(1 << u) & ~(1 << w)).bit_count() >= 2:
-                return True
-    return False
-
-
-def _has_6_cycle(g: Graph) -> bool:
-    n, rows = g.order, g.rows
-    # A 6-cycle exists iff some edge (u, w) closes a 5-path; scan paths of
-    # length 5 from each vertex with the start fixed as the cycle minimum.
-    for s in range(n):
-        allowed = ~((1 << s) - 1)
-        stack = [(s, 1 << s, 1)]
-        while stack:
-            cur, used, ln = stack.pop()
-            if ln == 6:
-                if rows[cur] >> s & 1:
-                    return True
-                continue
-            for w in _bits(rows[cur] & allowed & ~used):
-                stack.append((w, used | 1 << w, ln + 1))
-    return False
-
-
-def _second_neighbourhood_ok(g: Graph) -> bool:
-    for v in range(g.order):
-        d = g.rows[v].bit_count()
-        if d >= 4:
-            return False
-        if d == 3:
-            n1 = g.rows[v]
-            n2 = 0
-            for u in _bits(n1):
-                n2 |= g.rows[u]
-            if (n2 & ~n1 & ~(1 << v)).bit_count() >= 5:
-                return False
-    return True
-
-
-def claim_filter(g: Graph, rule: str) -> bool:
-    """True iff ``g`` satisfies the named structural rule."""
-    if rule == RULE_CONNECTED:
-        return is_connected(g)
-    if rule == RULE_MIN_DEGREE_2:
-        return all(d >= 2 for d in g.degrees())
-    if rule == RULE_MAX_DEGREE_3_SECONDNBHD:
-        return _second_neighbourhood_ok(g)
-    if rule == RULE_NO_THREAD_GE_4:
-        return max_thread_length(g) <= 3
-    if rule == RULE_NO_4_CYCLE:
-        return not _has_4_cycle(g)
-    if rule == RULE_NO_6_CYCLE:
-        return not _has_6_cycle(g)
-    if rule == RULE_CORE_ONLY:
-        return is_core(g)
-    if rule == RULE_FIVE_WALK:
-        return all(
-            has_walk_of_length(g, u, v, 5)
-            for u in range(g.order) for v in range(u + 1, g.order)
-        )
-    raise ValueError(f"unknown rule {rule!r}")
-
-
 # -- canonical augmentation -----------------------------------------------------
 
-def _path4_targets(rows, u):
-    """Vertices reachable from ``u`` by a simple path of exactly 4 edges."""
-    out = 0
-    base = 1 << u
-    for a in _bits(rows[u]):
-        ua = base | 1 << a
-        for b in _bits(rows[a] & ~ua):
-            uab = ua | 1 << b
-            for c in _bits(rows[b] & ~uab):
-                out |= rows[c] & ~(uab | 1 << c)
-    return out
-
-
-def _conflict_masks(rows, n, k, hered):
+def _conflict_masks(rows, n, k, growth):
     """conflict[u] = attachment partners that would create a forbidden cycle."""
     limit = 2 * k - 3
     conf = [0] * n
-    if limit >= 1:
-        for u in range(n):
-            conf[u] = odd_reach_within(rows, u, limit) & ~(1 << u)
-    if RULE_NO_4_CYCLE in hered:
-        for u in range(n):
-            ru = rows[u]
-            m = 0
-            for w in range(n):
-                if w != u and ru & rows[w] & ~(1 << u) & ~(1 << w):
-                    m |= 1 << w
-            conf[u] |= m
-    if RULE_NO_6_CYCLE in hered:
-        for u in range(n):
-            conf[u] |= _path4_targets(rows, u) & ~(1 << u)
+    for u in range(n):
+        m = odd_reach_within(rows, u, limit) if limit >= 1 else 0
+        for rule in growth:
+            if rule.conflict is not None:
+                m |= rule.conflict(rows, u)
+        conf[u] = m & ~(1 << u)
     return conf
 
 
@@ -252,39 +284,6 @@ def _indep_sets(cand, conf, max_size):
             if size + 1 < max_size:
                 stack.append((avail & ~conf[b.bit_length() - 1], s, size + 1))
     return out
-
-
-def _thread_break_need(g: Graph) -> int:
-    """Minimum number of interior attachments needed to cut all threads to <= 3."""
-    need = 0
-    for p in list_threads(g):
-        length = len(p) - 1
-        if length < 4:
-            continue
-        if p[0] == p[-1]:  # closed: cyclic run of length interior slots
-            if len(set(p)) == len(p) - 1:
-                need += (length - 1) // 3  # loop anchored at one branch vertex
-            else:
-                need += -(-length // 3)  # pure cycle component
-        else:
-            need += (length - 1) // 3
-    return need
-
-
-def _child_ok(rows_t, n, hered):
-    if RULE_MAX_DEGREE_3_SECONDNBHD in hered:
-        for v in range(n):
-            row = rows_t[v]
-            d = row.bit_count()
-            if d >= 4:
-                return False
-            if d == 3:
-                n2 = 0
-                for u in _bits(row):
-                    n2 |= rows_t[u]
-                if (n2 & ~row & ~(1 << v)).bit_count() >= 5:
-                    return False
-    return True
 
 
 def _accepted(rows_t, n):
@@ -364,17 +363,13 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
     """
     if n >= cfg.n_max or (stop_order is not None and n >= stop_order):
         return
-    hered = cfg.prune_rules & _HEREDITARY
-    thread_rule = RULE_NO_THREAD_GE_4 in cfg.prune_rules
-    deg_cap = RULE_MAX_DEGREE_3_SECONDNBHD in hered
-    conf = _conflict_masks(rows, n, cfg.k, hered)
+    growth = _rules(cfg.prune_rules, "growth")
+    child_checks = [rule.check for rule in growth if rule.conflict is None]
+    conf = _conflict_masks(rows, n, cfg.k, growth)
     full = (1 << n) - 1
-    cand = full
-    max_size = n
-    if deg_cap:
-        for v in range(n):
-            if rows[v].bit_count() >= 3:
-                cand &= ~(1 << v)
+    cand, max_size = full, n
+    if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
+        cand = sum(1 << v for v in range(n) if rows[v].bit_count() < 3)
         max_size = 3
     if cells is None:
         cells = refine_partition(rows, [full])
@@ -397,12 +392,9 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
         child = [r | newbit if S >> i & 1 else r for i, r in enumerate(rows)]
         child.append(S)
         child_t = tuple(child)
-        if hered and not _child_ok(child_t, nc, hered):
-            continue
-        if thread_rule:
-            cap = 3 if deg_cap else cfg.n_max - 1
+        if child_checks:
             g = Graph(child_t, _validate=False)
-            if _thread_break_need(g) > cap * (cfg.n_max - nc):
+            if not all(check(g) for check in child_checks):
                 continue
         state = _accepted(child_t, nc)
         if state is None:
@@ -425,10 +417,11 @@ def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
     """One representative per isomorphism class of connected graphs.
 
     Streams every connected graph of order <= n_max whose odd-girth is at
-    least 2k+1 and which survives the hereditary prune rules in the config.
-    Final-graph rules (core, minimum degree, walks, exact threads) do not
-    restrict the stream; they are applied by the eta driver when it tests
-    witnesses, because they are not preserved while a graph is still growing.
+    least 2k+1 and which satisfies the config's growth rules; up to any
+    order, the stream does not depend on n_max.  Final rules (minimum
+    degree, threads, walks, core) do not restrict the stream; the eta driver
+    applies them when it tests witnesses, because they are not preserved
+    while a graph is still growing.
     """
     for _, rows, _ in _root_stream(config, budget):
         yield Graph(rows, _validate=False)
@@ -459,9 +452,10 @@ class SearchReport:
     ``eta_lower_bound_established`` is the first order not excluded by the
     run: the first witness order when one is found, else n_max + 1.  When
     ``minimal_counterexample_mode`` is set the bound is conditional on the
-    minimal-counterexample rules that pruned the enumeration.  When
-    ``truncated`` is set the run exceeded its budget, excludes nothing, and
-    the bound is None.
+    paper's proofs that a minimal counterexample satisfies the claim rules
+    used, each within its scope: (k, l) = (3, 2) and n_max <= 14, or
+    n_max <= 15 for ORDER15_VALID_RULES.  When ``truncated`` is set the run
+    exceeded its budget, excludes nothing, and the bound is None.
     """
 
     k: int
@@ -486,30 +480,18 @@ class SearchReport:
         return []
 
 
-def _final_filters_pass(g: Graph, rules) -> bool:
-    if RULE_MIN_DEGREE_2 in rules and any(d < 2 for d in g.degrees()):
-        return False
-    if RULE_NO_THREAD_GE_4 in rules and max_thread_length(g) > 3:
-        return False
-    if RULE_FIVE_WALK in rules and not claim_filter(g, RULE_FIVE_WALK):
-        return False
-    if RULE_CORE_ONLY in rules and not is_core(g):
-        return False
-    return True
-
-
 def _test_witness(rows, og, k, l, rules):
     """graph6 of a verified witness, or None.
 
     A witness has odd-girth ``og`` exactly 2k+1, no homomorphism to
-    C_{2l+1}, and passes the final-graph rules.  Before reporting, the graph
+    C_{2l+1}, and passes the final rules.  Before reporting, the graph
     is round tripped through graph6 and re-checked, odd-girth included, with
     fresh state.
     """
     if og != 2 * k + 1:
         return None
     g = Graph(rows, _validate=False)
-    if not _final_filters_pass(g, rules):
+    if not all(rule.check(g) for rule in _rules(rules, "final")):
         return None
     if find_homomorphism(g, cycle(2 * l + 1)) is not None:
         return None
@@ -645,47 +627,3 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
         wall_time_s=time.monotonic() - t0,
         truncated=truncated,
     )
-
-
-#: Rules that remain valid for a minimal witness of order 15: being a core
-#: (hence minimum degree 2 and no contained neighbourhood), the 5-walk rule
-#: and the thread bound follow from minimality together with the order-14
-#: colourability theorem.  The 4-cycle, 6-cycle and second-neighbourhood
-#: rules do not: their derivations count vertices against a budget of 14,
-#: and the known order-15 witnesses genuinely violate them (fig2a contains
-#: 4- and 6-cycles and a degree-3 vertex with five second neighbours, fig2c
-#: a degree-4 vertex).
-ORDER15_VALID_RULES = frozenset({
-    RULE_CONNECTED, RULE_MIN_DEGREE_2, RULE_NO_THREAD_GE_4,
-    RULE_CORE_ONLY, RULE_FIVE_WALK,
-})
-
-
-def rediscover_order15(budget: Budget | None = None,
-                       rules: frozenset = ORDER15_VALID_RULES):
-    """Search for order-15, odd-girth-7 graphs with no homomorphism to C5.
-
-    Uses only the prune rules that are valid for minimal witnesses at order
-    15 (see ORDER15_VALID_RULES); the stronger order-<=14 rules would discard
-    the known witnesses.  Without those rules the enumeration space up to
-    order 15 is far beyond desk scale, so a run is expected to exhaust its
-    budget: the return value is (witnesses found so far, completed flag),
-    and only a completed run certifies the full list.  Witnesses are
-    isomorphism-distinct by construction and each is re-verified before
-    inclusion.
-    """
-    if budget is None:
-        budget = Budget(seconds=60.0)
-    cfg = SearchConfig(k=3, l=2, n_max=15, prune_rules=frozenset(rules))
-    out = []
-    complete = True
-    try:
-        for n, rows, og in _root_stream(cfg, budget):
-            if n != 15:
-                continue
-            w = _test_witness(rows, og, 3, 2, cfg.prune_rules)
-            if w is not None:
-                out.append(from_graph6(w))
-    except BudgetExceededError:
-        complete = False
-    return out, complete

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,6 @@ from oddhom import (
     chromatic_number,
     circular_chromatic_number,
     circular_clique,
-    circular_clique_hom_criterion_check,
     complete,
     compute_core,
     cycle,
@@ -184,6 +184,18 @@ class TestCircularChromatic:
             chi_c = circular_chromatic_number(g)
             chi = chromatic_number(g)
             assert chi - 1 < chi_c <= chi
+
+
+def circular_clique_hom_criterion_check(p: int, q: int, r: int, s: int) -> bool:
+    """Self-test of the fraction criterion: C(p,q) -> C(r,s) iff p/q <= r/s.
+
+    Runs the solver on the actual circular cliques and reports whether its
+    decision agrees with the fraction comparison.
+    """
+    if gcd(p, q) != 1 or gcd(r, s) != 1 or p < 2 * q or r < 2 * s:
+        raise ValueError("parameters must be coprime with p >= 2q and r >= 2s")
+    found = find_homomorphism(circular_clique(p, q), circular_clique(r, s)) is not None
+    return found == (Fraction(p, q) <= Fraction(r, s))
 
 
 class TestCircularCliqueCriterion:

@@ -13,25 +13,41 @@ import pytest
 
 from oddhom import (
     ALL_RULES,
+    ORDER15_VALID_RULES,
     Budget,
     Graph,
     SearchConfig,
+    claim_filter,
+    complete,
+    cycle,
     enumerate_graphs,
     eta_search,
     from_graph6,
     generalized_mycielski,
     odd_girth,
+    to_graph6,
 )
 from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_uniform
-from oddhom.cli import EXIT_BUDGET, EXIT_OK, main
-from oddhom.search import _root_stream, _set_orbit
+from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from oddhom.search import (
+    RULE_CONNECTED,
+    RULE_MAX_DEGREE_3_SECONDNBHD,
+    RULE_NO_4_CYCLE,
+    RULE_NO_6_CYCLE,
+    _root_stream,
+    _set_orbit,
+)
 
 from conftest import brute_classes, random_graph
 
 A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]  # connected graphs
 A024607 = [1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832]  # connected triangle-free graphs
 ODD_GIRTH_7 = [1, 1, 1, 3, 5, 17, 45, 184, 748, 4143]  # connected, odd-girth >= 7
-MINIMAL_OG7 = [1, 1, 1, 2, 2, 4, 7, 13, 23, 51, 105, 246, 556, 452]  # ALL_RULES, k=3
+# ALL_RULES, k=3: the odd-girth-7 stream under the three hereditary rules
+# (no 4-cycle, no 6-cycle, degree/second-neighbourhood caps); checked against
+# the filtered unconditional stream up to n = 10 below.
+MINIMAL_OG7 = [1, 1, 1, 2, 2, 4, 7, 13, 23, 51, 105, 246, 557, 1348]
+HEREDITARY = (RULE_NO_4_CYCLE, RULE_NO_6_CYCLE, RULE_MAX_DEGREE_3_SECONDNBHD)
 
 
 def stream_counts(cfg):
@@ -63,6 +79,24 @@ class TestEnumerationCounts:
     def test_minimal_counterexample_rules(self):
         cfg = SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES)
         assert stream_counts(cfg) == MINIMAL_OG7
+
+    def test_pruned_stream_is_filtered_unconditional_stream(self):
+        # Pruning by hereditary rules must drop exactly the graphs that fail
+        # them, whatever n_max is: the oracle filters the unpruned stream.
+        def classes(cfg, keep):
+            out = Counter()
+            for g in enumerate_graphs(cfg):
+                if keep(g):
+                    out[g.order, canonical_bytes(g)] += 1
+            return out
+
+        pruned = classes(SearchConfig(k=3, l=2, n_max=10, prune_rules=ALL_RULES),
+                         lambda g: True)
+        oracle = classes(SearchConfig(k=3, l=2, n_max=10),
+                         lambda g: all(claim_filter(g, r) for r in HEREDITARY))
+        assert pruned == oracle
+        assert set(pruned.values()) == {1}
+        assert [sum(1 for n, _ in pruned if n == m) for m in range(1, 11)] == MINIMAL_OG7[:10]
 
     def test_no_isomorphic_duplicates_triangle_free(self):
         seen = [canonical_bytes(g) for g in enumerate_graphs(SearchConfig(k=2, l=1, n_max=9))]
@@ -182,6 +216,14 @@ class TestEtaDriver:
         assert code == EXIT_OK
         assert "eta(2,1) >= 8" in capsys.readouterr().err
 
+    def test_minimal_counterexample_search_bound_15(self):
+        report = eta_search(SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES))
+        assert not report.truncated
+        assert report.minimal_counterexample_mode
+        assert [r.enumerated for r in report.records] == MINIMAL_OG7
+        assert report.first_witness_order is None
+        assert report.eta_lower_bound_established == 15
+
     @pytest.mark.slow
     def test_eta_2_1_is_grotzsch(self):
         report = eta_search(SearchConfig(k=2, l=1, n_max=11), jobs=2)
@@ -192,3 +234,71 @@ class TestEtaDriver:
         witnesses = report.witnesses_at(11)
         assert len(witnesses) == 1
         assert canonical_bytes(from_graph6(witnesses[0])) == canonical_bytes(generalized_mycielski(2))
+
+
+class TestRuleScope:
+    @pytest.mark.parametrize("k, l, n_max, rules", [
+        (2, 1, 11, ALL_RULES),  # the Grötzsch graph has 4-cycles
+        (3, 2, 15, ALL_RULES),  # fig2a has 4- and 6-cycles
+        (3, 2, 16, ORDER15_VALID_RULES),
+        (4, 2, 12, ORDER15_VALID_RULES),
+        (3, 3, 12, frozenset({RULE_NO_4_CYCLE})),
+    ])
+    def test_out_of_scope_rejected(self, k, l, n_max, rules):
+        with pytest.raises(ValueError, match="outside their scope"):
+            SearchConfig(k=k, l=l, n_max=n_max, prune_rules=rules)
+
+    @pytest.mark.parametrize("n_max, rules", [
+        (14, ALL_RULES), (11, ALL_RULES), (15, ORDER15_VALID_RULES), (3, ALL_RULES),
+    ])
+    def test_in_scope_accepted(self, n_max, rules):
+        assert SearchConfig(k=3, l=2, n_max=n_max, prune_rules=rules).prune_rules == rules
+
+    def test_connected_holds_everywhere(self):
+        cfg = SearchConfig(k=5, l=1, n_max=40, prune_rules={RULE_CONNECTED})
+        assert cfg.prune_rules == {RULE_CONNECTED}
+
+    def test_unknown_rule(self):
+        with pytest.raises(ValueError, match="unknown"):
+            SearchConfig(k=3, l=2, n_max=10, prune_rules={"NO_SUCH_RULE"})
+        with pytest.raises(ValueError, match="unknown"):
+            claim_filter(cycle(7), "NO_SUCH_RULE")
+
+
+def write_graph(tmp_path, name, g):
+    path = tmp_path / name
+    path.write_text(to_graph6(g) + "\n")
+    return str(path)
+
+
+class TestCliExitCodes:
+    def test_hom_found(self, tmp_path, capsys):
+        code = main(["hom", write_graph(tmp_path, "c5", cycle(5)),
+                     write_graph(tmp_path, "k3", complete(3))])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() != "NONE"
+
+    def test_hom_none(self, tmp_path, capsys):
+        code = main(["hom", write_graph(tmp_path, "k3", complete(3)),
+                     write_graph(tmp_path, "c5", cycle(5))])
+        assert code == EXIT_NEGATIVE
+        assert capsys.readouterr().out.strip() == "NONE"
+
+    def test_no_graph6_line(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.write_text("\n  \n")
+        with pytest.raises(SystemExit) as exc:
+            main(["odd-girth", str(empty)])
+        assert exc.value.code == EXIT_USAGE
+        assert "no graph6 line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, l, n_max", [(2, 1, 11), (3, 2, 15)])
+    def test_assume_minimal_out_of_scope(self, k, l, n_max, capsys, monkeypatch):
+        monkeypatch.delenv("ODDHOM_BUDGET_SECONDS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["search-eta", "--k", str(k), "--l", str(l), "--max-n", str(n_max),
+                  "--assume-minimal"])
+        assert exc.value.code == EXIT_USAGE
+        out = capsys.readouterr()
+        assert "eta(" not in out.out + out.err
+        assert "outside their scope" in out.err
