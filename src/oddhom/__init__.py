@@ -21,23 +21,19 @@ from .constructions import (
     odd_k32,
     path,
     subdivided_k4,
-    write_fixture_corpus,
 )
 from .graphs import (
     INFINITE,
     DistancePartition,
     Graph,
     distance_partition,
-    fold_cycle,
     from_graph6,
     girth,
     has_walk_of_length,
-    identify_vertices,
     is_connected,
     list_threads,
     max_thread_length,
     odd_girth,
-    shortest_odd_cycle,
     to_graph6,
 )
 from .hom import (

@@ -61,11 +61,6 @@ def refine_partition(rows, cells):
             return cells
 
 
-def refine_uniform(rows, n):
-    """Refine the trivial partition; first split orders cells by degree."""
-    return refine_partition(rows, [(1 << n) - 1])
-
-
 def _adj_bytes(rows, n, perm):
     out = [0] * n
     for v in range(n):
@@ -195,7 +190,8 @@ class CanonicalForm:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``."""
-    b, perm = canonical_search(g.rows, g.order, refine_uniform(g.rows, g.order))
+    cells = refine_partition(g.rows, [(1 << g.order) - 1])
+    b, perm = canonical_search(g.rows, g.order, cells)
     return CanonicalForm(b, perm)
 
 
@@ -209,10 +205,3 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
     return canonical_bytes(g1) == canonical_bytes(g2)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """``g`` relabelled into canonical positions (a concrete representative)."""
-    cf = canonical_form(g)
-    perm = cf.relabeling
-    return Graph.from_edges(g.order, [(perm[a], perm[b]) for a, b in g.edges()])

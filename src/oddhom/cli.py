@@ -20,11 +20,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import constructions as cons
 from .budget import Budget, BudgetExceededError
-from .canon import are_isomorphic
 from .graphs import INFINITE, Graph, from_graph6, girth, odd_girth, to_graph6
 from .hom import (
     chromatic_number,
@@ -32,9 +30,9 @@ from .hom import (
     compute_core,
     exists_v_special,
     find_homomorphism,
-    has_homomorphism,
 )
 from .search import ALL_RULES, RULE_CONNECTED, SearchConfig, eta_search
+from .table import REFERENCE_TABLE, cell_checks
 from .witness import find_odd_k32, find_odd_k4
 
 EXIT_OK = 0
@@ -67,130 +65,50 @@ def _fmt_girth(value) -> str:
     return "infinity" if value == INFINITE else str(value)
 
 
-# -- table of known values -------------------------------------------------------
+#: One-graph queries: subcommand -> (help, function from the graph to the printed value).
+QUERIES = {
+    "odd-girth": ("shortest odd cycle length (or 'infinity')", lambda g: _fmt_girth(odd_girth(g))),
+    "girth": ("shortest cycle length (or 'infinity')", lambda g: _fmt_girth(girth(g))),
+    "core": ("graph6 of the core", lambda g: to_graph6(compute_core(g))),
+    "chi": ("chromatic number", chromatic_number),
+    "chi-c": ("circular chromatic number as p/q",
+              lambda g: "%d/%d" % circular_chromatic_number(g).as_integer_ratio()),
+}
 
-#: Reference bounds (lo, hi) on eta(k, l) for k, l in 1..8; lo == hi marks an
-#: exactly known cell.  Cells with k < l are the trivial 2k+1; cells settled
-#: by the designated odd-K4 are 4k; the remaining entries are the published
-#: bounds (upper bounds 2k^2+k+1 from the generalized Mycielski family,
-#: lower bounds from the k=3 order-15 theorem, monotonicity, the 4k bound,
-#: or the quadratic lower bound for 3-colourability).
-REFERENCE_TABLE = {}
-_UPPER_L1 = {1: 4, 2: 11, 3: 22, 4: 37, 5: 56, 6: 79, 7: 106, 8: 137}
-_LOWER_L1 = {3: 15, 4: 17, 5: 20, 6: 27, 7: 38, 8: 51}
-
-
-def designated_odd_k4(k: int):
-    """The thread triple certifying eta(k, l) = 4k for the covered cells.
-
-    Depending on 2k mod 3, take p = (2k+3)/3, (2k+2)/3 or (2k+1)/3 and the
-    triple (p-1, p-1, p), (p-1, p, p) or (p, p, p); the resulting graph has
-    order 4k, odd-girth 2k+1, and no homomorphism to C_{2p+1}.
-    """
-    r = 2 * k % 3
-    if r == 0:
-        p = (2 * k + 3) // 3
-        return (p - 1, p - 1, p), p
-    if r == 1:
-        p = (2 * k + 2) // 3
-        return (p - 1, p, p), p
-    p = (2 * k + 1) // 3
-    return (p, p, p), p
+#: Integer-parameter families of ``build``: name -> (builder, number of parameters).
+BUILDERS = {
+    "mycielski": (cons.generalized_mycielski, 1),
+    "odd-k4": (cons.odd_k4, 3),
+    "odd-k32": (lambda *v: cons.odd_k32(v[:3], v[3:]), 6),
+    "circular-clique": (cons.circular_clique, 2),
+    "cycle": (cons.cycle, 1),
+}
 
 
-def is_four_k_cell(k: int, l: int) -> bool:
-    """True when the designated odd-K4 settles eta(k, l) = 4k exactly."""
-    if l > k:
-        return False
-    i = 2 * k % 3
-    return 2 * k <= 3 * l + i - 3
-
-
-for _l in range(1, 9):
-    for _k in range(1, 9):
-        if _k < _l:
-            REFERENCE_TABLE[(_k, _l)] = (2 * _k + 1, 2 * _k + 1)
-        elif is_four_k_cell(_k, _l):
-            REFERENCE_TABLE[(_k, _l)] = (4 * _k, 4 * _k)
-        elif _l == 1:
-            REFERENCE_TABLE[(_k, 1)] = (_LOWER_L1.get(_k, 2 * _k * _k + _k + 1), _UPPER_L1[_k])
-        else:
-            REFERENCE_TABLE[(_k, _l)] = (4 * _k, _UPPER_L1[_k])
-REFERENCE_TABLE[(1, 1)] = (4, 4)
-REFERENCE_TABLE[(2, 1)] = (11, 11)
-REFERENCE_TABLE[(3, 2)] = (15, 15)
-REFERENCE_TABLE[(4, 2)] = (17, 37)
-
-
-def _table1_cell_checks(k: int, l: int):
-    """Desk-scale checks for one cell: list of (description, passed)."""
-    checks = []
-    lo, hi = REFERENCE_TABLE[(k, l)]
-    target = cons.cycle(2 * l + 1) if l > 1 else cons.complete(3)
-    if k < l:
-        g = cons.cycle(2 * k + 1)
-        checks.append((f"C{2*k+1} has no map to C{2*l+1}", not has_homomorphism(g, target)))
-        checks.append(("order equals the odd-girth floor", g.order == lo))
-        return checks
-    if is_four_k_cell(k, l):
-        abc, p = designated_odd_k4(k)
-        g = cons.odd_k4(*abc)
-        checks.append((f"odd-K4{abc} has order 4k={4*k}", g.order == 4 * k))
-        checks.append((f"odd-girth {2*k+1}", odd_girth(g) == 2 * k + 1))
-        checks.append((f"no map to C{2*l+1}", not has_homomorphism(g, target)))
-        return checks
-    if (k, l) == (2, 1):
-        g = cons.generalized_mycielski(2)
-        checks.append(("11-vertex witness has odd-girth 5", g.order == 11 and odd_girth(g) == 5))
-        checks.append(("witness is not 3-colourable", not has_homomorphism(g, target)))
-        return checks
-    if (k, l) == (3, 2):
-        for name in ("fig2a", "fig2b", "fig2c"):
-            g = cons.fixture(name)
-            checks.append((f"{name}: order 15, odd-girth 7, no map to C5",
-                           g.order == 15 and odd_girth(g) == 7
-                           and not has_homomorphism(g, cons.cycle(5))))
-        return checks
-    # Range cells: verify the buildable upper-bound witness (the k-level
-    # Mycielski construction, order 2k^2+k+1).  Refuting 3-colourability of
-    # the 56-vertex witness is not desk scale; there the witness shape alone
-    # is checked and colourability is left to the acceptance suite's cells.
-    if hi <= 64:
-        g = cons.generalized_mycielski(k)
-        checks.append((f"order-{hi} witness has odd-girth {2*k+1}",
-                       g.order == hi and odd_girth(g) == 2 * k + 1))
-        if l >= 2 or g.order <= 40:
-            checks.append(("witness has no map to " + (f"C{2*l+1}" if l > 1 else "K3"),
-                           not has_homomorphism(g, target)))
-    return checks
-
+# -- subcommand handlers ----------------------------------------------------------
 
 def _cmd_table1(args) -> int:
     any_fail = False
     print(f"{'cell':>10}  {'reference':>10}  {'status':8}  evidence")
-    for l in range(1, 9):
-        for k in range(1, 9):
-            lo, hi = REFERENCE_TABLE[(k, l)]
-            ref = str(lo) if lo == hi else f"{lo}-{hi}"
-            checks = _table1_cell_checks(k, l)
-            if not checks:
-                status = "--"
-                note = "not desk-checkable (witness exceeds 64 vertices or bound is structural)"
-            elif all(ok for _, ok in checks):
-                status = "MATCH"
-                note = "; ".join(d for d, _ in checks)
-            else:
-                status = "MISMATCH"
-                any_fail = True
-                note = "; ".join(f"{d}: {'ok' if ok else 'FAILED'}" for d, ok in checks)
-            print(f"eta({k},{l})".rjust(10) + f"  {ref:>10}  {status:8}  {note}")
+    for (k, l), (lo, hi) in REFERENCE_TABLE.items():
+        ref = str(lo) if lo == hi else f"{lo}-{hi}"
+        checks = cell_checks(k, l)
+        if not checks:
+            status = "--"
+            note = "not desk-checkable (witness exceeds 64 vertices or bound is structural)"
+        elif all(ok for _, ok in checks):
+            status = "MATCH"
+            note = "; ".join(d for d, _ in checks)
+        else:
+            status = "MISMATCH"
+            any_fail = True
+            note = "; ".join(f"{d}: {'ok' if ok else 'FAILED'}" for d, ok in checks)
+        print(f"eta({k},{l})".rjust(10) + f"  {ref:>10}  {status:8}  {note}")
     if any_fail:
         print("table1: MISMATCH detected", file=sys.stderr)
         return EXIT_NEGATIVE
     return EXIT_OK
 
-
-# -- subcommand handlers ----------------------------------------------------------
 
 def _cmd_hom(args) -> int:
     g = _read_graph(args.src)
@@ -203,61 +121,23 @@ def _cmd_hom(args) -> int:
     return EXIT_OK
 
 
-def _cmd_odd_girth(args) -> int:
-    print(_fmt_girth(odd_girth(_read_graph(args.graph))))
-    return EXIT_OK
-
-
-def _cmd_girth(args) -> int:
-    print(_fmt_girth(girth(_read_graph(args.graph))))
-    return EXIT_OK
-
-
-def _cmd_core(args) -> int:
-    print(to_graph6(compute_core(_read_graph(args.graph))))
-    return EXIT_OK
-
-
-def _cmd_chi(args) -> int:
-    print(chromatic_number(_read_graph(args.graph)))
-    return EXIT_OK
-
-
-def _cmd_chi_c(args) -> int:
-    f: Fraction = circular_chromatic_number(_read_graph(args.graph))
-    print(f"{f.numerator}/{f.denominator}")
+def _cmd_query(args) -> int:
+    print(QUERIES[args.cmd][1](_read_graph(args.graph)))
     return EXIT_OK
 
 
 def _cmd_build(args) -> int:
-    kind = args.family
-    if kind == "mycielski":
-        g = cons.generalized_mycielski(_int(args.params, 1)[0])
-    elif kind == "odd-k4":
-        a, b, c = _int(args.params, 3)
-        g = cons.odd_k4(a, b, c)
-    elif kind == "odd-k32":
-        v = _int(args.params, 6)
-        g = cons.odd_k32(v[:3], v[3:])
-    elif kind == "circular-clique":
-        p, q = _int(args.params, 2)
-        g = cons.circular_clique(p, q)
-    elif kind == "cycle":
-        g = cons.cycle(_int(args.params, 1)[0])
-    elif kind == "fixture":
+    if args.family == "fixture":
         if len(args.params) != 1:
             raise ValueError("build fixture takes exactly one name")
         g = cons.fixture(args.params[0])
     else:
-        raise ValueError(f"unknown family {kind!r}")
+        builder, arity = BUILDERS[args.family]
+        if len(args.params) != arity:
+            raise ValueError(f"expected {arity} integer parameter(s), got {len(args.params)}")
+        g = builder(*map(int, args.params))
     print(to_graph6(g))
     return EXIT_OK
-
-
-def _int(params, want):
-    if len(params) != want:
-        raise ValueError(f"expected {want} integer parameter(s), got {len(params)}")
-    return [int(p) for p in params]
 
 
 def _cmd_detect(args) -> int:
@@ -315,29 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dst")
     p.set_defaults(fn=_cmd_hom)
 
-    p = sub.add_parser("odd-girth", help="shortest odd cycle length (or 'infinity')")
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_odd_girth)
-
-    p = sub.add_parser("girth", help="shortest cycle length (or 'infinity')")
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_girth)
-
-    p = sub.add_parser("core", help="graph6 of the core")
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_core)
-
-    p = sub.add_parser("chi", help="chromatic number")
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_chi)
-
-    p = sub.add_parser("chi-c", help="circular chromatic number as p/q")
-    p.add_argument("graph")
-    p.set_defaults(fn=_cmd_chi_c)
+    for name, (help_text, _) in QUERIES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("graph")
+        p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser("build", help="print a named construction as graph6")
-    p.add_argument("family", choices=["mycielski", "odd-k4", "odd-k32",
-                                      "circular-clique", "cycle", "fixture"])
+    p.add_argument("family", choices=[*BUILDERS, "fixture"])
     p.add_argument("params", nargs="*")
     p.set_defaults(fn=_cmd_build)
 

@@ -18,9 +18,7 @@ thread interiors in declaration order.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 from .graphs import Graph
 
@@ -114,11 +112,10 @@ def odd_k32(cycle_lengths, path_lengths) -> Graph:
 
     ``cycle_lengths`` are three odd integers >= 3; ``path_lengths`` gives the
     connecting path length for the pairs (0,1), (0,2), (1,2) in that order.
-    A path of length t >= 1 attaches at fixed ports (vertex 0 of each cycle
-    for its first listed pair, vertex 1 for its second) and contributes t-1
-    interior vertices.  A path of length 0 identifies vertex 0 of the two
-    cycles; several zero-length paths therefore collapse into one shared hub,
-    so three C7s with all paths of length 0 have 19 vertices, not 18.
+    Each path attaches at fixed ports (vertex 0 of each cycle for its first
+    listed pair, vertex 1 for its second).  A path of length t >= 1
+    contributes t-1 interior vertices; a path of length 0 identifies the two
+    ports, so three C7s with all paths of length 0 have 21 - 3 = 18 vertices.
 
     Vertex numbering: cycle 0, cycle 1, cycle 2 blocks in ring order (merged
     vertices keep the smallest block slot), then path interiors in pair order.
@@ -159,9 +156,8 @@ def odd_k32(cycle_lengths, path_lengths) -> Graph:
     for pr, plen in zip(pairs, pls):
         if plen == 0:
             i, j = pr
-            a, b = find(base[i]), find(base[j])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+            a, b = find(base[i] + port[(i, pr)]), find(base[j] + port[(j, pr)])
+            parent[max(a, b)] = min(a, b)
 
     # Relabel after merges, keeping block order.
     label = {}
@@ -186,8 +182,7 @@ def odd_k32(cycle_lengths, path_lengths) -> Graph:
             nxt += 1
         edges.append((prev, v))
 
-    edges = [(u, v) for u, v in edges if u != v]
-    return Graph.from_edges(nxt, set(tuple(sorted(e)) for e in edges))
+    return Graph.from_edges(nxt, edges)
 
 
 def generalized_mycielski(k: int) -> Graph:
@@ -329,25 +324,3 @@ def fixture(name: str) -> Graph:
         # of the two 9-cycles and exceeds its partner by 2.
         return subdivided_k4(*_CASE3B[name])
     raise ValueError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-
-
-def write_fixture_corpus(directory: str):
-    """Write fixtures.g6 (one graph per line) plus a name -> line manifest.
-
-    Returns the pair of file paths.  Line numbers in the manifest are
-    1-based, matching what text tools report.
-    """
-    from .graphs import to_graph6
-
-    os.makedirs(directory, exist_ok=True)
-    g6_path = os.path.join(directory, "fixtures.g6")
-    manifest_path = os.path.join(directory, "fixtures_manifest.json")
-    manifest = {}
-    with open(g6_path, "w") as fh:
-        for lineno, name in enumerate(FIXTURE_NAMES, start=1):
-            fh.write(to_graph6(fixture(name)) + "\n")
-            manifest[name] = lineno
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return g6_path, manifest_path

@@ -82,9 +82,6 @@ class Graph:
     def degree(self, v):
         return self.rows[v].bit_count()
 
-    def neighbors_mask(self, v):
-        return self.rows[v]
-
     def neighbors(self, v):
         return list(_bits(self.rows[v]))
 
@@ -260,44 +257,6 @@ def girth(g: Graph):
     return best if best is not None else INFINITE
 
 
-def shortest_odd_cycle(g: Graph):
-    """One shortest odd cycle as an ordered vertex tuple, or None if bipartite.
-
-    Recovered from the parity double cover by parent pointers; the closed
-    walk found at the minimum length cannot repeat a vertex.
-    """
-    og = odd_girth(g)
-    if og is INFINITE:
-        return None
-    n, rows = g.order, g.rows
-    for v in range(n):
-        if _odd_walk_back_to(rows, v, og) != og:
-            continue
-        # BFS over (vertex, parity) states with parent tracking.
-        parent = {(v, 0): None}
-        queue = [(v, 0)]
-        target = (v, 1)
-        while queue and target not in parent:
-            nq = []
-            for (a, p) in queue:
-                for b in _bits(rows[a]):
-                    s = (b, p ^ 1)
-                    if s not in parent:
-                        parent[s] = (a, p)
-                        nq.append(s)
-            queue = nq
-        walk = []
-        s = target
-        while s is not None:
-            walk.append(s[0])
-            s = parent[s]
-        walk.reverse()  # v ... v, length og
-        cycle = tuple(walk[:-1])
-        if len(set(cycle)) == len(cycle):
-            return cycle
-    return None
-
-
 @dataclass(frozen=True)
 class DistancePartition:
     """BFS layers around a centre: distance exactly 1, exactly 2, and >= 3.
@@ -395,64 +354,6 @@ def list_threads(g: Graph):
 def max_thread_length(g: Graph) -> int:
     """Largest thread length in edges; 0 when the graph has no thread."""
     return max((len(p) - 1 for p in list_threads(g)), default=0)
-
-
-def identify_vertices(g: Graph, u, v) -> Graph:
-    """Quotient graph obtained by merging two non-adjacent vertices.
-
-    The merged vertex keeps ``u``'s slot (indices above ``v`` shift down by
-    one); parallel edges collapse silently, so the collapsing map is a
-    homomorphism onto the result.
-    """
-    if u == v:
-        raise ValueError("cannot identify a vertex with itself")
-    if g.has_edge(u, v):
-        raise ValueError(f"vertices {u} and {v} are adjacent; identifying them would create a loop")
-    n = g.order
-    old_new = {}
-    k = 0
-    for w in range(n):
-        if w == v:
-            continue
-        old_new[w] = k
-        k += 1
-    old_new[v] = old_new[u]
-    edges = []
-    for a, b in g.edges():
-        na, nb = old_new[a], old_new[b]
-        if na != nb:
-            edges.append((na, nb))
-    return Graph.from_edges(n - 1, edges)
-
-
-def fold_cycle(g: Graph, cycle) -> Graph:
-    """Collapse an odd cycle v0..v_{2k+2} by identifying v0~v2 and v1~v3.
-
-    The two identifications shorten the given cycle by two, so a graph of
-    odd-girth 2k+3 folds onto one of odd-girth exactly 2k+1, and the quotient
-    map is a homomorphism.  The cycle must be a genuine odd cycle of ``g`` of
-    length at least 5, with v0,v2 and v1,v3 non-adjacent.
-    """
-    c = list(cycle)
-    m = len(c)
-    if m < 5 or m % 2 == 0:
-        raise ValueError("fold_cycle needs an odd cycle of length at least 5")
-    if len(set(c)) != m:
-        raise ValueError("cycle vertices must be distinct")
-    for a, b in zip(c, c[1:] + c[:1]):
-        if not g.has_edge(a, b):
-            raise ValueError(f"({a}, {b}) is not an edge; the sequence is not a cycle of g")
-    if g.has_edge(c[0], c[2]) or g.has_edge(c[1], c[3]):
-        raise ValueError("identification pair is adjacent; a chord makes this fold illegal")
-    h = identify_vertices(g, c[0], c[2])
-
-    def shift(w):
-        # identify_vertices(g, c0, c2) keeps c0's slot and slides indices
-        # above c2 down by one.
-        t = c[0] if w == c[2] else w
-        return t - 1 if t > c[2] else t
-
-    return identify_vertices(h, shift(c[1]), shift(c[3]))
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:

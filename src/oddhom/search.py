@@ -502,19 +502,36 @@ def _test_witness(rows, og, k, l, rules):
     return g6
 
 
-def _expand_subtree(args):
-    """Worker: enumerate and test all descendants of one frontier node."""
-    g6, k, l, n_max, rules = args
-    cfg = SearchConfig(k=k, l=l, n_max=n_max, prune_rules=frozenset(rules))
-    g = from_graph6(g6)
+def _tally(stream, cfg: SearchConfig, stop=None):
+    """Count and test a stream: (counts, witnesses, graph6 at order ``stop``, truncated).
+
+    A stream cut by its budget returns what it found so far, truncated.
+    """
     counts = Counter()
     wits = defaultdict(list)
-    for n, rows, og in _descendants(g.rows, g.order, odd_girth(g), cfg, None):
-        counts[n] += 1
-        w = _test_witness(rows, og, k, l, cfg.prune_rules)
-        if w is not None:
-            wits[n].append(w)
-    return dict(counts), {n: ws for n, ws in wits.items()}
+    frontier = []
+    try:
+        for n, rows, og in stream:
+            counts[n] += 1
+            w = _test_witness(rows, og, cfg.k, cfg.l, cfg.prune_rules)
+            if w is not None:
+                wits[n].append(w)
+            if n == stop:
+                frontier.append(to_graph6(Graph(rows, _validate=False)))
+    except BudgetExceededError:
+        return counts, wits, frontier, True
+    return counts, wits, frontier, False
+
+
+def _expand_subtree(args):
+    """Worker: (counts, witnesses, truncated) of one frontier node's descendants."""
+    g6, cfg, budget = args
+    if budget is not None and budget.expired():
+        return Counter(), {}, True
+    g = from_graph6(g6)
+    counts, wits, _, truncated = _tally(
+        _descendants(g.rows, g.order, odd_girth(g), cfg, budget), cfg)
+    return counts, wits, truncated
 
 
 _CHECKPOINT_MAGIC = "#oddhom-eta-checkpoint v1"
@@ -559,41 +576,27 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     are disjoint, so results merge by plain union and the report does not
     depend on the split.  ``checkpoint`` stores the frontier so an
     interrupted run can resume without regrowing it.  A budget, if given,
-    truncates the run and flags the report instead of raising.
+    truncates the run and flags the report instead of raising.  Its deadline
+    is a ``time.monotonic()`` value, a system-wide clock on Linux, so it holds
+    in every worker; under ``jobs`` a node limit applies per subtree.
     """
     t0 = time.monotonic()
     split = config.parallel_width
     if (jobs > 1 or checkpoint) and not split:
         split = min(8, config.n_max - 1)
 
-    counts = Counter()
-    wits = defaultdict(list)
-    frontier = []
     truncated = False
-
-    resumed = False
     if checkpoint and os.path.exists(checkpoint):
         split, counts, wits, frontier = _read_checkpoint(checkpoint, config)
-        resumed = True
-
-    if not resumed:
-        stop = split if split else None
-        try:
-            for n, rows, og in _root_stream(config, budget, stop_order=stop):
-                counts[n] += 1
-                w = _test_witness(rows, og, config.k, config.l, config.prune_rules)
-                if w is not None:
-                    wits[n].append(w)
-                if stop is not None and n == stop:
-                    frontier.append(to_graph6(Graph(rows, _validate=False)))
-        except BudgetExceededError:
-            truncated = True
+    else:
+        stop = split or None
+        counts, wits, frontier, truncated = _tally(
+            _root_stream(config, budget, stop_order=stop), config, stop)
         if checkpoint and not truncated and split:
             _write_checkpoint(checkpoint, config, split, counts, wits, frontier)
 
     if split and frontier and not truncated:
-        tasks = [(g6, config.k, config.l, config.n_max, tuple(sorted(config.prune_rules)))
-                 for g6 in sorted(frontier)]
+        tasks = [(g6, config, budget) for g6 in sorted(frontier)]
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -601,12 +604,12 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_expand_subtree, tasks, chunksize=chunk))
         else:
-            results = [_expand_subtree(t) for t in tasks]
-        for cts, ws in results:
-            for n, c in cts.items():
-                counts[n] += c
+            results = map(_expand_subtree, tasks)
+        for cts, ws, cut in results:
+            counts.update(cts)
             for n, lst in ws.items():
                 wits[n].extend(lst)
+            truncated |= cut
 
     records = tuple(
         OrderRecord(n, counts.get(n, 0), len(wits.get(n, [])), tuple(sorted(wits.get(n, []))))

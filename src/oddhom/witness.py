@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import Budget, BudgetExceededError
+from .budget import Budget
 from .graphs import Graph, _bits, odd_girth
 from .constructions import cycle
 from .hom import find_homomorphism
@@ -56,12 +56,6 @@ class OddK4Witness:
     def face_lengths(self):
         tl = self.thread_lengths
         return tuple(tl[i] + tl[j] + tl[k] for i, j, k in _K4_FACES)
-
-    def vertices(self):
-        out = set(self.branch)
-        for p in self.paths:
-            out.update(p)
-        return out
 
     def verify(self, g: Graph) -> bool:
         if len(set(self.branch)) != 4:

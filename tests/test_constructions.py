@@ -1,6 +1,4 @@
 import itertools
-import json
-import math
 
 import pytest
 
@@ -16,7 +14,6 @@ from oddhom import (
     cycle,
     find_homomorphism,
     fixture,
-    from_graph6,
     generalized_mycielski,
     odd_girth,
     odd_k32,
@@ -24,7 +21,6 @@ from oddhom import (
     subdivided_k4,
     to_graph6,
     verify_mapping,
-    write_fixture_corpus,
 )
 from oddhom.search import RULE_MIN_DEGREE_2, RULE_NO_4_CYCLE, RULE_NO_6_CYCLE
 
@@ -86,9 +82,9 @@ class TestOddK32:
         assert g.order == 9
 
     def test_shared_hub_counting(self):
-        # Three length-0 paths collapse onto a single shared vertex.
+        # Each length-0 path merges its own pair of ports: three merges.
         g = odd_k32([7, 7, 7], [0, 0, 0])
-        assert g.order == 19
+        assert g.order == 18
 
     def test_positive_paths(self):
         g = odd_k32([7, 7, 7], [2, 2, 2])
@@ -281,14 +277,3 @@ class TestCase2bDerivation:
         assert survivors == {canonical_bytes(fixture("case2b"))}
         assert canonical_bytes(fixture("case1a")) in survivors
 
-
-class TestFixtureCorpus:
-    def test_corpus_round_trip(self, tmp_path):
-        g6_path, manifest_path = write_fixture_corpus(tmp_path)
-        lines = [l.strip() for l in open(g6_path) if l.strip()]
-        manifest = json.load(open(manifest_path))
-        assert set(manifest) == set(FIXTURE_NAMES)
-        assert len(lines) == len(FIXTURE_NAMES)
-        for name, lineno in manifest.items():
-            g = from_graph6(lines[lineno - 1])
-            assert g == fixture(name)

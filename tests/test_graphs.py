@@ -10,22 +10,18 @@ from oddhom import (
     cycle,
     distance_partition,
     fixture,
-    fold_cycle,
     from_graph6,
     generalized_mycielski,
     girth,
     has_walk_of_length,
-    identify_vertices,
     is_connected,
     list_threads,
     max_thread_length,
     odd_girth,
     odd_k4,
     path,
-    shortest_odd_cycle,
     to_graph6,
 )
-from oddhom.hom import find_homomorphism
 
 from conftest import random_graph
 
@@ -77,18 +73,6 @@ class TestOddGirth:
             g = random_graph(rng, rng.randint(1, 9), rng.random())
             og = odd_girth(g)
             assert og == INFINITE or og % 2 == 1
-
-    def test_shortest_odd_cycle_is_one(self, rng):
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(3, 9), 0.4)
-            og = odd_girth(g)
-            c = shortest_odd_cycle(g)
-            if og == INFINITE:
-                assert c is None
-            else:
-                assert len(c) == og and len(set(c)) == og
-                for a, b in zip(c, c[1:] + c[:1]):
-                    assert g.has_edge(a, b)
 
 
 class TestGirth:
@@ -216,48 +200,6 @@ class TestThreads:
                     assert e not in seen
                     seen.add(e)
             assert len(seen) == g.edge_count()
-
-
-class TestQuotients:
-    def test_identify_c9_distance2(self):
-        h = identify_vertices(cycle(9), 0, 2)
-        assert h.order == 8
-        assert odd_girth(h) == 7
-
-    def test_identify_path_endpoints_merges_parallel(self):
-        h = identify_vertices(path(3), 0, 2)
-        assert h.order == 2 and h.edge_count() == 1
-
-    def test_identify_c5_creates_triangle(self):
-        assert odd_girth(identify_vertices(cycle(5), 0, 2)) == 3
-
-    def test_identify_rejects_adjacent(self):
-        with pytest.raises(ValueError):
-            identify_vertices(cycle(5), 0, 1)
-
-    def test_identify_is_homomorphic_image(self, rng):
-        done = 0
-        while done < 25:
-            g = random_graph(rng, rng.randint(4, 7), 0.45)
-            pairs = [(u, v) for u in range(g.order) for v in range(u + 1, g.order)
-                     if not g.has_edge(u, v)]
-            if not pairs:
-                continue
-            u, v = rng.choice(pairs)
-            h = identify_vertices(g, u, v)
-            assert find_homomorphism(g, h) is not None
-            done += 1
-
-    def test_fold_c9_gives_c7(self):
-        h = fold_cycle(cycle(9), list(range(9)))
-        assert h.order == 7
-        assert odd_girth(h) == 7
-
-    def test_fold_rejects_non_cycles(self):
-        with pytest.raises(ValueError):
-            fold_cycle(cycle(9), [0, 1, 2, 3, 4])
-        with pytest.raises(ValueError):
-            fold_cycle(cycle(9), list(range(8)))
 
 
 class TestGraph6:

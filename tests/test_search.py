@@ -27,7 +27,7 @@ from oddhom import (
     odd_girth,
     to_graph6,
 )
-from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_uniform
+from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.search import (
     RULE_CONNECTED,
@@ -129,9 +129,13 @@ def group_closure(n, gens):
     return group
 
 
+def canonical(g, gens=None):
+    return canonical_search(g.rows, g.order, refine_partition(g.rows, [(1 << g.order) - 1]), gens)
+
+
 def generators(g):
     gens = []
-    result = canonical_search(g.rows, g.order, refine_uniform(g.rows, g.order), gens)
+    result = canonical(g, gens)
     return result, gens
 
 
@@ -145,7 +149,7 @@ class TestAutomorphismOrbits:
                 assert group_closure(n, gens) == autos, g.edges()
                 assert orbits(n, gens) == brute_orbits(n, autos)
                 # Collecting generators must not change the result.
-                assert result == canonical_search(g.rows, n, refine_uniform(g.rows, n))
+                assert result == canonical(g)
 
     def test_random_graphs_order_7_8(self):
         rng = random.Random(7)
@@ -156,7 +160,7 @@ class TestAutomorphismOrbits:
             result, gens = generators(g)
             assert set(gens) <= autos
             assert orbits(n, gens) == brute_orbits(n, autos)
-            assert result == canonical_search(g.rows, n, refine_uniform(g.rows, n))
+            assert result == canonical(g)
 
     def test_attachment_set_orbits(self):
         # Sibling pruning needs the whole group, not only its vertex orbits:
@@ -190,6 +194,7 @@ class TestEtaDriver:
         assert serial.eta_lower_bound_established == 10
         want = records_of(serial)
         assert records_of(eta_search(self.CFG, jobs=2)) == want
+        assert records_of(eta_search(self.CFG, jobs=2, budget=Budget(seconds=600))) == want
         width6 = SearchConfig(k=2, l=1, n_max=9, parallel_width=6)
         assert records_of(eta_search(width6)) == want
         path = tmp_path / "eta.ckpt"
@@ -201,6 +206,23 @@ class TestEtaDriver:
         report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=200))
         assert report.truncated
         assert report.eta_lower_bound_established is None
+
+    def test_node_budget_reaches_serial_subtrees(self):
+        cfg = SearchConfig(k=2, l=1, n_max=10, parallel_width=6)
+        report = eta_search(cfg, budget=Budget(max_nodes=2000))
+        assert report.truncated
+        assert report.eta_lower_bound_established is None
+
+    def test_deadline_reaches_workers(self):
+        report = eta_search(SearchConfig(k=2, l=1, n_max=10), jobs=2, budget=Budget(seconds=0.5))
+        assert report.truncated
+        assert report.eta_lower_bound_established is None
+
+    def test_cli_budget_under_jobs(self, monkeypatch, capsys):
+        monkeypatch.setenv("ODDHOM_BUDGET_SECONDS", "0.2")
+        code = main(["search-eta", "--k", "2", "--l", "1", "--max-n", "10", "--jobs", "2"])
+        assert code == EXIT_BUDGET
+        assert "eta(2,1) >=" not in capsys.readouterr().err
 
     def test_cli_truncated_prints_no_bound(self, monkeypatch, capsys):
         monkeypatch.setenv("ODDHOM_BUDGET_SECONDS", "0.001")

@@ -6,6 +6,8 @@ neither obstruction maps to its shortest odd cycle) is checked as a
 property over random non-bipartite graphs.
 """
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ ODD_K32S = [
     ((3, 5, 3), (0, 2, 1)),
     ((5, 3, 7), (2, 1, 3)),
 ]
+SWEEP_CYCLES = [(3, 3, 3), (3, 5, 7), (5, 3, 7), (3, 3, 5), (5, 5, 5), (7, 7, 7)]
 
 
 def without_edge(g, u, v):
@@ -64,9 +67,19 @@ class TestFinders:
     def test_shared_hub_is_not_an_odd_k32(self):
         # Three triangles on one hub: the three length-0 paths coincide, so
         # they are not disjoint, and the graph maps to K3.
-        g = odd_k32((3, 3, 3), (0, 0, 0))
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0),
+                                 (0, 5), (5, 6), (6, 0)])
         assert find_homomorphism(g, complete(3)) is not None
         assert find_odd_k32(g) is None
+
+    @pytest.mark.parametrize("cycles", SWEEP_CYCLES)
+    def test_odd_k32_sweep(self, cycles):
+        # Every path-length triple, length 0 included, builds an odd-K3^2,
+        # e.g. (5,3,7) with paths (2,0,3) and (3,3,5) with paths (1,0,2).
+        for paths in itertools.product(range(3), repeat=3):
+            g = odd_k32(cycles, paths)
+            w = find_odd_k32(g)
+            assert w is not None and w.verify(g), paths
 
 
 @st.composite
