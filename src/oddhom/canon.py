@@ -9,6 +9,14 @@ graphs receive equal canonical bytes exactly when they are isomorphic; the
 test suite checks this against a brute-force permutation oracle on small
 orders rather than trusting the algorithm.
 
+Refinement runs in rounds, and a round counts neighbours only towards the
+``fresh`` cells, the ones the previous round split off (in the manner of
+McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014): a partition that is stable towards a cell stays stable towards it,
+so recounting against the other cells could split nothing.  After a vertex
+is individualized, the first round's only fresh cell is that vertex.  The
+cells, and their order, are those of recounting against every cell.
+
 The same walk over the individualization tree yields generators of the
 automorphism group when asked for them.  The tree has no pruning, so every
 automorphism maps the best leaf onto another leaf with equal bytes, and
@@ -27,16 +35,32 @@ from dataclasses import dataclass
 from .graphs import Graph, _bits
 
 
-def refine_partition(rows, cells):
+def refine_partition(rows, cells, fresh=None):
     """Equitable refinement of an ordered cell list (cells are bitmasks).
 
-    Cells split by the vector of neighbour counts towards every current
-    cell; sub-cells are ordered by that count vector, so the resulting cell
-    order depends only on the isomorphism type (given the initial order).
+    Refinement runs in rounds.  A round splits every cell by the vector of
+    neighbour counts towards the ``fresh`` cells and puts the sub-cells in
+    place, ordered by that vector, so the resulting cell order depends only
+    on the isomorphism type (given the initial order).  The next round's
+    ``fresh`` cells are the sub-cells of this round's splits, all but the
+    last of each: a partition stable towards a cell stays stable towards it
+    when refined, and counts towards the last sub-cell follow from those
+    towards its parent and its siblings.  Dropping counts that are constant
+    on every cell, or determined by the others, changes neither the split
+    nor the order, so the result is the fixpoint of recounting against every
+    cell.  ``fresh`` defaults to all of ``cells``; a caller may pass fewer
+    when ``cells`` is already stable towards the rest, or towards a union
+    that, with ``fresh``, determines the rest (``canonical_search`` passes
+    only the vertex it individualizes).
     """
-    while True:
-        changed = False
+    if fresh is None:
+        fresh = cells
+    while fresh:
         new_cells = []
+        new_fresh = []
+        # A single fresh cell, as in the first round after individualizing a
+        # vertex, keys by a plain count.
+        one = fresh[0] if len(fresh) == 1 else None
         for cell in cells:
             if cell & (cell - 1) == 0:  # singleton
                 new_cells.append(cell)
@@ -46,19 +70,21 @@ def refine_partition(rows, cells):
             while m:
                 b = m & -m
                 m ^= b
-                v = b.bit_length() - 1
-                row = rows[v]
-                key = tuple((row & c).bit_count() for c in cells)
+                row = rows[b.bit_length() - 1]
+                if one is None:
+                    key = tuple([(row & c).bit_count() for c in fresh])
+                else:
+                    key = (row & one).bit_count()
                 groups[key] = groups.get(key, 0) | b
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for key in sorted(groups):
-                    new_cells.append(groups[key])
+                parts = [groups[key] for key in sorted(groups)]
+                new_cells += parts
+                new_fresh += parts[:-1]
         cells = new_cells
-        if not changed:
-            return cells
+        fresh = new_fresh
+    return cells
 
 
 def _adj_bytes(rows, n, perm):
@@ -108,6 +134,7 @@ def canonical_search(rows, n, cells, gens=None):
     """
     best = None
     best_inv = None
+    known = None if gens is None else set(gens)
 
     def emit(cells):
         nonlocal best, best_inv
@@ -127,7 +154,9 @@ def canonical_search(rows, n, cells, gens=None):
                 for v, p in enumerate(perm):
                     best_inv[p] = v
         elif gens is not None and b == best[0]:
-            gens.append(tuple(best_inv[p] for p in perm))
+            g = tuple(best_inv[p] for p in perm)
+            gens.append(g)
+            known.add(g)
 
     def transpositions(cells):
         for c in cells:
@@ -136,8 +165,9 @@ def canonical_search(rows, n, cells, gens=None):
                 g = list(range(n))
                 g[a], g[b] = b, a
                 g = tuple(g)
-                if g not in gens:
+                if g not in known:
                     gens.append(g)
+                    known.add(g)
 
     def rec(cells):
         for i, c in enumerate(cells):
@@ -151,7 +181,9 @@ def canonical_search(rows, n, cells, gens=None):
                 while m:
                     b = m & -m
                     m ^= b
-                    rec(refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:]))
+                    # cells is equitable, so counts towards c ^ b follow
+                    # from those towards c and towards b.
+                    rec(refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:], [b]))
                 return
         emit(cells)
 

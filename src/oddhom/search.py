@@ -8,11 +8,15 @@ vertex is chosen by isomorphism-invariant keys: first the earliest
 refined-colour cell holding a non-cutvertex, then, within that cell, the
 non-cutvertex with the least position in the canonical labelling.  A child
 built by attaching a new vertex to a subset S of a parent is accepted iff
-the new vertex lies in the automorphism orbit of that vertex.  Most children
-are settled by the degrees and the refined cells alone; one canonical search
-of the child, which also yields its automorphism generators, settles the
-rest.  Among siblings, S is tried only if it is the first-enumerated member
-of its orbit under the parent's automorphism group.
+the new vertex lies in the automorphism orbit of that vertex.  Most degree
+rejections happen before a child is built: an S larger than one plus the
+least degree of a parent non-cutvertex, or of exactly that size but missing
+a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
+a node budget counts only the sets inside this bound.  Most remaining
+children are settled by the degrees and the refined cells alone; one
+canonical search of the child, which also yields its automorphism
+generators, settles the rest.  Among siblings, S is tried only if it is the
+first-enumerated member of its orbit under the parent's automorphism group.
 
 Why this gives one representative per isomorphism class: every connected
 graph has a non-cutvertex, so it has a canonical parent, and the properties
@@ -286,6 +290,28 @@ def _indep_sets(cand, conf, max_size):
     return out
 
 
+def _attachment_sets(rows, n, cand, conf, max_size):
+    """The independent attachment sets that can pass ``_accepted``'s degree stage.
+
+    Let m be the least degree of a non-cutvertex of the parent and R the
+    non-cutvertices of degree m.  Outside S a vertex keeps its degree and
+    cut status in the child; inside S, with |S| >= 2, a parent non-cutvertex
+    stays one.  So the degree stage rejects every S with |S| > m + 1, and
+    every S with |S| = m + 1 that misses a member of R.  R is invariant under
+    the parent's automorphisms, so whole orbits of sets drop together.
+    """
+    degs = [r.bit_count() for r in rows]
+    for m in sorted(set(degs)):
+        R = 0
+        for v in range(n):
+            if degs[v] == m and (m == 1 or connected_without(rows, n, v)):
+                R |= 1 << v
+        if R:
+            break
+    return [S for S in _indep_sets(cand, conf, min(max_size, m + 1))
+            if S & R == R or S.bit_count() <= m]
+
+
 def _accepted(rows_t, n):
     """Canonical-deletion test for a child whose added vertex is n-1.
 
@@ -380,7 +406,9 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
     pending = set()
     nc = n + 1
     newbit = 1 << n
-    for S in _indep_sets(cand, conf, max_size):
+    # Sets that the degree stage of _accepted would reject are never built;
+    # the ones left can still fail it when S holds a parent cutvertex.
+    for S in _attachment_sets(rows, n, cand, conf, max_size):
         if budget is not None:
             budget.tick("enumeration")
         if S in pending:
@@ -524,14 +552,16 @@ def _tally(stream, cfg: SearchConfig, stop=None):
 
 
 def _expand_subtree(args):
-    """Worker: (counts, witnesses, truncated) of one frontier node's descendants."""
+    """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants."""
     g6, cfg, budget = args
     if budget is not None and budget.expired():
-        return Counter(), {}, True
+        return Counter(), {}, True, 0
+    start = 0 if budget is None else budget.nodes
     g = from_graph6(g6)
     counts, wits, _, truncated = _tally(
         _descendants(g.rows, g.order, odd_girth(g), cfg, budget), cfg)
-    return counts, wits, truncated
+    ticks = 0 if budget is None else budget.nodes - start
+    return counts, wits, truncated, ticks
 
 
 _CHECKPOINT_MAGIC = "#oddhom-eta-checkpoint v1"
@@ -578,7 +608,8 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     interrupted run can resume without regrowing it.  A budget, if given,
     truncates the run and flags the report instead of raising.  Its deadline
     is a ``time.monotonic()`` value, a system-wide clock on Linux, so it holds
-    in every worker; under ``jobs`` a node limit applies per subtree.
+    in every worker; under ``jobs`` a node limit applies per subtree, and the
+    workers' ticks are added to ``budget.nodes`` when their subtrees finish.
     """
     t0 = time.monotonic()
     split = config.parallel_width
@@ -605,7 +636,10 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
                 results = list(pool.map(_expand_subtree, tasks, chunksize=chunk))
         else:
             results = map(_expand_subtree, tasks)
-        for cts, ws, cut in results:
+        for cts, ws, cut, ticks in results:
+            if jobs > 1 and budget is not None:
+                # A worker ticks a pickled copy; the serial run ticks ``budget`` itself.
+                budget.nodes += ticks
             counts.update(cts)
             for n, lst in ws.items():
                 wits[n].extend(lst)

@@ -1,4 +1,7 @@
+import random
+
 from oddhom import Graph, are_isomorphic, canonical_bytes, canonical_form, cycle, odd_k4
+from oddhom.canon import _adj_bytes, canonical_search, refine_partition
 
 from conftest import all_labelled_graphs, brute_iso, random_graph
 
@@ -67,3 +70,93 @@ class TestAgainstPermutationOracle:
         for _ in range(300):
             g1, g2 = rng.choice(gs), rng.choice(gs)
             assert brute_iso(g1, g2) == are_isomorphic(g1, g2)
+
+
+def full_recount(rows, cells):
+    """Naive refinement: every round recounts every vertex against every cell."""
+    while True:
+        new = []
+        for cell in cells:
+            groups = {}
+            for v in range(len(rows)):
+                if cell >> v & 1:
+                    key = tuple(bin(rows[v] & c).count("1") for c in cells)
+                    groups[key] = groups.get(key, 0) | 1 << v
+            new += [groups[key] for key in sorted(groups)]
+        if len(new) == len(cells):
+            return new
+        cells = new
+
+
+def is_equitable(rows, cells):
+    return all(len({bin(rows[v] & c).count("1") for v in range(len(rows)) if cell >> v & 1}) == 1
+               for cell in cells for c in cells)
+
+
+def individualized(cells):
+    """Each (partition, fresh) made by individualizing a vertex of the first non-singleton cell."""
+    for i, c in enumerate(cells):
+        if c & (c - 1):
+            for b in (1 << v for v in range(c.bit_length()) if c >> v & 1):
+                yield cells[:i] + [b, c ^ b] + cells[i + 1:], [b]
+            return
+
+
+def image(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def refinement_samples(rng):
+    samples = [cycle(7), odd_k4(1, 2, 2), Graph.from_edges(9, [(0, i) for i in range(1, 9)])]
+    return samples + [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(60)]
+
+
+class TestRefinePartition:
+    def test_matches_full_recount_fixpoint(self):
+        for g in refinement_samples(random.Random(1)):
+            cells = refine_partition(g.rows, [(1 << g.order) - 1])
+            assert cells == full_recount(g.rows, [(1 << g.order) - 1])
+            assert is_equitable(g.rows, cells)
+            # Two levels of individualization, each refined against the new singleton only.
+            for start, fresh in individualized(cells):
+                below = refine_partition(g.rows, start, fresh)
+                assert below == full_recount(g.rows, start)
+                assert is_equitable(g.rows, below)
+                for start2, fresh2 in individualized(below):
+                    assert refine_partition(g.rows, start2, fresh2) == full_recount(g.rows, start2)
+
+    def test_cell_order_invariant_under_relabelling(self):
+        rng = random.Random(2)
+        for g in refinement_samples(rng):
+            n = g.order
+            cells = refine_partition(g.rows, [(1 << n) - 1])
+            for _ in range(5):
+                p = list(range(n))
+                rng.shuffle(p)
+                h = relabel(g, p)
+                mapped = [image(c, p) for c in cells]
+                assert refine_partition(h.rows, [(1 << n) - 1]) == mapped
+                for start, fresh in individualized(cells):
+                    want = [image(c, p) for c in refine_partition(g.rows, start, fresh)]
+                    got = refine_partition(h.rows, [image(c, p) for c in start],
+                                           [image(fresh[0], p)])
+                    assert got == want
+
+    def test_canonical_search_matches_full_recount_tree(self):
+        # The individualization tree refined by full recounts, walked to
+        # every leaf, gives the bytes canonical_search finds refining
+        # against the individualized vertex only.
+        def least_leaf(rows, n, cells):
+            if any(c & (c - 1) for c in cells):
+                return min(least_leaf(rows, n, full_recount(rows, start))
+                           for start, _ in individualized(cells))
+            perm = [0] * n
+            for pos, c in enumerate(cells):
+                perm[c.bit_length() - 1] = pos
+            return _adj_bytes(rows, n, perm)
+
+        rng = random.Random(3)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
+            cells = refine_partition(g.rows, [(1 << g.order) - 1])
+            assert canonical_search(g.rows, g.order, cells)[0] == least_leaf(g.rows, g.order, cells)

@@ -34,6 +34,10 @@ from oddhom.search import (
     RULE_MAX_DEGREE_3_SECONDNBHD,
     RULE_NO_4_CYCLE,
     RULE_NO_6_CYCLE,
+    _accepted,
+    _attachment_sets,
+    _conflict_masks,
+    _indep_sets,
     _root_stream,
     _set_orbit,
 )
@@ -101,6 +105,33 @@ class TestEnumerationCounts:
     def test_no_isomorphic_duplicates_triangle_free(self):
         seen = [canonical_bytes(g) for g in enumerate_graphs(SearchConfig(k=2, l=1, n_max=9))]
         assert len(seen) == len(set(seen)) == sum(A024607[:9])
+
+    @pytest.mark.slow
+    def test_odd_girth_7_order_11(self):
+        assert stream_counts(SearchConfig(k=3, l=2, n_max=11)) == ODD_GIRTH_7 + [26532]
+
+    @pytest.mark.stretch
+    def test_odd_girth_7_order_12(self):
+        assert stream_counts(SearchConfig(k=3, l=2, n_max=12)) == ODD_GIRTH_7 + [26532, 221032]
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dropped_sets_give_rejected_children(self, k):
+        # The bound may only drop attachment sets whose child the canonical
+        # test rejects anyway; check every parent of order <= 6.
+        dropped = 0
+        for n, rows, _ in _root_stream(SearchConfig(k=k, l=1, n_max=6)):
+            conf = _conflict_masks(rows, n, k, [])
+            full = (1 << n) - 1
+            every = _indep_sets(full, conf, n)
+            kept = _attachment_sets(rows, n, full, conf, n)
+            assert set(kept) <= set(every)
+            for S in set(every) - set(kept):
+                child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
+                assert _accepted(child, n + 1) is None, (rows, S)
+                dropped += 1
+        assert dropped > 100
 
 
 def brute_automorphisms(g):
@@ -201,6 +232,19 @@ class TestEtaDriver:
         assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
         assert path.exists()
         assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
+
+    def test_budget_counts_every_tick(self):
+        # Workers tick pickled copies of the budget; their ticks must reach
+        # the caller's, and the serial split must not count them twice.
+        def nodes(cfg, **kw):
+            budget = Budget()
+            eta_search(cfg, budget=budget, **kw)
+            return budget.nodes
+
+        serial = nodes(self.CFG)
+        assert serial > 0
+        assert nodes(SearchConfig(k=2, l=1, n_max=9, parallel_width=6)) == serial
+        assert nodes(self.CFG, jobs=2) == serial
 
     def test_truncated_report_claims_no_bound(self):
         report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=200))
