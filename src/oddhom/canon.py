@@ -58,9 +58,6 @@ def refine_partition(rows, cells, fresh=None):
     while fresh:
         new_cells = []
         new_fresh = []
-        # A single fresh cell, as in the first round after individualizing a
-        # vertex, keys by a plain count.
-        one = fresh[0] if len(fresh) == 1 else None
         for cell in cells:
             if cell & (cell - 1) == 0:  # singleton
                 new_cells.append(cell)
@@ -71,10 +68,7 @@ def refine_partition(rows, cells, fresh=None):
                 b = m & -m
                 m ^= b
                 row = rows[b.bit_length() - 1]
-                if one is None:
-                    key = tuple([(row & c).bit_count() for c in fresh])
-                else:
-                    key = (row & one).bit_count()
+                key = tuple([(row & c).bit_count() for c in fresh])
                 groups[key] = groups.get(key, 0) | b
             if len(groups) == 1:
                 new_cells.append(cell)

@@ -274,6 +274,11 @@ def _conflict_masks(rows, n, k, growth):
     return conf
 
 
+def _noncut(rows, n, v, d):
+    """True when v, of degree d, is not a cutvertex of the connected graph."""
+    return d == 1 or connected_without(rows, n, v)
+
+
 def _indep_sets(cand, conf, max_size):
     """All nonempty subsets of ``cand`` that are independent in ``conf``."""
     out = []
@@ -294,17 +299,19 @@ def _attachment_sets(rows, n, cand, conf, max_size):
     """The independent attachment sets that can pass ``_accepted``'s degree stage.
 
     Let m be the least degree of a non-cutvertex of the parent and R the
-    non-cutvertices of degree m.  Outside S a vertex keeps its degree and
-    cut status in the child; inside S, with |S| >= 2, a parent non-cutvertex
-    stays one.  So the degree stage rejects every S with |S| > m + 1, and
-    every S with |S| = m + 1 that misses a member of R.  R is invariant under
-    the parent's automorphisms, so whole orbits of sets drop together.
+    non-cutvertices of degree m.  Outside S a vertex keeps its degree, and a
+    non-cutvertex stays one; inside S, with |S| >= 2, a parent non-cutvertex
+    stays one.  (A parent cutvertex may become a non-cutvertex; the bound
+    does not use that.)  So the degree stage rejects every S with
+    |S| > m + 1, and every S with |S| = m + 1 that misses a member of R.  R
+    is invariant under the parent's automorphisms, so whole orbits of sets
+    drop together.
     """
     degs = [r.bit_count() for r in rows]
     for m in sorted(set(degs)):
         R = 0
         for v in range(n):
-            if degs[v] == m and (m == 1 or connected_without(rows, n, v)):
+            if degs[v] == m and _noncut(rows, n, v, m):
                 R |= 1 << v
         if R:
             break
@@ -324,7 +331,7 @@ def _accepted(rows_t, n):
     degs = [r.bit_count() for r in rows_t]
     da = degs[added]
     for v in range(added):
-        if degs[v] < da and (degs[v] == 1 or connected_without(rows_t, n, v)):
+        if degs[v] < da and _noncut(rows_t, n, v, degs[v]):
             return None
     cells = refine_partition(rows_t, [(1 << n) - 1])
     ca = 0
@@ -338,7 +345,7 @@ def _accepted(rows_t, n):
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            if degs[v] == da and (degs[v] == 1 or connected_without(rows_t, n, v)):
+            if degs[v] == da and _noncut(rows_t, n, v, da):
                 return None
     tie = [added]
     m = cells[ca] & ~(1 << added)
@@ -346,7 +353,7 @@ def _accepted(rows_t, n):
         b = m & -m
         m ^= b
         v = b.bit_length() - 1
-        if degs[v] == 1 or connected_without(rows_t, n, v):
+        if _noncut(rows_t, n, v, degs[v]):
             tie.append(v)
     if len(tie) == 1:
         return cells, None
@@ -407,7 +414,8 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
     nc = n + 1
     newbit = 1 << n
     # Sets that the degree stage of _accepted would reject are never built;
-    # the ones left can still fail it when S holds a parent cutvertex.
+    # the ones left can still fail it when the child turns a parent
+    # cutvertex, inside S or outside it, into a non-cutvertex.
     for S in _attachment_sets(rows, n, cand, conf, max_size):
         if budget is not None:
             budget.tick("enumeration")

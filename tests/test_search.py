@@ -39,6 +39,7 @@ from oddhom.search import (
     _conflict_masks,
     _indep_sets,
     _root_stream,
+    _rules,
     _set_orbit,
 )
 
@@ -116,22 +117,36 @@ class TestEnumerationCounts:
 
 
 class TestDegreeBound:
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_dropped_sets_give_rejected_children(self, k):
+    @staticmethod
+    def dropped_sets_rejected(cfg):
         # The bound may only drop attachment sets whose child the canonical
-        # test rejects anyway; check every parent of order <= 6.
+        # test rejects anyway.  cand and max_size are built as in
+        # _descendants, so the degree-3 cap meets the m + 1 cap here too.
+        growth = _rules(cfg.prune_rules, "growth")
         dropped = 0
-        for n, rows, _ in _root_stream(SearchConfig(k=k, l=1, n_max=6)):
-            conf = _conflict_masks(rows, n, k, [])
-            full = (1 << n) - 1
-            every = _indep_sets(full, conf, n)
-            kept = _attachment_sets(rows, n, full, conf, n)
-            assert set(kept) <= set(every)
-            for S in set(every) - set(kept):
+        for n, rows, _ in _root_stream(cfg):
+            conf = _conflict_masks(rows, n, cfg.k, growth)
+            cand, max_size = (1 << n) - 1, n
+            if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
+                cand = sum(1 << v for v in range(n) if rows[v].bit_count() < 3)
+                max_size = 3
+            every = set(_indep_sets(cand, conf, max_size))
+            kept = _attachment_sets(rows, n, cand, conf, max_size)
+            assert set(kept) <= every
+            for S in every - set(kept):
                 child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
                 assert _accepted(child, n + 1) is None, (rows, S)
                 dropped += 1
-        assert dropped > 100
+        return dropped
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dropped_sets_give_rejected_children(self, k):
+        # Every parent of order <= 7.
+        assert self.dropped_sets_rejected(SearchConfig(k=k, l=1, n_max=7)) > 1000
+
+    def test_dropped_sets_under_degree_3_cap(self):
+        cfg = SearchConfig(k=3, l=2, n_max=11, prune_rules=frozenset({RULE_CONNECTED, *HEREDITARY}))
+        assert self.dropped_sets_rejected(cfg) > 100
 
 
 def brute_automorphisms(g):
