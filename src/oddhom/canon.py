@@ -18,14 +18,21 @@ is individualized, the first round's only fresh cell is that vertex.  The
 cells, and their order, are those of recounting against every cell.
 
 The same walk over the individualization tree yields generators of the
-automorphism group when asked for them.  The tree has no pruning, so every
-automorphism maps the best leaf onto another leaf with equal bytes, and
-each such leaf gives one generator; a branch stopped early because its
-partition is homogeneous contributes the transpositions inside its cells,
-which are automorphisms whatever the bytes.  ``orbits`` turns generators
-into vertex orbits.  The enumeration module uses both for canonical
-augmentation: the canonical position picks the deletion vertex, and the
-orbits decide acceptance and drop isomorphic siblings.
+automorphism group, and uses them to prune the tree as nauty does (McKay
+and Piperno, above).  A leaf whose bytes equal the first leaf's or the best
+leaf's gives one generator; a branch stopped early because its partition is
+homogeneous contributes the transpositions inside its cells, which are
+automorphisms whatever the bytes.  A leaf equal to the first leaf sends the
+walk back to the first path, and at a node on the first path a child in
+the orbit of an earlier child is skipped.  Cells split in place, so an
+individualized vertex keeps the position of its cell in every leaf below
+it, and an automorphism between two leaves maps their paths onto each
+other: what is pruned is an automorphic image of what was walked.  The
+least bytes, their ordering and the group the generators span are those of
+the unpruned walk.  ``orbits`` turns generators into vertex orbits.  The
+enumeration module uses both for canonical augmentation: the canonical
+position picks the deletion vertex, and the orbits decide acceptance and
+drop isomorphic siblings.
 """
 
 from __future__ import annotations
@@ -35,49 +42,59 @@ from dataclasses import dataclass
 from .graphs import Graph, _bits
 
 
+def refine_round(rows, cells, fresh):
+    """One round of equitable refinement: ``(cells, fresh)`` for the next round.
+
+    Every cell is split by the vector of neighbour counts towards the
+    ``fresh`` cells, and its sub-cells are put in its place, ordered by that
+    vector, so the cell order depends only on the isomorphism type (given
+    the order of ``cells``).  The returned ``fresh`` cells are the sub-cells
+    of this round's splits, all but the last of each: a partition stable
+    towards a cell stays stable towards it when refined, and counts towards
+    the last sub-cell follow from those towards its parent and its
+    siblings.  An empty ``fresh`` means the partition is equitable.  Since
+    cells only split in place, each round's cell order is a coarsening of
+    the fixpoint's, which lets ``search._accepted`` stop refining a child as
+    soon as the cells settle its fate.
+    """
+    new_cells = []
+    new_fresh = []
+    for cell in cells:
+        if cell & (cell - 1) == 0:  # singleton
+            new_cells.append(cell)
+            continue
+        groups = {}
+        m = cell
+        while m:
+            b = m & -m
+            m ^= b
+            row = rows[b.bit_length() - 1]
+            key = tuple([(row & c).bit_count() for c in fresh])
+            groups[key] = groups.get(key, 0) | b
+        if len(groups) == 1:
+            new_cells.append(cell)
+        else:
+            parts = [groups[key] for key in sorted(groups)]
+            new_cells += parts
+            new_fresh += parts[:-1]
+    return new_cells, new_fresh
+
+
 def refine_partition(rows, cells, fresh=None):
     """Equitable refinement of an ordered cell list (cells are bitmasks).
 
-    Refinement runs in rounds.  A round splits every cell by the vector of
-    neighbour counts towards the ``fresh`` cells and puts the sub-cells in
-    place, ordered by that vector, so the resulting cell order depends only
-    on the isomorphism type (given the initial order).  The next round's
-    ``fresh`` cells are the sub-cells of this round's splits, all but the
-    last of each: a partition stable towards a cell stays stable towards it
-    when refined, and counts towards the last sub-cell follow from those
-    towards its parent and its siblings.  Dropping counts that are constant
-    on every cell, or determined by the others, changes neither the split
-    nor the order, so the result is the fixpoint of recounting against every
-    cell.  ``fresh`` defaults to all of ``cells``; a caller may pass fewer
-    when ``cells`` is already stable towards the rest, or towards a union
-    that, with ``fresh``, determines the rest (``canonical_search`` passes
-    only the vertex it individualizes).
+    Runs ``refine_round`` until no cell splits.  Dropping counts that are
+    constant on every cell, or determined by the others, changes neither
+    the split nor the order, so the result is the fixpoint of recounting
+    against every cell.  ``fresh`` defaults to all of ``cells``; a caller
+    may pass fewer when ``cells`` is already stable towards the rest, or
+    towards a union that, with ``fresh``, determines the rest
+    (``canonical_search`` passes only the vertex it individualizes).
     """
     if fresh is None:
         fresh = cells
     while fresh:
-        new_cells = []
-        new_fresh = []
-        for cell in cells:
-            if cell & (cell - 1) == 0:  # singleton
-                new_cells.append(cell)
-                continue
-            groups = {}
-            m = cell
-            while m:
-                b = m & -m
-                m ^= b
-                row = rows[b.bit_length() - 1]
-                key = tuple([(row & c).bit_count() for c in fresh])
-                groups[key] = groups.get(key, 0) | b
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                parts = [groups[key] for key in sorted(groups)]
-                new_cells += parts
-                new_fresh += parts[:-1]
-        cells = new_cells
-        fresh = new_fresh
+        cells, fresh = refine_round(rows, cells, fresh)
     return cells
 
 
@@ -125,32 +142,73 @@ def canonical_search(rows, n, cells, gens=None):
     best ordering.  When ``gens`` is a list, automorphisms found on the way
     are appended to it as tuples (``g[v]`` is the image of ``v``); together
     they generate the automorphisms of the graph that preserve ``cells``.
-    """
-    best = None
-    best_inv = None
-    known = None if gens is None else set(gens)
 
-    def emit(cells):
-        nonlocal best, best_inv
+    The walk is depth-first, children in increasing vertex order, and keeps
+    the first leaf as well as the best.  A leaf with the first leaf's bytes
+    gives an automorphism that maps its path onto the first path, so the
+    rest of its subtree is an image of a subtree already walked: the walk
+    returns to the nearest ancestor on the first path.  A leaf with the best
+    leaf's bytes gives an automorphism too.  At a node on the first path,
+    every generator found so far fixes the vertices individualized above
+    it, so a child in the orbit of an earlier child (equivalently, not the
+    least vertex of its orbit) roots an image of that child's subtree and
+    is skipped.  A skipped leaf always has an equal-bytes leaf earlier in
+    the unpruned walk, so ``bytes`` and ``perm`` are those of the unpruned
+    walk.  Every child in the orbit of the first child is either skipped or
+    walked until a leaf equals the first leaf, so the generators reach the
+    whole group (Schreier's lemma, as in McKay and Piperno).
+    """
+    if gens is None:
+        gens = []
+    known = set(gens)
+    # Orbits of the generators found here; each root is the least vertex.
+    root = list(range(n))
+    first = best = best_inv = None
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def union(v, w):
+        a, b = find(v), find(w)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+
+    def add(g):
+        gens.append(g)
+        known.add(g)
+        for v, w in enumerate(g):
+            if v != w:
+                union(v, w)
+
+    def leaf(cells):
+        """Record a leaf; True when it equals the first leaf."""
+        nonlocal first, best, best_inv
         perm = [0] * n
+        inv = [0] * n
         pos = 0
         for c in cells:
             while c:
                 b = c & -c
                 c ^= b
-                perm[b.bit_length() - 1] = pos
+                v = b.bit_length() - 1
+                perm[v] = pos
+                inv[pos] = v
                 pos += 1
         b = _adj_bytes(rows, n, perm)
+        if first is None:
+            first = (b, inv)
+        elif b == first[0]:
+            add(tuple([first[1][p] for p in perm]))
+            return True
         if best is None or b < best[0]:
             best = (b, tuple(perm))
-            if gens is not None:
-                best_inv = [0] * n
-                for v, p in enumerate(perm):
-                    best_inv[p] = v
-        elif gens is not None and b == best[0]:
-            g = tuple(best_inv[p] for p in perm)
-            gens.append(g)
-            known.add(g)
+            best_inv = inv
+        elif b == best[0]:
+            add(tuple([best_inv[p] for p in perm]))
+        return False
 
     def transpositions(cells):
         for c in cells:
@@ -162,26 +220,33 @@ def canonical_search(rows, n, cells, gens=None):
                 if g not in known:
                     gens.append(g)
                     known.add(g)
+                    union(a, b)
 
-    def rec(cells):
+    def rec(cells, on_first):
+        """Walk below ``cells``; True sends the walk back to the first path."""
         for i, c in enumerate(cells):
             if c & (c - 1):
                 if _homogeneous(rows, cells):
-                    if gens is not None:
-                        transpositions(cells)
-                    emit(cells)
-                    return
+                    transpositions(cells)
+                    return leaf(cells)
+                child_on_first = on_first
                 m = c
                 while m:
                     b = m & -m
                     m ^= b
+                    v = b.bit_length() - 1
+                    if on_first and find(v) != v:
+                        continue
                     # cells is equitable, so counts towards c ^ b follow
                     # from those towards c and towards b.
-                    rec(refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:], [b]))
-                return
-        emit(cells)
+                    below = refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:], [b])
+                    if rec(below, child_on_first) and not on_first:
+                        return True
+                    child_on_first = False
+                return False
+        return leaf(cells)
 
-    rec(cells)
+    rec(cells, True)
     return best
 
 

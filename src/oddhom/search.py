@@ -12,11 +12,14 @@ the new vertex lies in the automorphism orbit of that vertex.  Most degree
 rejections happen before a child is built: an S larger than one plus the
 least degree of a parent non-cutvertex, or of exactly that size but missing
 a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
-a node budget counts only the sets inside this bound.  Most remaining
-children are settled by the degrees and the refined cells alone; one
-canonical search of the child, which also yields its automorphism
-generators, settles the rest.  Among siblings, S is tried only if it is the
-first-enumerated member of its orbit under the parent's automorphism group.
+a node budget counts only the sets inside this bound.  A remaining child
+with no other non-cutvertex of the new vertex's degree is accepted by the
+degrees alone; otherwise its colour refinement runs round by round only
+until the cells place such a rival before the new vertex (reject) or
+none beside it (accept).  One canonical search of the child, which also
+yields its automorphism generators, settles the rest.  Among siblings, S
+is tried only if it is the first-enumerated member of its orbit under the
+parent's automorphism group.
 
 Why this gives one representative per isomorphism class: every connected
 graph has a non-cutvertex, so it has a canonical parent, and the properties
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .budget import Budget, BudgetExceededError
-from .canon import canonical_search, orbits, refine_partition
+from .canon import canonical_search, orbits, refine_partition, refine_round
 from .constructions import cycle
 from .graphs import (
     Graph,
@@ -323,9 +326,16 @@ def _accepted(rows_t, n):
     """Canonical-deletion test for a child whose added vertex is n-1.
 
     Returns None when the child is rejected.  Otherwise returns its refined
-    cells and, when the test ran a canonical search, the automorphism
-    generators it found (else None); the caller keeps both as the child's
-    state when it grows the child further.
+    cells and the automorphism generators found by its canonical search, or
+    (None, None) when the child was accepted without a search; the caller
+    keeps them as the child's state when it grows the child further.
+
+    The rivals of the added vertex are the other non-cutvertices of its
+    degree.  The child is refined one round at a time from the unit
+    partition; cells split in place, so each round's cell order is a
+    coarsening of the fixpoint's.  Refinement stops as soon as a rival lies
+    in a cell before the added vertex's (reject) or none lies in its cell
+    (accept).  Only a tie at the fixpoint needs the canonical search.
     """
     added = n - 1
     degs = [r.bit_count() for r in rows_t]
@@ -333,30 +343,24 @@ def _accepted(rows_t, n):
     for v in range(added):
         if degs[v] < da and _noncut(rows_t, n, v, degs[v]):
             return None
-    cells = refine_partition(rows_t, [(1 << n) - 1])
-    ca = 0
-    for i, cell in enumerate(cells):
-        if cell >> added & 1:
-            ca = i
-            break
-    for cell in cells[:ca]:
-        m = cell
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if degs[v] == da and _noncut(rows_t, n, v, da):
+    rivals = 0
+    for v in range(added):
+        if degs[v] == da and _noncut(rows_t, n, v, da):
+            rivals |= 1 << v
+    if not rivals:
+        return None, None
+    cells = fresh = [(1 << n) - 1]
+    bit = 1 << added
+    while fresh:
+        cells, fresh = refine_round(rows_t, cells, fresh)
+        for cell in cells:
+            if cell & bit:
+                break
+            if cell & rivals:
                 return None
-    tie = [added]
-    m = cells[ca] & ~(1 << added)
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        if _noncut(rows_t, n, v, degs[v]):
-            tie.append(v)
-    if len(tie) == 1:
-        return cells, None
+        if not cell & rivals:
+            return None, None
+    tie = [added] + list(_bits(cell & rivals))
     gens = []
     perm = canonical_search(rows_t, n, cells, gens)[1]
     orbit = orbits(n, gens)

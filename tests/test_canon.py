@@ -1,9 +1,9 @@
 import random
 
 from oddhom import Graph, are_isomorphic, canonical_bytes, canonical_form, cycle, odd_k4
-from oddhom.canon import _adj_bytes, canonical_search, refine_partition
+from oddhom.canon import _adj_bytes, _homogeneous, canonical_search, refine_partition
 
-from conftest import all_labelled_graphs, brute_iso, random_graph
+from conftest import all_labelled_graphs, brute_iso, random_graph, vertex_transitive_graphs
 
 
 def relabel(g, perm):
@@ -160,3 +160,50 @@ class TestRefinePartition:
             g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
             cells = refine_partition(g.rows, [(1 << g.order) - 1])
             assert canonical_search(g.rows, g.order, cells)[0] == least_leaf(g.rows, g.order, cells)
+
+
+def unpruned_search(rows, n, cells):
+    """The individualization tree walked to every leaf: first least (bytes, perm)."""
+    best = None
+
+    def rec(cells):
+        nonlocal best
+        if any(c & (c - 1) for c in cells) and not _homogeneous(rows, cells):
+            for start, fresh in individualized(cells):
+                rec(refine_partition(rows, start, fresh))
+            return
+        perm = [0] * n
+        pos = 0
+        for c in cells:
+            for v in range(n):
+                if c >> v & 1:
+                    perm[v] = pos
+                    pos += 1
+        b = _adj_bytes(rows, n, perm)
+        if best is None or b < best[0]:
+            best = (b, tuple(perm))
+
+    rec(cells)
+    return best
+
+
+class TestPrunedTree:
+    @staticmethod
+    def agree(g):
+        cells = refine_partition(g.rows, [(1 << g.order) - 1])
+        assert canonical_search(g.rows, g.order, cells) == unpruned_search(g.rows, g.order, cells)
+
+    def test_random_graphs_match_unpruned_walk(self):
+        rng = random.Random(4)
+        for _ in range(150):
+            self.agree(random_graph(rng, rng.randint(1, 9), rng.random()))
+
+    def test_vertex_transitive_graphs_match_unpruned_walk(self):
+        for g, _ in vertex_transitive_graphs():
+            self.agree(g)
+            # Relabelled copies start the walk from other first paths.
+            rng = random.Random(g.order)
+            for _ in range(3):
+                p = list(range(g.order))
+                rng.shuffle(p)
+                self.agree(relabel(g, p))

@@ -24,10 +24,12 @@ from oddhom import (
     eta_search,
     from_graph6,
     generalized_mycielski,
+    is_connected,
     odd_girth,
     to_graph6,
 )
 from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_partition
+from oddhom.graphs import delete_vertex
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.search import (
     RULE_CONNECTED,
@@ -43,7 +45,7 @@ from oddhom.search import (
     _set_orbit,
 )
 
-from conftest import brute_classes, random_graph
+from conftest import brute_classes, random_graph, vertex_transitive_graphs
 
 A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]  # connected graphs
 A024607 = [1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832]  # connected triangle-free graphs
@@ -149,6 +151,63 @@ class TestDegreeBound:
         assert self.dropped_sets_rejected(cfg) > 100
 
 
+def full_refinement_accepted(rows_t, n):
+    """The canonical-deletion test refining every child to its fixpoint.
+
+    Returns None (reject) or the fixpoint cells; the accept-or-reject
+    decision is the one ``_accepted`` must reach with fewer rounds.
+    """
+    added = n - 1
+    degs = [r.bit_count() for r in rows_t]
+
+    def noncut(v):
+        return is_connected(delete_vertex(Graph(rows_t), v))
+
+    da = degs[added]
+    if any(degs[v] < da and noncut(v) for v in range(added)):
+        return None
+    cells = refine_partition(rows_t, [(1 << n) - 1])
+    ca = next(i for i, cell in enumerate(cells) if cell >> added & 1)
+    if any(cell >> v & 1 and degs[v] == da and noncut(v)
+           for cell in cells[:ca] for v in range(added)):
+        return None
+    tie = [added] + [v for v in range(added) if cells[ca] >> v & 1 and noncut(v)]
+    if len(tie) > 1:
+        gens = []
+        perm = canonical_search(rows_t, n, cells, gens)[1]
+        orbit = orbits(n, gens)
+        if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
+            return None
+    return cells
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("k, n_max", [(1, 7), (2, 7), (3, 9)])
+    def test_same_decision_as_full_refinement(self, k, n_max):
+        # Every independent attachment set of every parent below n_max,
+        # including those the degree bound never builds.
+        cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
+        outcomes = Counter()
+        for n, rows, _ in _root_stream(cfg):
+            if n == n_max:
+                continue
+            full = (1 << n) - 1
+            for S in _indep_sets(full, _conflict_masks(rows, n, k, []), n):
+                child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
+                want = full_refinement_accepted(child, n + 1)
+                got = _accepted(child, n + 1)
+                assert (got is None) == (want is None), (rows, S)
+                if got is not None:
+                    cells, gens = got
+                    assert cells is None or cells == want
+                    assert cells is not None or gens is None
+                    outcomes["accept" if cells is None else "search"] += 1
+                else:
+                    outcomes["reject"] += 1
+        # Early accepts, rejects and fixpoint ties all occur.
+        assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
+
+
 def brute_automorphisms(g):
     edges = set(g.edges())
     return {
@@ -207,6 +266,18 @@ class TestAutomorphismOrbits:
             assert set(gens) <= autos
             assert orbits(n, gens) == brute_orbits(n, autos)
             assert result == canonical(g)
+
+    def test_vertex_transitive_group_orders(self):
+        # The pruned tree still yields generators of the whole group.
+        for g, order in vertex_transitive_graphs():
+            n = g.order
+            _, gens = generators(g)
+            edges = set(g.edges())
+            for p in gens:
+                assert {(min(p[a], p[b]), max(p[a], p[b])) for a, b in edges} == edges
+            assert orbits(n, gens) == [0] * n
+            if order is not None:
+                assert len(group_closure(n, gens)) == order, g.edges()
 
     def test_attachment_set_orbits(self):
         # Sibling pruning needs the whole group, not only its vertex orbits:
