@@ -135,6 +135,20 @@ def _homogeneous(rows, cells):
     return True
 
 
+def _find(root, v):
+    """Root of ``v`` in the union-find ``root``: the least vertex of its class."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
+
+
+def _union(root, v, w):
+    a, b = _find(root, v), _find(root, w)
+    if a != b:
+        root[max(a, b)] = min(a, b)
+
+
 def canonical_search(rows, n, cells, gens=None):
     """Least adjacency bytes below an equitable ordered partition ``cells``.
 
@@ -161,27 +175,16 @@ def canonical_search(rows, n, cells, gens=None):
     if gens is None:
         gens = []
     known = set(gens)
-    # Orbits of the generators found here; each root is the least vertex.
+    # Orbits of the generators found here, as a union-find.
     root = list(range(n))
     first = best = best_inv = None
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    def union(v, w):
-        a, b = find(v), find(w)
-        if a != b:
-            root[max(a, b)] = min(a, b)
 
     def add(g):
         gens.append(g)
         known.add(g)
         for v, w in enumerate(g):
             if v != w:
-                union(v, w)
+                _union(root, v, w)
 
     def leaf(cells):
         """Record a leaf; True when it equals the first leaf."""
@@ -220,7 +223,7 @@ def canonical_search(rows, n, cells, gens=None):
                 if g not in known:
                     gens.append(g)
                     known.add(g)
-                    union(a, b)
+                    _union(root, a, b)
 
     def rec(cells, on_first):
         """Walk below ``cells``; True sends the walk back to the first path."""
@@ -235,7 +238,7 @@ def canonical_search(rows, n, cells, gens=None):
                     b = m & -m
                     m ^= b
                     v = b.bit_length() - 1
-                    if on_first and find(v) != v:
+                    if on_first and _find(root, v) != v:
                         continue
                     # cells is equitable, so counts towards c ^ b follow
                     # from those towards c and towards b.
@@ -253,19 +256,10 @@ def canonical_search(rows, n, cells, gens=None):
 def orbits(n, gens):
     """``out[v]`` is the least vertex in the orbit of ``v`` under ``gens``."""
     root = list(range(n))
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     for g in gens:
         for v, w in enumerate(g):
-            a, b = find(v), find(w)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
+            _union(root, v, w)
+    return [_find(root, v) for v in range(n)]
 
 
 @dataclass(frozen=True)

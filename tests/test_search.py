@@ -29,8 +29,8 @@ from oddhom import (
     to_graph6,
 )
 from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_partition
-from oddhom.graphs import delete_vertex
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from oddhom.graphs import delete_vertex
 from oddhom.search import (
     RULE_CONNECTED,
     RULE_MAX_DEGREE_3_SECONDNBHD,
