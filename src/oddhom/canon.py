@@ -13,9 +13,12 @@ Refinement runs in rounds, and a round counts neighbours only towards the
 ``fresh`` cells, the ones the previous round split off (in the manner of
 McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
 2014): a partition that is stable towards a cell stays stable towards it,
-so recounting against the other cells could split nothing.  After a vertex
-is individualized, the first round's only fresh cell is that vertex.  The
-cells, and their order, are those of recounting against every cell.
+so recounting against the other cells could split nothing.  Only the
+neighbours of fresh members are counted, so a round costs about as much as
+the fresh cells have edges, and each vertex's counts are packed into one int
+key.  After a vertex is individualized, the first round's only fresh cell is
+that vertex.  The cells, and their order, are those of recounting against
+every cell.
 
 The same walk over the individualization tree yields generators of the
 automorphism group, and uses them to prune the tree as nauty does (McKay
@@ -29,17 +32,17 @@ individualized vertex keeps the position of its cell in every leaf below
 it, and an automorphism between two leaves maps their paths onto each
 other: what is pruned is an automorphic image of what was walked.  The
 least bytes, their ordering and the group the generators span are those of
-the unpruned walk.  ``orbits`` turns generators into vertex orbits.  The
-enumeration module uses both for canonical augmentation: the canonical
-position picks the deletion vertex, and the orbits decide acceptance and
-drop isomorphic siblings.
+the unpruned walk, and the search also returns the vertex orbits of that
+group.  The enumeration module uses all three for canonical augmentation:
+the canonical position picks the deletion vertex, the orbits decide
+acceptance, and the generators drop isomorphic siblings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _neighbors_of_set
 
 
 def refine_round(rows, cells, fresh):
@@ -48,28 +51,36 @@ def refine_round(rows, cells, fresh):
     Every cell is split by the vector of neighbour counts towards the
     ``fresh`` cells, and its sub-cells are put in its place, ordered by that
     vector, so the cell order depends only on the isomorphism type (given
-    the order of ``cells``).  The returned ``fresh`` cells are the sub-cells
-    of this round's splits, all but the last of each: a partition stable
-    towards a cell stays stable towards it when refined, and counts towards
-    the last sub-cell follow from those towards its parent and its
-    siblings.  An empty ``fresh`` means the partition is equitable.  Since
-    cells only split in place, each round's cell order is a coarsening of
-    the fixpoint's, which lets ``search._accepted`` stop refining a child as
-    soon as the cells settle its fate.
+    the order of ``cells``).  Only neighbours of fresh members are counted:
+    the rest of a cell has the all-zero vector, the least, and a cell with
+    no such neighbour is kept whole.  A vector is packed into an int, six
+    bits per count (a count is at most 63 since ``MAX_VERTICES`` is 64), so
+    int order is the vectors' lexicographic order.  The returned ``fresh``
+    cells are the sub-cells of this round's splits, all but the last of
+    each: a partition stable towards a cell stays stable towards it when
+    refined, and counts towards the last sub-cell follow from those towards
+    its parent and its siblings.  An empty ``fresh`` means the partition is
+    equitable.  Since cells only split in place, each round's cell order is
+    a coarsening of the fixpoint's, which lets ``search._accepted`` stop
+    refining a child as soon as the cells settle its fate.
     """
+    touched = _neighbors_of_set(rows, sum(fresh))
     new_cells = []
     new_fresh = []
     for cell in cells:
-        if cell & (cell - 1) == 0:  # singleton
+        hit = cell & touched
+        if not hit or cell & (cell - 1) == 0:
             new_cells.append(cell)
             continue
-        groups = {}
-        m = cell
+        groups = {0: cell ^ hit} if hit != cell else {}
+        m = hit
         while m:
             b = m & -m
             m ^= b
             row = rows[b.bit_length() - 1]
-            key = tuple([(row & c).bit_count() for c in fresh])
+            key = 0
+            for c in fresh:
+                key = key << 6 | (row & c).bit_count()
             groups[key] = groups.get(key, 0) | b
         if len(groups) == 1:
             new_cells.append(cell)
@@ -114,24 +125,18 @@ def _homogeneous(rows, cells):
 
     In that case any transposition inside a cell is an automorphism, so all
     orderings that respect the cell order produce identical adjacency bytes
-    and the branching below can stop.
+    and the branching below can stop.  ``cells`` must be equitable: every
+    member of a cell then has as many neighbours in each cell as the others,
+    so one member per cell decides whether a block is empty or complete.
     """
-    sizes = [c.bit_count() for c in cells]
-    for i, ci in enumerate(cells):
-        if sizes[i] == 1:
-            continue
-        for j, cj in enumerate(cells):
-            total = 0
-            m = ci
-            while m:
-                b = m & -m
-                m ^= b
-                total += (rows[b.bit_length() - 1] & cj).bit_count()
-            if i == j:
-                if total and total != sizes[i] * (sizes[i] - 1):
+    for ci in cells:
+        if ci & (ci - 1):
+            b = ci & -ci
+            row = rows[b.bit_length() - 1]
+            for cj in cells:
+                x = row & cj
+                if x and x != cj & ~b:
                     return False
-            elif total and total != sizes[i] * sizes[j]:
-                return False
     return True
 
 
@@ -152,10 +157,12 @@ def _union(root, v, w):
 def canonical_search(rows, n, cells, gens=None):
     """Least adjacency bytes below an equitable ordered partition ``cells``.
 
-    Returns ``(bytes, perm)`` with ``perm[v]`` the position of ``v`` in the
-    best ordering.  When ``gens`` is a list, automorphisms found on the way
-    are appended to it as tuples (``g[v]`` is the image of ``v``); together
-    they generate the automorphisms of the graph that preserve ``cells``.
+    Returns ``(bytes, perm, orbit)`` with ``perm[v]`` the position of ``v``
+    in the best ordering and ``orbit[v]`` the least vertex of the orbit of
+    ``v`` under the automorphisms found on the way.  Those automorphisms
+    generate the automorphisms of the graph that preserve ``cells``; when
+    ``gens`` is a list they are appended to it as tuples (``g[v]`` is the
+    image of ``v``).
 
     The walk is depth-first, children in increasing vertex order, and keeps
     the first leaf as well as the best.  A leaf with the first leaf's bytes
@@ -177,6 +184,8 @@ def canonical_search(rows, n, cells, gens=None):
     known = set(gens)
     # Orbits of the generators found here, as a union-find.
     root = list(range(n))
+    # Pairs already offered by transpositions().
+    swapped = set()
     first = best = best_inv = None
 
     def add(g):
@@ -217,13 +226,15 @@ def canonical_search(rows, n, cells, gens=None):
         for c in cells:
             members = list(_bits(c))
             for a, b in zip(members, members[1:]):
-                g = list(range(n))
-                g[a], g[b] = b, a
-                g = tuple(g)
-                if g not in known:
-                    gens.append(g)
-                    known.add(g)
-                    _union(root, a, b)
+                if (a, b) not in swapped:
+                    swapped.add((a, b))
+                    g = list(range(n))
+                    g[a], g[b] = b, a
+                    g = tuple(g)
+                    if g not in known:
+                        gens.append(g)
+                        known.add(g)
+                        _union(root, a, b)
 
     def rec(cells, on_first):
         """Walk below ``cells``; True sends the walk back to the first path."""
@@ -250,16 +261,7 @@ def canonical_search(rows, n, cells, gens=None):
         return leaf(cells)
 
     rec(cells, True)
-    return best
-
-
-def orbits(n, gens):
-    """``out[v]`` is the least vertex in the orbit of ``v`` under ``gens``."""
-    root = list(range(n))
-    for g in gens:
-        for v, w in enumerate(g):
-            _union(root, v, w)
-    return [_find(root, v) for v in range(n)]
+    return best[0], best[1], [_find(root, v) for v in range(n)]
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ class CanonicalForm:
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``."""
     cells = refine_partition(g.rows, [(1 << g.order) - 1])
-    b, perm = canonical_search(g.rows, g.order, cells)
+    b, perm, _ = canonical_search(g.rows, g.order, cells)
     return CanonicalForm(b, perm)
 
 

@@ -14,12 +14,12 @@ least degree of a parent non-cutvertex, or of exactly that size but missing
 a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
 a node budget counts only the sets inside this bound.  A remaining child
 with no other non-cutvertex of the new vertex's degree is accepted by the
-degrees alone; otherwise its colour refinement runs round by round only
-until the cells place such a rival before the new vertex (reject) or
-none beside it (accept).  One canonical search of the child, which also
-yields its automorphism generators, settles the rest.  Among siblings, S
-is tried only if it is the first-enumerated member of its orbit under the
-parent's automorphism group.
+degrees alone; otherwise its colour refinement runs round by round from
+the degree partition only until the cells place such a rival before the
+new vertex (reject) or none beside it (accept).  One canonical search of
+the child, which also yields its automorphism generators and orbits,
+settles the rest.  Among siblings, S is tried only if it is the
+first-enumerated member of its orbit under the parent's automorphism group.
 
 Why this gives one representative per isomorphism class: every connected
 graph has a non-cutvertex, so it has a canonical parent, and the properties
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .budget import Budget, BudgetExceededError
-from .canon import canonical_search, orbits, refine_partition, refine_round
+from .canon import canonical_search, refine_partition, refine_round
 from .constructions import cycle
 from .graphs import (
     Graph,
@@ -331,8 +331,10 @@ def _accepted(rows_t, n):
     keeps them as the child's state when it grows the child further.
 
     The rivals of the added vertex are the other non-cutvertices of its
-    degree.  The child is refined one round at a time from the unit
-    partition; cells split in place, so each round's cell order is a
+    degree.  The child is refined one round at a time from the degree
+    partition (cells in increasing degree), which is the first round from
+    the unit partition and cannot decide, since the rivals share the added
+    vertex's degree; cells split in place, so each round's cell order is a
     coarsening of the fixpoint's.  Refinement stops as soon as a rival lies
     in a cell before the added vertex's (reject) or none lies in its cell
     (accept).  Only a tie at the fixpoint needs the canonical search.
@@ -349,7 +351,11 @@ def _accepted(rows_t, n):
             rivals |= 1 << v
     if not rivals:
         return None, None
-    cells = fresh = [(1 << n) - 1]
+    by_degree = {}
+    for v, d in enumerate(degs):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    fresh, cell = cells[:-1], by_degree[da]
     bit = 1 << added
     while fresh:
         cells, fresh = refine_round(rows_t, cells, fresh)
@@ -362,8 +368,7 @@ def _accepted(rows_t, n):
             return None, None
     tie = [added] + list(_bits(cell & rivals))
     gens = []
-    perm = canonical_search(rows_t, n, cells, gens)[1]
-    orbit = orbits(n, gens)
+    _, perm, orbit = canonical_search(rows_t, n, cells, gens)
     if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
         return None
     return cells, gens

@@ -28,7 +28,7 @@ from oddhom import (
     odd_girth,
     to_graph6,
 )
-from oddhom.canon import canonical_bytes, canonical_search, orbits, refine_partition
+from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.graphs import delete_vertex
 from oddhom.search import (
@@ -173,9 +173,7 @@ def full_refinement_accepted(rows_t, n):
         return None
     tie = [added] + [v for v in range(added) if cells[ca] >> v & 1 and noncut(v)]
     if len(tie) > 1:
-        gens = []
-        perm = canonical_search(rows_t, n, cells, gens)[1]
-        orbit = orbits(n, gens)
+        _, perm, orbit = canonical_search(rows_t, n, cells)
         if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
             return None
     return cells
@@ -252,7 +250,7 @@ class TestAutomorphismOrbits:
                 result, gens = generators(g)
                 assert set(gens) <= autos
                 assert group_closure(n, gens) == autos, g.edges()
-                assert orbits(n, gens) == brute_orbits(n, autos)
+                assert result[2] == brute_orbits(n, autos)
                 # Collecting generators must not change the result.
                 assert result == canonical(g)
 
@@ -264,18 +262,18 @@ class TestAutomorphismOrbits:
             autos = brute_automorphisms(g)
             result, gens = generators(g)
             assert set(gens) <= autos
-            assert orbits(n, gens) == brute_orbits(n, autos)
+            assert result[2] == brute_orbits(n, autos)
             assert result == canonical(g)
 
     def test_vertex_transitive_group_orders(self):
         # The pruned tree still yields generators of the whole group.
         for g, order in vertex_transitive_graphs():
             n = g.order
-            _, gens = generators(g)
+            result, gens = generators(g)
             edges = set(g.edges())
             for p in gens:
                 assert {(min(p[a], p[b]), max(p[a], p[b])) for a, b in edges} == edges
-            assert orbits(n, gens) == [0] * n
+            assert result[2] == [0] * n
             if order is not None:
                 assert len(group_closure(n, gens)) == order, g.edges()
 
