@@ -48,7 +48,12 @@ proves it of a minimal counterexample: (k, l) = (3, 2) with n_max <= 14, or
 eta(k, l) itself is the smallest order of a graph of odd-girth exactly 2k+1
 with no homomorphism to C_{2l+1}; the driver enumerates, tests candidates,
 and re-verifies every witness through a graph6 round trip with fresh solver
-state before reporting it.
+state before reporting it.  Colourings (maps to C_{2l+1}) are carried down
+the augmentation tree: a child extends its parent's colouring when the
+colours of its attachment set leave the new vertex a colour, and such a
+child is no witness.  The solver runs only on a candidate whose colouring
+did not extend, and the map it finds becomes the colouring that child's
+descendants extend.  The split path colours each frontier graph once.
 """
 
 from __future__ import annotations
@@ -393,15 +398,48 @@ def _set_orbit(s, gens):
     return out
 
 
-def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
-                 cells=None, gens=None):
+def _extend_colouring(colour, S, m):
+    """A parent's map to C_m extended to a new vertex adjacent to ``S``, or None.
+
+    The new vertex needs a colour adjacent on C_m to every colour of S: S
+    must see one colour a (take a + 1) or two colours two apart (take the
+    one between them).
+    """
+    a = b = None
+    while S:
+        low = S & -S
+        S ^= low
+        c = colour[low.bit_length() - 1]
+        if a is None or c == a:
+            a = c
+        elif b is None or c == b:
+            b = c
+        else:
+            return None
+    if b is None or (b - a) % m == 2:
+        return colour + ((a + 1) % m,)
+    if (a - b) % m == 2:
+        return colour + ((b + 1) % m,)
+    return None
+
+
+def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target=None,
+                 cells=None, gens=None, colour=None):
     """DFS over accepted descendants of one augmentation node.
 
-    Yields (order, rows, odd girth) for each accepted graph strictly below
-    the node, whose odd girth is ``og``.  ``cells`` and ``gens`` are the
-    node's refined partition and automorphism generators when already
-    known.  When ``stop_order`` is given, graphs of that order are yielded
-    but not expanded (they form the frontier for parallel workers).
+    Yields (order, rows, odd girth, colouring, witness) for each accepted
+    graph strictly below the node, whose odd girth is ``og``.  ``cells`` and
+    ``gens`` are the node's refined partition and automorphism generators
+    when already known.  When ``stop_order`` is given, graphs of that order
+    are yielded but not expanded (they form the frontier for parallel
+    workers).
+
+    With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
+    (witness: its graph6, else None) and carries a colouring, a map to the
+    target as a tuple of colours, or None.  ``colour`` is the node's; a
+    child extends it when ``_extend_colouring`` can, and otherwise takes
+    the map the solver found for it, if the solver ran.  Without a target
+    both are None.
     """
     if n >= cfg.n_max or (stop_order is not None and n >= stop_order):
         return
@@ -447,15 +485,22 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None,
         # A shorter odd cycle than the parent's must pass through the new vertex.
         d = _odd_walk_back_to(child_t, n, og - 1)
         child_og = og if d is None else d
-        yield nc, child_t, child_og
-        yield from _descendants(child_t, nc, child_og, cfg, budget, stop_order, *state)
+        witness = child_colour = None
+        if target is not None:
+            inherited = None if colour is None else _extend_colouring(colour, S, target.order)
+            witness, child_colour = _test_witness(child_t, child_og, inherited, cfg, target)
+        yield nc, child_t, child_og, child_colour, witness
+        yield from _descendants(child_t, nc, child_og, cfg, budget, stop_order, target,
+                                *state, child_colour)
 
 
-def _root_stream(cfg: SearchConfig, budget=None, stop_order=None):
+def _root_stream(cfg: SearchConfig, budget=None, stop_order=None, target=None):
+    """The one-vertex root and its descendants, as ``_descendants`` yields them."""
     root = (0,)
     og = odd_girth(Graph(root, _validate=False))
-    yield 1, root, og
-    yield from _descendants(root, 1, og, cfg, budget, stop_order)
+    colour = None if target is None else (0,)
+    yield 1, root, og, colour, None
+    yield from _descendants(root, 1, og, cfg, budget, stop_order, target, colour=colour)
 
 
 def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
@@ -468,7 +513,7 @@ def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
     applies them when it tests witnesses, because they are not preserved
     while a graph is still growing.
     """
-    for _, rows, _ in _root_stream(config, budget):
+    for _, rows, *_ in _root_stream(config, budget):
         yield Graph(rows, _validate=False)
 
 
@@ -525,42 +570,46 @@ class SearchReport:
         return []
 
 
-def _test_witness(rows, og, k, l, rules):
-    """graph6 of a verified witness, or None.
+def _test_witness(rows, og, colour, cfg: SearchConfig, target):
+    """(graph6 of a verified witness or None, the graph's colouring or None).
 
-    A witness has odd-girth ``og`` exactly 2k+1, no homomorphism to
-    C_{2l+1}, and passes the final rules.  Before reporting, the graph
-    is round tripped through graph6 and re-checked, odd-girth included, with
-    fresh state.
+    ``colour`` is the colouring the graph inherited from its parent, if
+    any; such a graph is no witness, and nothing else is run.  Otherwise a
+    witness has odd-girth ``og`` exactly 2k+1, passes the final rules and
+    has no homomorphism to ``target``, C_{2l+1}; a map the solver finds
+    becomes the graph's colouring.  Before a witness is reported, the graph
+    is round tripped through graph6 and re-checked, odd-girth included,
+    with fresh state.
     """
-    if og != 2 * k + 1:
-        return None
+    if colour is not None or og != 2 * cfg.k + 1:
+        return None, colour
     g = Graph(rows, _validate=False)
-    if not all(rule.check(g) for rule in _rules(rules, "final")):
-        return None
-    if find_homomorphism(g, cycle(2 * l + 1)) is not None:
-        return None
+    if not all(rule.check(g) for rule in _rules(cfg.prune_rules, "final")):
+        return None, None
+    m = find_homomorphism(g, target)
+    if m is not None:
+        return None, m.image
     g6 = to_graph6(g)
     fresh = from_graph6(g6)
-    if odd_girth(fresh) != 2 * k + 1 or find_homomorphism(fresh, cycle(2 * l + 1)) is not None:
+    if odd_girth(fresh) != 2 * cfg.k + 1 or find_homomorphism(fresh, cycle(target.order)) is not None:
         raise AssertionError(f"witness failed independent re-check: {g6}")
-    return g6
+    return g6, None
 
 
-def _tally(stream, cfg: SearchConfig, stop=None):
-    """Count and test a stream: (counts, witnesses, graph6 at order ``stop``, truncated).
+def _tally(stream, stop=None):
+    """Count a stream: (counts, witnesses, graph6 at order ``stop``, truncated).
 
-    A stream cut by its budget returns what it found so far, truncated.
+    The stream has already tested its graphs as witnesses.  A stream cut by
+    its budget returns what it found so far, truncated.
     """
     counts = Counter()
     wits = defaultdict(list)
     frontier = []
     try:
-        for n, rows, og in stream:
+        for n, rows, _, _, witness in stream:
             counts[n] += 1
-            w = _test_witness(rows, og, cfg.k, cfg.l, cfg.prune_rules)
-            if w is not None:
-                wits[n].append(w)
+            if witness is not None:
+                wits[n].append(witness)
             if n == stop:
                 frontier.append(to_graph6(Graph(rows, _validate=False)))
     except BudgetExceededError:
@@ -569,14 +618,21 @@ def _tally(stream, cfg: SearchConfig, stop=None):
 
 
 def _expand_subtree(args):
-    """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants."""
+    """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants.
+
+    The frontier graph was tested in the stream that found it; here the
+    solver runs on it once more, for a colouring its descendants extend.
+    """
     g6, cfg, budget = args
     if budget is not None and budget.expired():
         return Counter(), {}, True, 0
     start = 0 if budget is None else budget.nodes
     g = from_graph6(g6)
-    counts, wits, _, truncated = _tally(
-        _descendants(g.rows, g.order, odd_girth(g), cfg, budget), cfg)
+    target = cycle(2 * cfg.l + 1)
+    m = find_homomorphism(g, target)
+    counts, wits, _, truncated = _tally(_descendants(
+        g.rows, g.order, odd_girth(g), cfg, budget, target=target,
+        colour=None if m is None else m.image))
     ticks = 0 if budget is None else budget.nodes - start
     return counts, wits, truncated, ticks
 
@@ -639,7 +695,7 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     else:
         stop = split or None
         counts, wits, frontier, truncated = _tally(
-            _root_stream(config, budget, stop_order=stop), config, stop)
+            _root_stream(config, budget, stop, cycle(2 * config.l + 1)), stop)
         if checkpoint and not truncated and split:
             _write_checkpoint(checkpoint, config, split, counts, wits, frontier)
 

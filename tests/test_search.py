@@ -28,9 +28,11 @@ from oddhom import (
     odd_girth,
     to_graph6,
 )
+from oddhom import search
 from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.graphs import delete_vertex
+from oddhom.hom import VertexMap, verify_mapping
 from oddhom.search import (
     RULE_CONNECTED,
     RULE_MAX_DEGREE_3_SECONDNBHD,
@@ -39,6 +41,7 @@ from oddhom.search import (
     _accepted,
     _attachment_sets,
     _conflict_masks,
+    _extend_colouring,
     _indep_sets,
     _root_stream,
     _rules,
@@ -126,7 +129,7 @@ class TestDegreeBound:
         # _descendants, so the degree-3 cap meets the m + 1 cap here too.
         growth = _rules(cfg.prune_rules, "growth")
         dropped = 0
-        for n, rows, _ in _root_stream(cfg):
+        for n, rows, *_ in _root_stream(cfg):
             conf = _conflict_masks(rows, n, cfg.k, growth)
             cand, max_size = (1 << n) - 1, n
             if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
@@ -186,7 +189,7 @@ class TestEarlyExit:
         # including those the degree bound never builds.
         cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
         outcomes = Counter()
-        for n, rows, _ in _root_stream(cfg):
+        for n, rows, *_ in _root_stream(cfg):
             if n == n_max:
                 continue
             full = (1 << n) - 1
@@ -291,12 +294,94 @@ class TestAutomorphismOrbits:
 class TestIncrementalOddGirth:
     def test_streamed_value_matches_full_odd_girth(self):
         cfg = SearchConfig(k=2, l=1, n_max=9)
-        for _, rows, og in _root_stream(cfg):
+        for _, rows, og, *_ in _root_stream(cfg):
             assert og == odd_girth(Graph(rows)), rows
 
 
 def records_of(report):
     return [(r.n, r.enumerated, r.witness_count, r.witnesses) for r in report.records]
+
+
+def solver_calls(monkeypatch):
+    """(rows, map or None) of every solver call the search makes, as it makes them."""
+    calls = []
+    solve = search.find_homomorphism
+
+    def recording(g, h):
+        m = solve(g, h)
+        calls.append((g.rows, m))
+        return m
+
+    monkeypatch.setattr(search, "find_homomorphism", recording)
+    return calls
+
+
+def atlas_non_3_colourable(max_n):
+    """Per-order counts of connected graphs with a triangle and no proper 3-colouring.
+
+    networkx's atlas lists every graph up to order 7; colourability is
+    decided over all 3^n assignments.
+    """
+    nx = pytest.importorskip("networkx")
+    counts = [0] * max_n
+    for g in nx.graph_atlas_g()[1:]:
+        n = g.number_of_nodes()
+        edges = list(g.edges())
+        if n > max_n or not nx.is_connected(g) or not any(nx.triangles(g).values()):
+            continue
+        if not any(all(c[a] != c[b] for a, b in edges)
+                   for c in itertools.product(range(3), repeat=n)):
+            counts[n - 1] += 1
+    return counts
+
+
+class TestColourings:
+    def test_witnesses_match_atlas(self):
+        # k = 1: every graph with a triangle and no 3-colouring is a witness,
+        # and so are its descendants; they start with no colouring.
+        want = atlas_non_3_colourable(7)
+        assert want == [0, 0, 0, 1, 4, 31, 334]
+        cfg = SearchConfig(k=1, l=1, n_max=7)
+        for report in (eta_search(cfg), eta_search(cfg, jobs=2),
+                       eta_search(SearchConfig(k=1, l=1, n_max=7, parallel_width=5))):
+            assert [r.witness_count for r in report.records] == want
+            assert [r.enumerated for r in report.records] == A001349[:7]
+
+    @pytest.mark.parametrize("k, n_max", [(1, 7), (2, 9), (3, 10)])
+    def test_carried_colourings_are_maps(self, k, n_max, monkeypatch):
+        cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
+        target = cycle(2 * cfg.l + 1)
+        calls = solver_calls(monkeypatch)
+        coloured = set()
+        for n, rows, _, colour, witness in _root_stream(cfg, target=target):
+            if colour is not None:
+                assert verify_mapping(Graph(rows), target, VertexMap(n, target.order, colour)), rows
+                assert witness is None
+                coloured.add(rows)
+        mapped = {rows for rows, m in calls if m is not None}
+        assert mapped and mapped <= coloured
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_extension_finds_a_colour_when_one_exists(self, m):
+        target = cycle(m)
+        for size in (1, 2, 3):
+            for colours in itertools.product(range(m), repeat=size):
+                fits = [c for c in range(m) if all(target.has_edge(c, x) for x in colours)]
+                got = _extend_colouring(colours, (1 << size) - 1, m)
+                assert (got is None) == (not fits), colours
+                if got is not None:
+                    assert got[:size] == colours and got[size] in fits
+
+    def test_solver_calls(self, monkeypatch):
+        # Solving every odd-girth-5 class from scratch takes 732 calls; a
+        # split run adds at most one call per frontier graph (19 at order 6).
+        calls = solver_calls(monkeypatch)
+        report = eta_search(SearchConfig(k=2, l=1, n_max=9))
+        assert report.eta_lower_bound_established == 10
+        assert len(calls) < 732 / 100
+        calls.clear()
+        eta_search(SearchConfig(k=2, l=1, n_max=9, parallel_width=6))
+        assert len(calls) < A024607[5] + 732 / 100
 
 
 class TestEtaDriver:
@@ -366,8 +451,11 @@ class TestEtaDriver:
         assert code == EXIT_OK
         assert "eta(2,1) >= 8" in capsys.readouterr().err
 
-    def test_minimal_counterexample_search_bound_15(self):
+    def test_minimal_counterexample_search_bound_15(self, monkeypatch):
+        calls = solver_calls(monkeypatch)
         report = eta_search(SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES))
+        # The solver runs only after the final rules: two graphs reach it.
+        assert len(calls) <= 2
         assert not report.truncated
         assert report.minimal_counterexample_mode
         assert [r.enumerated for r in report.records] == MINIMAL_OG7
