@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=0,
                    help="order at which to split the augmentation tree into parallel subtrees")
     p.add_argument("--checkpoint", default=None,
-                   help="frontier checkpoint file for resumable runs")
+                   help="file of the subtree roots at the split order, each with its odd girth "
+                        "and colouring; written by the first run, resumed by the next one of the "
+                        "same configuration (the split is --split, else min(8, max-n - 1))")
     p.set_defaults(fn=_cmd_search_eta)
 
     p = sub.add_parser("table1", help="recompute desk-scale evidence for the known-values table")

@@ -53,7 +53,7 @@ the augmentation tree: a child extends its parent's colouring when the
 colours of its attachment set leave the new vertex a colour, and such a
 child is no witness.  The solver runs only on a candidate whose colouring
 did not extend, and the map it finds becomes the colouring that child's
-descendants extend.  The split path colours each frontier graph once.
+descendants extend.  Split subtrees start from their roots' colourings.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class SearchConfig:
     k, l and n_max; CONNECTED is implicit in the generation scheme.
     ``parallel_width`` is the order at which the augmentation tree is split
     into independent subtrees for parallel running or checkpointing
-    (0 means no split).
+    (0 means the default of ``eta_search``).
     """
 
     k: int
@@ -431,8 +431,8 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
     graph strictly below the node, whose odd girth is ``og``.  ``cells`` and
     ``gens`` are the node's refined partition and automorphism generators
     when already known.  When ``stop_order`` is given, graphs of that order
-    are yielded but not expanded (they form the frontier for parallel
-    workers).
+    are yielded but not expanded (they form the frontier whose subtrees
+    ``_expand_subtree`` grows).
 
     With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
     (witness: its graph6, else None) and carries a colouring, a map to the
@@ -596,22 +596,23 @@ def _test_witness(rows, og, colour, cfg: SearchConfig, target):
     return g6, None
 
 
-def _tally(stream, stop=None):
-    """Count a stream: (counts, witnesses, graph6 at order ``stop``, truncated).
+def _tally(stream, split=None):
+    """Count a stream: (counts, witnesses, frontier, truncated).
 
-    The stream has already tested its graphs as witnesses.  A stream cut by
-    its budget returns what it found so far, truncated.
+    The stream has already tested its graphs as witnesses; the frontier
+    holds its (rows, odd girth, colouring) at order ``split``.  A stream cut
+    by its budget returns what it found so far, truncated.
     """
     counts = Counter()
     wits = defaultdict(list)
     frontier = []
     try:
-        for n, rows, _, _, witness in stream:
+        for n, rows, og, colour, witness in stream:
             counts[n] += 1
             if witness is not None:
                 wits[n].append(witness)
-            if n == stop:
-                frontier.append(to_graph6(Graph(rows, _validate=False)))
+            if n == split:
+                frontier.append((rows, og, colour))
     except BudgetExceededError:
         return counts, wits, frontier, True
     return counts, wits, frontier, False
@@ -620,51 +621,57 @@ def _tally(stream, stop=None):
 def _expand_subtree(args):
     """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants.
 
-    The frontier graph was tested in the stream that found it; here the
-    solver runs on it once more, for a colouring its descendants extend.
+    The node is (rows, odd girth, colouring) as the stream yielded it, so
+    its descendants grow as in an unsplit run and nothing is solved again.
     """
-    g6, cfg, budget = args
+    (rows, og, colour), cfg, budget = args
     if budget is not None and budget.expired():
         return Counter(), {}, True, 0
     start = 0 if budget is None else budget.nodes
-    g = from_graph6(g6)
-    target = cycle(2 * cfg.l + 1)
-    m = find_homomorphism(g, target)
     counts, wits, _, truncated = _tally(_descendants(
-        g.rows, g.order, odd_girth(g), cfg, budget, target=target,
-        colour=None if m is None else m.image))
+        rows, len(rows), og, cfg, budget, target=cycle(2 * cfg.l + 1), colour=colour))
     ticks = 0 if budget is None else budget.nodes - start
     return counts, wits, truncated, ticks
 
 
-_CHECKPOINT_MAGIC = "#oddhom-eta-checkpoint v1"
+_CHECKPOINT_MAGIC = "#oddhom-eta-checkpoint v2"
 
 
-def _write_checkpoint(path, cfg, split, counts, wits, frontier):
+def _write_checkpoint(path, cfg, counts, wits, frontier):
+    """A header line, then one JSON frontier node a line, moved into place whole."""
     head = {
         "cfg": cfg.config_hash(),
-        "split": split,
         "counts": {str(n): c for n, c in sorted(counts.items())},
         "witnesses": {str(n): sorted(ws) for n, ws in sorted(wits.items())},
     }
-    with open(path, "w") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         fh.write(f"{_CHECKPOINT_MAGIC} {json.dumps(head, sort_keys=True)}\n")
-        for g6 in frontier:
-            fh.write(g6 + "\n")
+        for node in frontier:
+            fh.write(json.dumps(node) + "\n")
+    os.replace(tmp, path)
 
 
-def _read_checkpoint(path, cfg):
+def _read_checkpoint(path, cfg, split):
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
+        if header.startswith("#oddhom-eta-checkpoint v1 "):
+            raise ValueError(f"{path} is a v1 eta checkpoint, which stores no colourings; "
+                             "delete it and run again")
         if not header.startswith(_CHECKPOINT_MAGIC + " "):
             raise ValueError(f"{path} is not an eta checkpoint")
         head = json.loads(header[len(_CHECKPOINT_MAGIC) + 1:])
         if head["cfg"] != cfg.config_hash():
             raise ValueError("checkpoint was written for a different search configuration")
-        frontier = [line.strip() for line in fh if line.strip()]
+        nodes = (json.loads(line) for line in fh if line.strip())
+        frontier = [(tuple(rows), og, None if colour is None else tuple(colour))
+                    for rows, og, colour in nodes]
     counts = Counter({int(n): c for n, c in head["counts"].items()})
+    if len(frontier) != counts[split]:
+        raise ValueError(f"{path} is damaged: it holds {len(frontier)} frontier nodes, "
+                         f"but its header counts {counts[split]} at order {split}")
     wits = defaultdict(list, {int(n): list(ws) for n, ws in head["witnesses"].items()})
-    return head["split"], counts, wits, frontier
+    return counts, wits, frontier
 
 
 def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = None,
@@ -673,34 +680,37 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
 
     Enumerates one representative per isomorphism class up to ``n_max``,
     tests every graph of odd-girth exactly 2k+1 against C_{2l+1}, and
-    reports per-order counts plus independently re-verified witnesses.  With
-    ``jobs`` > 1 the augmentation tree is split at ``parallel_width`` (or a
-    sensible default) into subtrees handled by worker processes; subtrees
-    are disjoint, so results merge by plain union and the report does not
-    depend on the split.  ``checkpoint`` stores the frontier so an
-    interrupted run can resume without regrowing it.  A budget, if given,
-    truncates the run and flags the report instead of raising.  Its deadline
-    is a ``time.monotonic()`` value, a system-wide clock on Linux, so it holds
-    in every worker; under ``jobs`` a node limit applies per subtree, and the
-    workers' ticks are added to ``budget.nodes`` when their subtrees finish.
+    reports per-order counts plus independently re-verified witnesses.  The
+    tree is grown to a split order (``parallel_width``, else min(8, n_max - 1)
+    with ``jobs`` > 1 or a checkpoint, else 1: the root alone), and the
+    subtrees below its nodes are grown in-process or by ``jobs`` workers;
+    they are disjoint, so results merge by plain union and the report does
+    not depend on the split.  ``checkpoint`` stores the split order's nodes
+    so an interrupted run can resume without regrowing them.  A budget, if
+    given, truncates the run and flags the report instead of raising.  Its
+    deadline is a ``time.monotonic()`` value, a system-wide clock on Linux,
+    so it holds in every worker.  Under ``jobs`` each worker checks a node
+    limit against its own copy; their ticks are added to ``budget.nodes``,
+    and a total above the limit truncates the report as in the serial run.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     t0 = time.monotonic()
     split = config.parallel_width
-    if (jobs > 1 or checkpoint) and not split:
-        split = min(8, config.n_max - 1)
+    if not split:
+        split = min(8, config.n_max - 1) if jobs > 1 or checkpoint else 1
 
     truncated = False
     if checkpoint and os.path.exists(checkpoint):
-        split, counts, wits, frontier = _read_checkpoint(checkpoint, config)
+        counts, wits, frontier = _read_checkpoint(checkpoint, config, split)
     else:
-        stop = split or None
         counts, wits, frontier, truncated = _tally(
-            _root_stream(config, budget, stop, cycle(2 * config.l + 1)), stop)
-        if checkpoint and not truncated and split:
-            _write_checkpoint(checkpoint, config, split, counts, wits, frontier)
+            _root_stream(config, budget, split, cycle(2 * config.l + 1)), split)
+        if checkpoint and not truncated:
+            _write_checkpoint(checkpoint, config, counts, wits, frontier)
 
-    if split and frontier and not truncated:
-        tasks = [(g6, config, budget) for g6 in sorted(frontier)]
+    if not truncated:
+        tasks = [(node, config, budget) for node in frontier]
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -717,6 +727,8 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
             for n, lst in ws.items():
                 wits[n].extend(lst)
             truncated |= cut
+    if budget is not None and budget.max_nodes is not None and budget.nodes > budget.max_nodes:
+        truncated = True
 
     records = tuple(
         OrderRecord(n, counts.get(n, 0), len(wits.get(n, [])), tuple(sorted(wits.get(n, []))))

@@ -6,6 +6,7 @@ against its own serial run under every way of splitting or resuming it.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -372,16 +373,23 @@ class TestColourings:
                 if got is not None:
                     assert got[:size] == colours and got[size] in fits
 
-    def test_solver_calls(self, monkeypatch):
-        # Solving every odd-girth-5 class from scratch takes 732 calls; a
-        # split run adds at most one call per frontier graph (19 at order 6).
+    def test_solver_calls(self, monkeypatch, tmp_path):
+        # Solving every odd-girth-5 class from scratch takes 732 calls.  A
+        # frontier node keeps the colouring the stream gave it, in a split
+        # run, a checkpoint and its resume, so none of them solves more.
         calls = solver_calls(monkeypatch)
-        report = eta_search(SearchConfig(k=2, l=1, n_max=9))
+        cfg = SearchConfig(k=2, l=1, n_max=9)
+        report = eta_search(cfg)
         assert report.eta_lower_bound_established == 10
         assert len(calls) < 732 / 100
-        calls.clear()
-        eta_search(SearchConfig(k=2, l=1, n_max=9, parallel_width=6))
-        assert len(calls) < A024607[5] + 732 / 100
+        path = tmp_path / "eta.ckpt"
+        for run in (lambda: eta_search(SearchConfig(k=2, l=1, n_max=9, parallel_width=6)),
+                    lambda: eta_search(cfg, checkpoint=str(path)),
+                    lambda: eta_search(cfg, checkpoint=str(path))):
+            calls.clear()
+            assert records_of(run()) == records_of(report)
+            assert len(calls) < 732 / 100
+        assert path.exists()
 
 
 class TestEtaDriver:
@@ -414,6 +422,46 @@ class TestEtaDriver:
         assert serial > 0
         assert nodes(SearchConfig(k=2, l=1, n_max=9, parallel_width=6)) == serial
         assert nodes(self.CFG, jobs=2) == serial
+
+    def test_node_budget_under_jobs(self):
+        # Each worker checks the limit against its own subtree only; the
+        # merged ticks must still truncate the run as the serial run is.
+        budget = Budget(max_nodes=5000)
+        report = eta_search(SearchConfig(k=2, l=1, n_max=10), jobs=2, budget=budget)
+        assert budget.nodes > 5000
+        assert report.truncated
+        assert report.eta_lower_bound_established is None
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_refused(self, jobs, monkeypatch):
+        with pytest.raises(ValueError, match="jobs"):
+            eta_search(self.CFG, jobs=jobs)
+        monkeypatch.delenv("ODDHOM_BUDGET_SECONDS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["search-eta", "--k", "2", "--l", "1", "--max-n", "9", "--jobs", str(jobs)])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_damaged_checkpoint_is_refused(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "eta.ckpt"
+        eta_search(self.CFG, checkpoint=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + A024607[7]  # the header, then the nodes at order 8
+        path.write_text("".join(lines[:-40]))
+        with pytest.raises(ValueError, match="damaged"):
+            eta_search(self.CFG, checkpoint=str(path))
+        monkeypatch.delenv("ODDHOM_BUDGET_SECONDS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["search-eta", "--k", "2", "--l", "1", "--max-n", "9",
+                  "--checkpoint", str(path)])
+        assert exc.value.code == EXIT_USAGE
+        assert "eta(2,1) >=" not in capsys.readouterr().err
+
+    def test_v1_checkpoint_is_refused(self, tmp_path):
+        path = tmp_path / "eta.ckpt"
+        head = {"cfg": self.CFG.config_hash(), "split": 8, "counts": {"8": 1}, "witnesses": {}}
+        path.write_text(f"#oddhom-eta-checkpoint v1 {json.dumps(head)}\nG?bF`w\n")
+        with pytest.raises(ValueError, match="v1.*delete"):
+            eta_search(self.CFG, checkpoint=str(path))
 
     def test_truncated_report_claims_no_bound(self):
         report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=200))
