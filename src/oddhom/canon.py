@@ -110,14 +110,19 @@ def refine_partition(rows, cells, fresh=None):
 
 
 def _adj_bytes(rows, n, perm):
-    out = [0] * n
+    """The order byte, then row ``perm[v]`` of the relabelled graph at 8 bytes
+    each, little-endian: the rows are packed into one int at 64 bits a row."""
+    bit = [1 << p for p in perm]
+    packed = 0
     for v in range(n):
-        pv = perm[v]
-        nr = 0
-        for u in _bits(rows[v]):
-            nr |= 1 << perm[u]
-        out[pv] = nr
-    return bytes([n]) + b"".join(r.to_bytes(8, "little") for r in out)
+        m = rows[v]
+        row = 0
+        while m:
+            b = m & -m
+            m ^= b
+            row |= bit[b.bit_length() - 1]
+        packed |= row << (perm[v] << 6)
+    return bytes([n]) + packed.to_bytes(n << 3, "little")
 
 
 def _homogeneous(rows, cells):

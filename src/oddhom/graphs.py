@@ -64,6 +64,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would set the slots one by one; rebuild through
+        # __init__ instead, which also validates the rows.
+        return Graph, (self.rows, self.vertex_transitive)
+
     @classmethod
     def from_edges(cls, n, edges, vertex_transitive=False):
         """Build a graph on vertices ``0..n-1`` from an edge iterable."""
@@ -137,18 +142,6 @@ def is_connected(g: Graph) -> bool:
         frontier = _neighbors_of_set(rows, frontier) & ~seen
         seen |= frontier
     return seen == full
-
-
-def connected_without(rows, n, v) -> bool:
-    """True iff the graph minus vertex ``v`` is connected (order >= 2)."""
-    rest = ((1 << n) - 1) ^ (1 << v)
-    start = rest & -rest
-    seen = start
-    frontier = start
-    while frontier:
-        frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
-        seen |= frontier
-    return seen == rest
 
 
 def bfs_distances(g: Graph, v):

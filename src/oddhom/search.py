@@ -12,14 +12,22 @@ the new vertex lies in the automorphism orbit of that vertex.  Most degree
 rejections happen before a child is built: an S larger than one plus the
 least degree of a parent non-cutvertex, or of exactly that size but missing
 a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
-a node budget counts only the sets inside this bound.  A remaining child
+a node budget counts only the sets inside this bound.  Whether a vertex is
+a non-cutvertex is read from one component table per parent (the
+components of the parent minus each vertex; in a child, a parent vertex is
+a non-cutvertex iff S meets each of its components).  A remaining child
 with no other non-cutvertex of the new vertex's degree is accepted by the
-degrees alone; otherwise its colour refinement runs round by round from
-the degree partition only until the cells place such a rival before the
-new vertex (reject) or none beside it (accept).  One canonical search of
-the child, which also yields its automorphism generators and orbits,
-settles the rest.  Among siblings, S is tried only if it is the
-first-enumerated member of its orbit under the parent's automorphism group.
+degrees alone.  Otherwise the first refinement round's keys of the new
+vertex and of those rivals alone decide most children: a rival with a
+smaller key rejects, and none with an equal key accepts.  Rivals with an
+equal key that are all twins of the new vertex (same neighbours apart from
+each other) accept as well, since swapping twins is an automorphism.  Only
+the remaining children are refined round by round from the degree
+partition, until the cells place a rival before the new vertex (reject) or
+none beside it, or only twins (accept).  One canonical search of the
+child, which also yields its automorphism generators and orbits, settles
+the rest.  Among siblings, S is tried only if it is the first-enumerated
+member of its orbit under the parent's automorphism group.
 
 Why this gives one representative per isomorphism class: every connected
 graph has a non-cutvertex, so it has a canonical parent, and the properties
@@ -74,7 +82,6 @@ from .graphs import (
     _bits,
     _neighbors_of_set,
     _odd_walk_back_to,
-    connected_without,
     from_graph6,
     has_walk_of_length,
     is_connected,
@@ -282,9 +289,30 @@ def _conflict_masks(rows, n, k, growth):
     return conf
 
 
-def _noncut(rows, n, v, d):
-    """True when v, of degree d, is not a cutvertex of the connected graph."""
-    return d == 1 or connected_without(rows, n, v)
+def _pieces(rows, n):
+    """The component table of a connected graph: ``pieces[v]`` lists the
+    vertex masks of the components of the graph minus ``v``.
+
+    ``v`` is a non-cutvertex iff it has at most one piece (none only in the
+    one-vertex graph).  In a child that joins a new vertex to a set S of the
+    graph's vertices, ``v`` is a non-cutvertex iff S meets every piece of
+    ``v``: the new vertex then ties the pieces together, and a piece that S
+    misses stays cut off.
+    """
+    full = (1 << n) - 1
+    table = []
+    for v in range(n):
+        rest = full ^ (1 << v)
+        comps = []
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
+                seen |= frontier
+            comps.append(seen)
+            rest ^= seen
+        table.append(comps)
+    return table
 
 
 def _indep_sets(cand, conf, max_size):
@@ -303,65 +331,103 @@ def _indep_sets(cand, conf, max_size):
     return out
 
 
-def _attachment_sets(rows, n, cand, conf, max_size):
+def _attachment_sets(rows, n, cand, conf, max_size, pieces):
     """The independent attachment sets that can pass ``_accepted``'s degree stage.
 
     Let m be the least degree of a non-cutvertex of the parent and R the
-    non-cutvertices of degree m.  Outside S a vertex keeps its degree, and a
-    non-cutvertex stays one; inside S, with |S| >= 2, a parent non-cutvertex
-    stays one.  (A parent cutvertex may become a non-cutvertex; the bound
-    does not use that.)  So the degree stage rejects every S with
-    |S| > m + 1, and every S with |S| = m + 1 that misses a member of R.  R
-    is invariant under the parent's automorphisms, so whole orbits of sets
-    drop together.
+    non-cutvertices of degree m, both read from the component table
+    ``pieces`` (a non-cutvertex has at most one piece).  Outside S a vertex
+    keeps its degree, and a non-cutvertex stays one; inside S, with
+    |S| >= 2, a parent non-cutvertex stays one.  (A parent cutvertex may
+    become a non-cutvertex; the bound does not use that.)  So the degree
+    stage rejects every S with |S| > m + 1, and every S with |S| = m + 1
+    that misses a member of R.  R is invariant under the parent's
+    automorphisms, so whole orbits of sets drop together.
     """
     degs = [r.bit_count() for r in rows]
-    for m in sorted(set(degs)):
-        R = 0
-        for v in range(n):
-            if degs[v] == m and _noncut(rows, n, v, m):
-                R |= 1 << v
-        if R:
-            break
+    noncut = [v for v in range(n) if len(pieces[v]) <= 1]
+    m = min(degs[v] for v in noncut)
+    R = sum(1 << v for v in noncut if degs[v] == m)
     return [S for S in _indep_sets(cand, conf, min(max_size, m + 1))
             if S & R == R or S.bit_count() <= m]
 
 
-def _accepted(rows_t, n):
+def _accepted(rows_t, n, S, pieces):
     """Canonical-deletion test for a child whose added vertex is n-1.
 
-    Returns None when the child is rejected.  Otherwise returns its refined
-    cells and the automorphism generators found by its canonical search, or
-    (None, None) when the child was accepted without a search; the caller
-    keeps them as the child's state when it grows the child further.
+    The child joins the added vertex to the set ``S`` of its parent, whose
+    component table is ``pieces`` (see ``_pieces``).  Returns None when the
+    child is rejected.  Otherwise returns its refined cells and the
+    automorphism generators found by its canonical search, (cells, None)
+    when refinement ran but no search, or (None, None) when neither did; the
+    caller keeps them as the child's state when it grows the child further.
 
     The rivals of the added vertex are the other non-cutvertices of its
-    degree.  The child is refined one round at a time from the degree
-    partition (cells in increasing degree), which is the first round from
-    the unit partition and cannot decide, since the rivals share the added
-    vertex's degree; cells split in place, so each round's cell order is a
-    coarsening of the fixpoint's.  Refinement stops as soon as a rival lies
-    in a cell before the added vertex's (reject) or none lies in its cell
-    (accept).  Only a tie at the fixpoint needs the canonical search.
+    degree; a parent vertex is one in the child iff S meets each of its
+    pieces.  The first stage that decides is taken:
+
+    - degrees: a non-cutvertex of smaller degree rejects, and no rival
+      accepts;
+    - round-one keys: the first round of refinement from the degree
+      partition (cells in increasing degree) splits the added vertex's cell
+      by the packed counts towards every cell but the last, and orders the
+      sub-cells by them.  Computed for the added vertex and its rivals
+      only, a smaller rival key rejects and no equal one accepts;
+    - twins: a rival v with rows[v] & ~bit_a == rows[a] & ~bit_v, for the
+      added vertex a, is a twin of it, so the transposition (a v) is an
+      automorphism.  If the rivals tied with a are all twins of it, they
+      share a's orbit and so a's cell at every round, and whichever of them
+      the canonical order picks, the child is accepted;
+    - rounds: otherwise refinement runs one round at a time, and cells split
+      in place, so each round's cell order is a coarsening of the
+      fixpoint's.  It stops as soon as a rival lies in a cell before the
+      added vertex's (reject) or none lies in its cell (accept).  At the
+      fixpoint, a cell whose rivals are all twins of a accepts as above;
+    - search: only the remaining ties need the canonical search.
     """
     added = n - 1
     degs = [r.bit_count() for r in rows_t]
     da = degs[added]
+    rivals = []
     for v in range(added):
-        if degs[v] < da and _noncut(rows_t, n, v, degs[v]):
-            return None
-    rivals = 0
-    for v in range(added):
-        if degs[v] == da and _noncut(rows_t, n, v, da):
-            rivals |= 1 << v
+        if degs[v] <= da and all(S & piece for piece in pieces[v]):
+            if degs[v] < da:
+                return None
+            rivals.append(v)
     if not rivals:
         return None, None
     by_degree = {}
     for v, d in enumerate(degs):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
-    fresh, cell = cells[:-1], by_degree[da]
+    fresh = cells[:-1]
+
+    def key(v):
+        row, k = rows_t[v], 0
+        for c in fresh:
+            k = k << 6 | (row & c).bit_count()
+        return k
+
+    ka = key(added)
+    tied = []
+    for v in rivals:
+        kv = key(v)
+        if kv < ka:
+            return None
+        if kv == ka:
+            tied.append(v)
+    if not tied:
+        return None, None
     bit = 1 << added
+    row_a = rows_t[added]
+
+    def twins(vs):
+        return all(rows_t[v] & ~bit == row_a & ~(1 << v) for v in vs)
+
+    if twins(tied):
+        return None, None
+    rivals = sum(1 << v for v in tied)
+    cell = by_degree[da]
     while fresh:
         cells, fresh = refine_round(rows_t, cells, fresh)
         for cell in cells:
@@ -372,6 +438,8 @@ def _accepted(rows_t, n):
         if not cell & rivals:
             return None, None
     tie = [added] + list(_bits(cell & rivals))
+    if twins(tie[1:]):
+        return cells, None
     gens = []
     _, perm, orbit = canonical_search(rows_t, n, cells, gens)
     if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
@@ -456,6 +524,7 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
     if gens is None and any(c & (c - 1) for c in cells):
         gens = []
         canonical_search(rows, n, cells, gens)
+    pieces = _pieces(rows, n)
     # Later members of an orbit of attachment sets, waiting to be skipped.
     pending = set()
     nc = n + 1
@@ -463,7 +532,7 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
     # Sets that the degree stage of _accepted would reject are never built;
     # the ones left can still fail it when the child turns a parent
     # cutvertex, inside S or outside it, into a non-cutvertex.
-    for S in _attachment_sets(rows, n, cand, conf, max_size):
+    for S in _attachment_sets(rows, n, cand, conf, max_size, pieces):
         if budget is not None:
             budget.tick("enumeration")
         if S in pending:
@@ -479,7 +548,7 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
             g = Graph(child_t, _validate=False)
             if not all(check(g) for check in child_checks):
                 continue
-        state = _accepted(child_t, nc)
+        state = _accepted(child_t, nc, S, pieces)
         if state is None:
             continue
         # A shorter odd cycle than the parent's must pass through the new vertex.

@@ -26,6 +26,7 @@ from oddhom import (
     from_graph6,
     generalized_mycielski,
     is_connected,
+    odd_k4,
     odd_girth,
     to_graph6,
 )
@@ -34,6 +35,7 @@ from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.graphs import delete_vertex
 from oddhom.hom import VertexMap, verify_mapping
+from oddhom.table import designated_odd_k4
 from oddhom.search import (
     RULE_CONNECTED,
     RULE_MAX_DEGREE_3_SECONDNBHD,
@@ -44,6 +46,7 @@ from oddhom.search import (
     _conflict_masks,
     _extend_colouring,
     _indep_sets,
+    _pieces,
     _root_stream,
     _rules,
     _set_orbit,
@@ -137,11 +140,12 @@ class TestDegreeBound:
                 cand = sum(1 << v for v in range(n) if rows[v].bit_count() < 3)
                 max_size = 3
             every = set(_indep_sets(cand, conf, max_size))
-            kept = _attachment_sets(rows, n, cand, conf, max_size)
+            pieces = _pieces(rows, n)
+            kept = _attachment_sets(rows, n, cand, conf, max_size, pieces)
             assert set(kept) <= every
             for S in every - set(kept):
                 child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
-                assert _accepted(child, n + 1) is None, (rows, S)
+                assert _accepted(child, n + 1, S, pieces) is None, (rows, S)
                 dropped += 1
         return dropped
 
@@ -183,31 +187,124 @@ def full_refinement_accepted(rows_t, n):
     return cells
 
 
+def decisive_stage(rows_t, n):
+    """The first stage of ``_accepted`` that decides, by an independent oracle.
+
+    Non-cutvertices come from deleting each vertex, and round-one keys are
+    count tuples towards every degree cell but the last.  Returns
+    "degree", "round-one reject", "round-one accept", "closed twins" or
+    "open twins" (every rival with the added vertex's round-one key is a
+    twin of it, and some, or none, is adjacent to it), or "rounds" when
+    only further refinement or a canonical search decides.
+    """
+    added = n - 1
+    degs = [r.bit_count() for r in rows_t]
+    da = degs[added]
+    noncut = [v for v in range(added) if is_connected(delete_vertex(Graph(rows_t), v))]
+    if any(degs[v] < da for v in noncut) or all(degs[v] != da for v in noncut):
+        return "degree"
+    cells = [sum(1 << v for v in range(n) if degs[v] == d) for d in sorted(set(degs))]
+
+    def key(v):
+        return tuple((rows_t[v] & c).bit_count() for c in cells[:-1])
+
+    rivals = [v for v in noncut if degs[v] == da]
+    if any(key(v) < key(added) for v in rivals):
+        return "round-one reject"
+    tied = [v for v in rivals if key(v) == key(added)]
+    if not tied:
+        return "round-one accept"
+    bit = 1 << added
+    if all(rows_t[v] & ~bit == rows_t[added] & ~(1 << v) for v in tied):
+        return "closed twins" if any(rows_t[added] >> v & 1 for v in tied) else "open twins"
+    return "rounds"
+
+
+def counting(name, calls):
+    """``search.<name>``, counting its calls in ``calls[name]``."""
+    real = getattr(search, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+    return wrapper
+
+
 class TestEarlyExit:
     @pytest.mark.parametrize("k, n_max", [(1, 7), (2, 7), (3, 9)])
-    def test_same_decision_as_full_refinement(self, k, n_max):
+    def test_same_decision_as_full_refinement(self, k, n_max, monkeypatch):
         # Every independent attachment set of every parent below n_max,
-        # including those the degree bound never builds.
+        # including those the degree bound never builds.  A stage before
+        # the rounds may neither refine nor search.
+        work = Counter()
+        for name in ("refine_round", "canonical_search"):
+            monkeypatch.setattr(search, name, counting(name, work))
         cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
         outcomes = Counter()
         for n, rows, *_ in _root_stream(cfg):
             if n == n_max:
                 continue
             full = (1 << n) - 1
+            pieces = _pieces(rows, n)
             for S in _indep_sets(full, _conflict_masks(rows, n, k, []), n):
                 child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
                 want = full_refinement_accepted(child, n + 1)
-                got = _accepted(child, n + 1)
+                work.clear()
+                got = _accepted(child, n + 1, S, pieces)
                 assert (got is None) == (want is None), (rows, S)
-                if got is not None:
-                    cells, gens = got
-                    assert cells is None or cells == want
-                    assert cells is not None or gens is None
-                    outcomes["accept" if cells is None else "search"] += 1
+                stage = decisive_stage(child, n + 1)
+                if stage != "rounds":
+                    assert not work and got in (None, (None, None)), (rows, S, stage)
+                    outcomes[stage] += 1
                 else:
-                    outcomes["reject"] += 1
-        # Early accepts, rejects and fixpoint ties all occur.
-        assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
+                    assert got is None or got[0] is None or got[0] == want, (rows, S)
+                    assert work["canonical_search"] <= 1
+                    outcomes["search" if work["canonical_search"] else "rounds"] += 1
+        # Every stage decides some child.  Adjacent twins of degree 2 or
+        # more close a triangle, so for k >= 2 the only closed twins are the
+        # two vertices of K2.
+        assert min(outcomes.values()) > 0, outcomes
+        assert {"round-one reject", "round-one accept", "open twins", "search"} <= set(outcomes)
+        assert (outcomes["closed twins"] > 1) == (k == 1), outcomes
+
+
+class TestComponentTable:
+    def test_noncut_agrees_with_deletion(self):
+        # Every child of order up to 7 of every k = 1 parent (every connected
+        # graph): S meets each piece of v iff the child minus v is connected.
+        children = 0
+        for n, rows, *_ in _root_stream(SearchConfig(k=1, l=1, n_max=6)):
+            pieces = _pieces(rows, n)
+            if n > 1:
+                parent = Graph(rows)
+                assert [len(p) <= 1 for p in pieces] == [
+                    is_connected(delete_vertex(parent, v)) for v in range(n)]
+            for S in range(1, 1 << n):
+                child = Graph(tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,))
+                for v in range(n):
+                    want = is_connected(delete_vertex(child, v))
+                    assert all(S & p for p in pieces[v]) == want, (rows, S, v)
+                children += 1
+        assert children > 5_000
+
+
+def test_accepted_canonical_searches_pinned(monkeypatch):
+    # The round-one keys and the twin certificate leave few ties for the
+    # canonical search: at most 800 of the searches on k = 3, n <= 10 are
+    # made by _accepted.
+    calls = Counter()
+    real_accepted = search._accepted
+
+    def counting_accepted(*args):
+        before = calls["canonical_search"]
+        out = real_accepted(*args)
+        calls["accepted"] += calls["canonical_search"] - before
+        return out
+
+    monkeypatch.setattr(search, "canonical_search", counting("canonical_search", calls))
+    monkeypatch.setattr(search, "_accepted", counting_accepted)
+    assert stream_counts(SearchConfig(k=3, l=2, n_max=10)) == ODD_GIRTH_7
+    assert 0 < calls["accepted"] <= 800, calls
 
 
 def brute_automorphisms(g):
@@ -520,6 +617,30 @@ class TestEtaDriver:
         witnesses = report.witnesses_at(11)
         assert len(witnesses) == 1
         assert canonical_bytes(from_graph6(witnesses[0])) == canonical_bytes(generalized_mycielski(2))
+
+
+class TestFourKCells:
+    """The small 4k cells settled by exhaustion: eta(k, l) = 4k, and the
+    designated odd-K4 that proves the upper bound is among the witnesses."""
+
+    @staticmethod
+    def check(k, l, witness_count, jobs=1):
+        report = eta_search(SearchConfig(k=k, l=l, n_max=4 * k), jobs=jobs)
+        assert not report.truncated
+        assert report.first_witness_order == report.eta_lower_bound_established == 4 * k
+        witnesses = report.witnesses_at(4 * k)
+        found = {canonical_bytes(from_graph6(w)) for w in witnesses}
+        assert len(witnesses) == len(found) == witness_count
+        triple, p = designated_odd_k4(k)
+        assert p == l
+        assert canonical_bytes(odd_k4(*triple)) in found
+
+    def test_eta_2_2_is_8(self):
+        self.check(2, 2, 4)
+
+    @pytest.mark.slow
+    def test_eta_3_3_is_12(self):
+        self.check(3, 3, 12, jobs=2)
 
 
 class TestRuleScope:
