@@ -426,18 +426,18 @@ def _accepted(rows_t, n, S, pieces):
 
     if twins(tied):
         return None, None
-    rivals = sum(1 << v for v in tied)
+    tied_bits = sum(1 << v for v in tied)
     cell = by_degree[da]
     while fresh:
         cells, fresh = refine_round(rows_t, cells, fresh)
         for cell in cells:
             if cell & bit:
                 break
-            if cell & rivals:
+            if cell & tied_bits:
                 return None
-        if not cell & rivals:
+        if not cell & tied_bits:
             return None, None
-    tie = [added] + list(_bits(cell & rivals))
+    tie = [added] + list(_bits(cell & tied_bits))
     if twins(tie[1:]):
         return cells, None
     gens = []

@@ -572,13 +572,14 @@ class TestEtaDriver:
         assert report.eta_lower_bound_established is None
 
     def test_deadline_reaches_workers(self):
-        report = eta_search(SearchConfig(k=2, l=1, n_max=10), jobs=2, budget=Budget(seconds=0.5))
+        # n_max = 11 takes seconds with two workers, many times the deadline.
+        report = eta_search(SearchConfig(k=2, l=1, n_max=11), jobs=2, budget=Budget(seconds=0.5))
         assert report.truncated
         assert report.eta_lower_bound_established is None
 
     def test_cli_budget_under_jobs(self, monkeypatch, capsys):
         monkeypatch.setenv("ODDHOM_BUDGET_SECONDS", "0.2")
-        code = main(["search-eta", "--k", "2", "--l", "1", "--max-n", "10", "--jobs", "2"])
+        code = main(["search-eta", "--k", "2", "--l", "1", "--max-n", "11", "--jobs", "2"])
         assert code == EXIT_BUDGET
         assert "eta(2,1) >=" not in capsys.readouterr().err
 
