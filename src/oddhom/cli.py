@@ -165,8 +165,7 @@ def _cmd_v_special(args) -> int:
 
 def _cmd_search_eta(args) -> int:
     rules = ALL_RULES if args.assume_minimal else frozenset({RULE_CONNECTED})
-    cfg = SearchConfig(k=args.k, l=args.l, n_max=args.max_n,
-                       prune_rules=rules, parallel_width=args.split or 0)
+    cfg = SearchConfig(k=args.k, l=args.l, n_max=args.max_n, prune_rules=rules)
     report = eta_search(cfg, jobs=args.jobs, checkpoint=args.checkpoint,
                         budget=_default_budget())
     for line in report.json_lines():
@@ -223,12 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable the minimal-counterexample claim rules (conditional result); "
                         "they are proved only for --k 3 --l 2 --max-n 14 or less")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--split", type=int, default=0,
-                   help="order at which to split the augmentation tree into parallel subtrees")
     p.add_argument("--checkpoint", default=None,
-                   help="file of the subtree roots at the split order, each with its odd girth "
-                        "and colouring; written by the first run, resumed by the next one of the "
-                        "same configuration (the split is --split, else min(8, max-n - 1))")
+                   help="file of the subtree roots at the split order min(8, max-n - 1), each "
+                        "with its odd girth and colouring; written by the first run, resumed by "
+                        "the next one of the same configuration")
     p.set_defaults(fn=_cmd_search_eta)
 
     p = sub.add_parser("table1", help="recompute desk-scale evidence for the known-values table")

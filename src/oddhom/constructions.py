@@ -27,15 +27,14 @@ def cycle(n: int) -> Graph:
     """The cycle C_n on vertices 0..n-1 in ring order."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], vertex_transitive=True)
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     """The complete graph K_n."""
     if n < 1:
         raise ValueError("a complete graph needs at least 1 vertex")
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)],
-                            vertex_transitive=True)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def path(n: int) -> Graph:
@@ -63,7 +62,7 @@ def circular_clique(p: int, q: int) -> Graph:
             d = j - i
             if q <= d <= p - q:
                 edges.append((i, j))
-    return Graph.from_edges(p, edges, vertex_transitive=True)
+    return Graph.from_edges(p, edges)
 
 
 def subdivided_k4(a: int, ap: int, b: int, bp: int, c: int, cp: int) -> Graph:
@@ -130,57 +129,29 @@ def odd_k32(cycle_lengths, path_lengths) -> Graph:
         raise ValueError("path lengths must be non-negative integers")
 
     base = [0, cls[0], cls[0] + cls[1]]
-    total = sum(cls)
-    parent = list(range(total))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    # Port on cycle i for a given pair: 0 for the first pair involving i
-    # (in `pairs` order), 1 for the second.
-    port = {}
-    for i in range(3):
-        mine = [pr for pr in pairs if i in pr]
-        port[(i, mine[0])] = 0
-        port[(i, mine[1])] = 1
-
-    edges = []
-    for i, length in enumerate(cls):
-        for k in range(length):
-            edges.append((base[i] + k, base[i] + (k + 1) % length))
-
-    for pr, plen in zip(pairs, pls):
-        if plen == 0:
-            i, j = pr
-            a, b = find(base[i] + port[(i, pr)]), find(base[j] + port[(j, pr)])
-            parent[max(a, b)] = min(a, b)
-
-    # Relabel after merges, keeping block order.
+    # The two ports of each pair's path.  Every port serves exactly one pair,
+    # so a length-0 path merges its second port into its first, smaller one,
+    # and no other path touches either.
+    ends = [(base[0], base[1]), (base[0] + 1, base[2]), (base[1] + 1, base[2] + 1)]
+    merged = {b: a for (a, b), plen in zip(ends, pls) if plen == 0}
     label = {}
-    nxt = 0
-    for v in range(total):
-        r = find(v)
-        if r not in label:
-            label[r] = nxt
-            nxt += 1
-    edges = [(label[find(u)], label[find(v)]) for u, v in edges]
+    for v in range(sum(cls)):
+        if v not in merged:
+            label[v] = len(label)
+    nxt = len(label)
+    label.update((b, label[a]) for b, a in merged.items())
 
-    for pr, plen in zip(pairs, pls):
+    edges = [(label[base[i] + k], label[base[i] + (k + 1) % length])
+             for i, length in enumerate(cls) for k in range(length)]
+    for (a, b), plen in zip(ends, pls):
         if plen == 0:
             continue
-        i, j = pr
-        u = label[find(base[i] + port[(i, pr)])]
-        v = label[find(base[j] + port[(j, pr)])]
-        prev = u
+        prev = label[a]
         for _ in range(plen - 1):
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-        edges.append((prev, v))
+        edges.append((prev, label[b]))
 
     return Graph.from_edges(nxt, edges)
 

@@ -32,16 +32,11 @@ class Graph:
     ``rows[v]`` has bit ``u`` set iff ``u ~ v``.  Instances are hashable and
     compare by labelled adjacency (vertex names matter; use
     :func:`oddhom.canon.are_isomorphic` for unlabelled comparison).
-
-    ``vertex_transitive`` is a constructor-provided hint (cycles, complete
-    graphs, circular cliques set it) that lets the homomorphism solver pin
-    the first variable without losing completeness.  It carries no
-    mathematical guarantee for hand-built graphs and is ignored by equality.
     """
 
-    __slots__ = ("order", "rows", "vertex_transitive")
+    __slots__ = ("order", "rows")
 
-    def __init__(self, rows, vertex_transitive=False, _validate=True):
+    def __init__(self, rows, _validate=True):
         rows = tuple(rows)
         n = len(rows)
         if _validate:
@@ -59,7 +54,6 @@ class Graph:
                         raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "vertex_transitive", bool(vertex_transitive))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -67,10 +61,10 @@ class Graph:
     def __reduce__(self):
         # pickle and copy would set the slots one by one; rebuild through
         # __init__ instead, which also validates the rows.
-        return Graph, (self.rows, self.vertex_transitive)
+        return Graph, (self.rows,)
 
     @classmethod
-    def from_edges(cls, n, edges, vertex_transitive=False):
+    def from_edges(cls, n, edges):
         """Build a graph on vertices ``0..n-1`` from an edge iterable."""
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"order must be between 1 and {MAX_VERTICES}, got {n}")
@@ -82,7 +76,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(rows, vertex_transitive=vertex_transitive, _validate=False)
+        return cls(rows, _validate=False)
 
     def degree(self, v):
         return self.rows[v].bit_count()

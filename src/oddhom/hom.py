@@ -7,10 +7,13 @@ are bitmasks over target vertices; after each assignment, every source edge
 target neighbourhoods of dom(u).  Variables are assigned in a fixed order,
 descending degree with ties broken by BFS order from the highest-degree
 vertex, which fails first on the most constrained part of the graph.  When
-the target declares itself vertex-transitive (cycles, complete graphs,
-circular cliques), the first variable is pinned to target vertex 0; any
-solution can be rotated onto that choice, so completeness is unaffected and
-the search shrinks by a factor of the target order.
+the target's rows are a circulant labelling (row i is row 0 rotated by i,
+as in every cycle, complete graph and circular clique built here, and in
+any graph6 copy of one), the rotation v -> v + c is an automorphism of the
+target, so the first variable is pinned to target vertex 0: any solution
+can be rotated onto that choice, so completeness is unaffected and the
+search shrinks by a factor of the target order.  The check is read off the
+rows on every call, so no caller has to declare it.
 
 Chromatic number is the least k with a map to K_k; circular chromatic
 number scans reduced fractions p/q upward (p bounded by the order, where the
@@ -85,6 +88,13 @@ def _variable_order(g: Graph):
     return sorted(range(n), key=lambda v: (-deg[v], bfs_idx[v]))
 
 
+def _circulant(h: Graph) -> bool:
+    """True iff every row of ``h`` is row 0 rotated by its own index."""
+    n, r = h.order, h.rows[0]
+    full = (1 << n) - 1
+    return all(row == (r << i | r >> (n - i)) & full for i, row in enumerate(h.rows))
+
+
 def find_homomorphism(g: Graph, h: Graph) -> VertexMap | None:
     """A homomorphism g -> h, or None; the decision is exact."""
     n, hn = g.order, h.order
@@ -117,7 +127,7 @@ def find_homomorphism(g: Graph, h: Graph) -> VertexMap | None:
         return True
 
     doms = [full] * n
-    if h.vertex_transitive and n >= 1:
+    if n >= 1 and _circulant(h):
         doms[order[0]] = 1
     if not propagate(doms, set(range(n))):
         return None

@@ -61,7 +61,13 @@ the augmentation tree: a child extends its parent's colouring when the
 colours of its attachment set leave the new vertex a colour, and such a
 child is no witness.  The solver runs only on a candidate whose colouring
 did not extend, and the map it finds becomes the colouring that child's
-descendants extend.  Split subtrees start from their roots' colourings.
+descendants extend.
+
+Every eta run, serial or parallel, grows the tree to one split order,
+min(8, n_max - 1), then grows the subtree below each node of that order
+from the node's (rows, odd girth, colouring) as the stream yielded it, so
+no subtree solves again what its root already settled.  Every run also
+ticks one node budget, a no-limit one unless the caller passes a limit.
 """
 
 from __future__ import annotations
@@ -238,16 +244,12 @@ class SearchConfig:
     cycle C_{2l+1}, ``n_max`` caps the order.  ``prune_rules`` draws from
     ALL_RULES, and each must be within its scope (see ``Rule``) for this
     k, l and n_max; CONNECTED is implicit in the generation scheme.
-    ``parallel_width`` is the order at which the augmentation tree is split
-    into independent subtrees for parallel running or checkpointing
-    (0 means the default of ``eta_search``).
     """
 
     k: int
     l: int
     n_max: int
     prune_rules: frozenset = frozenset({RULE_CONNECTED})
-    parallel_width: int = 0
 
     def __post_init__(self):
         if self.k < 1 or self.l < 1:
@@ -263,13 +265,10 @@ class SearchConfig:
                    and ((self.k, self.l) != r.scope[:2] or self.n_max > r.scope[2])]
         if outside:
             raise ValueError("prune rules outside their scope: " + ", ".join(outside))
-        if self.parallel_width and not 1 <= self.parallel_width < self.n_max:
-            raise ValueError("parallel_width must satisfy 1 <= width < n_max")
 
     def config_hash(self) -> str:
         payload = json.dumps(
-            {"k": self.k, "l": self.l, "n_max": self.n_max,
-             "rules": sorted(self.prune_rules), "width": self.parallel_width},
+            {"k": self.k, "l": self.l, "n_max": self.n_max, "rules": sorted(self.prune_rules)},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -533,8 +532,7 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
     # the ones left can still fail it when the child turns a parent
     # cutvertex, inside S or outside it, into a non-cutvertex.
     for S in _attachment_sets(rows, n, cand, conf, max_size, pieces):
-        if budget is not None:
-            budget.tick("enumeration")
+        budget.tick("enumeration")
         if S in pending:
             pending.remove(S)
             continue
@@ -563,7 +561,7 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
                                 *state, child_colour)
 
 
-def _root_stream(cfg: SearchConfig, budget=None, stop_order=None, target=None):
+def _root_stream(cfg: SearchConfig, budget, stop_order=None, target=None):
     """The one-vertex root and its descendants, as ``_descendants`` yields them."""
     root = (0,)
     og = odd_girth(Graph(root, _validate=False))
@@ -580,9 +578,10 @@ def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
     order, the stream does not depend on n_max.  Final rules (minimum
     degree, threads, walks, core) do not restrict the stream; the eta driver
     applies them when it tests witnesses, because they are not preserved
-    while a graph is still growing.
+    while a graph is still growing.  A budget, if given, raises
+    BudgetExceededError when the stream outgrows it.
     """
-    for _, rows, *_ in _root_stream(config, budget):
+    for _, rows, *_ in _root_stream(config, Budget() if budget is None else budget):
         yield Graph(rows, _validate=False)
 
 
@@ -592,8 +591,11 @@ def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
 class OrderRecord:
     n: int
     enumerated: int
-    witness_count: int
     witnesses: tuple
+
+    @property
+    def witness_count(self) -> int:
+        return len(self.witnesses)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -606,7 +608,7 @@ class OrderRecord:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of an eta search.
+    """Outcome of an eta search: one OrderRecord per order 1..n_max.
 
     ``eta_lower_bound_established`` is the first order not excluded by the
     run: the first witness order when one is found, else n_max + 1.  When
@@ -614,19 +616,30 @@ class SearchReport:
     paper's proofs that a minimal counterexample satisfies the claim rules
     used, each within its scope: (k, l) = (3, 2) and n_max <= 14, or
     n_max <= 15 for ORDER15_VALID_RULES.  When ``truncated`` is set the run
-    exceeded its budget, excludes nothing, and the bound is None.
+    exceeded its budget, excludes nothing, and the bound is None.  All
+    three are read off the config and the records, so they cannot
+    disagree with them.
     """
 
-    k: int
-    l: int
-    n_max: int
-    prune_rules: frozenset
-    minimal_counterexample_mode: bool
+    config: SearchConfig
     records: tuple
-    first_witness_order: int | None
-    eta_lower_bound_established: int | None
     wall_time_s: float
-    truncated: bool = False
+    truncated: bool
+
+    @property
+    def minimal_counterexample_mode(self) -> bool:
+        return bool(self.config.prune_rules & CLAIM_RULES)
+
+    @property
+    def first_witness_order(self) -> int | None:
+        return next((r.n for r in self.records if r.witnesses), None)
+
+    @property
+    def eta_lower_bound_established(self) -> int | None:
+        if self.truncated:
+            return None
+        first = self.first_witness_order
+        return self.config.n_max + 1 if first is None else first
 
     def json_lines(self):
         for rec in self.records:
@@ -691,16 +704,15 @@ def _expand_subtree(args):
     """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants.
 
     The node is (rows, odd girth, colouring) as the stream yielded it, so
-    its descendants grow as in an unsplit run and nothing is solved again.
+    its descendants grow as they would in the stream and nothing is solved again.
     """
     (rows, og, colour), cfg, budget = args
-    if budget is not None and budget.expired():
+    if budget.expired():
         return Counter(), {}, True, 0
-    start = 0 if budget is None else budget.nodes
+    start = budget.nodes
     counts, wits, _, truncated = _tally(_descendants(
         rows, len(rows), og, cfg, budget, target=cycle(2 * cfg.l + 1), colour=colour))
-    ticks = 0 if budget is None else budget.nodes - start
-    return counts, wits, truncated, ticks
+    return counts, wits, truncated, budget.nodes - start
 
 
 _CHECKPOINT_MAGIC = "#oddhom-eta-checkpoint v2"
@@ -749,14 +761,13 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
 
     Enumerates one representative per isomorphism class up to ``n_max``,
     tests every graph of odd-girth exactly 2k+1 against C_{2l+1}, and
-    reports per-order counts plus independently re-verified witnesses.  The
-    tree is grown to a split order (``parallel_width``, else min(8, n_max - 1)
-    with ``jobs`` > 1 or a checkpoint, else 1: the root alone), and the
-    subtrees below its nodes are grown in-process or by ``jobs`` workers;
-    they are disjoint, so results merge by plain union and the report does
-    not depend on the split.  ``checkpoint`` stores the split order's nodes
-    so an interrupted run can resume without regrowing them.  A budget, if
-    given, truncates the run and flags the report instead of raising.  Its
+    reports per-order counts plus independently re-verified witnesses.  Every
+    run grows the tree to the split order min(8, n_max - 1), and the subtrees
+    below its nodes are grown in-process or by ``jobs`` workers; they are
+    disjoint, so results merge by plain union.  ``checkpoint`` stores the
+    split order's nodes so an interrupted run can resume without regrowing
+    them.  The run ticks a budget, a fresh no-limit one when none is given;
+    a limit truncates the run and flags the report instead of raising.  Its
     deadline is a ``time.monotonic()`` value, a system-wide clock on Linux,
     so it holds in every worker.  Under ``jobs`` each worker checks a node
     limit against its own copy; their ticks are added to ``budget.nodes``,
@@ -765,9 +776,9 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     t0 = time.monotonic()
-    split = config.parallel_width
-    if not split:
-        split = min(8, config.n_max - 1) if jobs > 1 or checkpoint else 1
+    if budget is None:
+        budget = Budget()
+    split = min(8, config.n_max - 1)
 
     truncated = False
     if checkpoint and os.path.exists(checkpoint):
@@ -789,32 +800,16 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
         else:
             results = map(_expand_subtree, tasks)
         for cts, ws, cut, ticks in results:
-            if jobs > 1 and budget is not None:
+            if jobs > 1:
                 # A worker ticks a pickled copy; the serial run ticks ``budget`` itself.
                 budget.nodes += ticks
             counts.update(cts)
             for n, lst in ws.items():
                 wits[n].extend(lst)
             truncated |= cut
-    if budget is not None and budget.max_nodes is not None and budget.nodes > budget.max_nodes:
+    if budget.max_nodes is not None and budget.nodes > budget.max_nodes:
         truncated = True
 
-    records = tuple(
-        OrderRecord(n, counts.get(n, 0), len(wits.get(n, [])), tuple(sorted(wits.get(n, []))))
-        for n in range(1, config.n_max + 1)
-    )
-    first = next((r.n for r in records if r.witness_count), None)
-    if truncated:
-        bound = None
-    else:
-        bound = first if first is not None else config.n_max + 1
-    return SearchReport(
-        k=config.k, l=config.l, n_max=config.n_max,
-        prune_rules=config.prune_rules,
-        minimal_counterexample_mode=bool(config.prune_rules & CLAIM_RULES),
-        records=records,
-        first_witness_order=first,
-        eta_lower_bound_established=bound,
-        wall_time_s=time.monotonic() - t0,
-        truncated=truncated,
-    )
+    records = tuple(OrderRecord(n, counts.get(n, 0), tuple(sorted(wits.get(n, []))))
+                    for n in range(1, config.n_max + 1))
+    return SearchReport(config, records, time.monotonic() - t0, truncated)

@@ -35,6 +35,9 @@ _K4_FACES = (
 )
 _SEARCH_ORDER = (0, 2, 5, 3, 4, 1)  # completes faces as early as possible
 
+# The cycle pairs of an odd-K3^2, in the order its paths are listed.
+_K32_PAIRS = ((0, 1), (0, 2), (1, 2))
+
 
 @dataclass(frozen=True)
 class OddK4Witness:
@@ -84,7 +87,7 @@ class OddK32Witness:
     """Three odd cycles plus three connecting paths (single vertex = shared)."""
 
     cycles: tuple
-    paths: tuple  # pair order (0,1), (0,2), (1,2)
+    paths: tuple  # in _K32_PAIRS order: (0,1), (0,2), (1,2)
 
     def verify(self, g: Graph) -> bool:
         masks = []
@@ -98,17 +101,19 @@ class OddK32Witness:
             for v in c:
                 m |= 1 << v
             masks.append(m)
-        pair_order = ((0, 1), (0, 2), (1, 2))
         pmasks = []
-        for (i, j), p in zip(pair_order, self.paths):
+        for (i, j), p in zip(_K32_PAIRS, self.paths):
             pm = 0
             for v in p:
                 pm |= 1 << v
             if len(set(p)) != len(p):
                 return False
             if len(p) == 1:
-                if not (pm & masks[i] and pm & masks[j]):
+                # The two cycles share exactly the path's one vertex.
+                if masks[i] & masks[j] != pm:
                     return False
+            elif masks[i] & masks[j]:
+                return False
             else:
                 for a, b in zip(p, p[1:]):
                     if not g.has_edge(a, b):
@@ -122,15 +127,6 @@ class OddK32Witness:
                 if pm & third:
                     return False
             pmasks.append(pm)
-        # Cycles pairwise share at most one vertex, and only where the
-        # connecting path has length 0.
-        for (i, j), p in zip(pair_order, self.paths):
-            inter = masks[i] & masks[j]
-            if len(p) == 1:
-                if inter != pmasks[pair_order.index((i, j))]:
-                    return False
-            elif inter:
-                return False
         return not (pmasks[0] & pmasks[1] or pmasks[0] & pmasks[2] or pmasks[1] & pmasks[2])
 
     def to_json(self):
@@ -263,7 +259,6 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
     if len(cycles) < 3:
         return None
     n, rows = g.order, g.rows
-    pair_order = ((0, 1), (0, 2), (1, 2))
 
     for i1 in range(len(cycles)):
         m1, c1 = cycles[i1]
@@ -285,7 +280,7 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
                     budget.tick("odd-k3^2")
                     if pi == 3:
                         return True
-                    a, b = pair_order[pi]
+                    a, b = _K32_PAIRS[pi]
                     inter = masks[a] & masks[b]
                     if inter:
                         if inter & used_paths:

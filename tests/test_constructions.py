@@ -22,6 +22,7 @@ from oddhom import (
     to_graph6,
     verify_mapping,
 )
+from oddhom.hom import _circulant
 from oddhom.search import RULE_MIN_DEGREE_2, RULE_NO_4_CYCLE, RULE_NO_6_CYCLE
 
 
@@ -50,7 +51,7 @@ class TestBasicFamilies:
             g = circular_clique(p, q)
             rotated = Graph.from_edges(p, [((a + 1) % p, (b + 1) % p) for a, b in g.edges()])
             assert canonical_bytes(rotated) == canonical_bytes(g)
-            assert g.vertex_transitive
+            assert _circulant(g)
 
 
 class TestOddK4:
@@ -77,6 +78,15 @@ class TestOddK4:
 
 
 class TestOddK32:
+    def test_order_and_edges_over_grid(self):
+        # A length-0 path merges two ports and a path of length p >= 1 adds
+        # p - 1 interior vertices; every cycle and path edge is kept.
+        for cl in itertools.product((3, 5, 7), repeat=3):
+            for pl in itertools.product(range(4), repeat=3):
+                g = odd_k32(cl, pl)
+                assert g.order == sum(cl) - pl.count(0) + sum(max(p - 1, 0) for p in pl), (cl, pl)
+                assert g.edge_count() == sum(cl) + sum(pl), (cl, pl)
+
     def test_triangles_with_edges(self):
         g = odd_k32([3, 3, 3], [1, 1, 1])
         assert g.order == 9

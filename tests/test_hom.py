@@ -16,15 +16,18 @@ from oddhom import (
     cycle,
     find_homomorphism,
     fixture,
+    from_graph6,
     generalized_mycielski,
     is_core,
     odd_k4,
     path,
+    to_graph6,
     verify_mapping,
 )
 from oddhom.canon import canonical_bytes
+from oddhom.hom import _circulant
 
-from conftest import brute_classes, brute_has_hom, hom_checked, random_graph
+from conftest import brute_classes, brute_has_hom, hom_checked, random_graph, vertex_transitive_graphs
 
 
 class TestVerifyMapping:
@@ -89,6 +92,34 @@ class TestSolver:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         assert hom_checked(g, complete(3)) is not None
         assert hom_checked(g, cycle(5)) is None
+
+
+class TestCirculantPin:
+    """The solver pins its first variable exactly on circulant-labelled targets."""
+
+    def test_constructions_are_circulant(self):
+        # The circular cliques are the rotation-invariance grid of test_constructions.
+        graphs = ([cycle(n) for n in range(3, 13)] + [complete(n) for n in range(1, 7)]
+                  + [circular_clique(p, q) for p, q in [(5, 2), (7, 3), (12, 5), (8, 3)]])
+        for g in graphs:
+            assert _circulant(g), g
+            assert _circulant(from_graph6(to_graph6(g))), g
+
+    def test_other_labellings_are_not(self):
+        swap = {0: 2, 2: 0}
+        c7_swapped = Graph.from_edges(7, [(swap.get(a, a), swap.get(b, b))
+                                          for a, b in cycle(7).edges()])
+        k33, cube, petersen = (g for g, _ in vertex_transitive_graphs()[-3:])
+        for g in (path(4), fixture("fig2a"), c7_swapped, k33, cube, petersen):
+            assert not _circulant(g), g
+
+    def test_pinned_and_unpinned_targets_match_brute_force(self):
+        sources = [g for n in range(1, 5) for g in brute_classes(n)]
+        targets = [h for h, _ in vertex_transitive_graphs()]
+        assert any(map(_circulant, targets)) and not all(map(_circulant, targets))
+        for h in targets:
+            for g in sources:
+                assert (hom_checked(g, h) is not None) == brute_has_hom(g, h), (g, h)
 
 
 class TestCores:

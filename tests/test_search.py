@@ -133,7 +133,7 @@ class TestDegreeBound:
         # _descendants, so the degree-3 cap meets the m + 1 cap here too.
         growth = _rules(cfg.prune_rules, "growth")
         dropped = 0
-        for n, rows, *_ in _root_stream(cfg):
+        for n, rows, *_ in _root_stream(cfg, Budget()):
             conf = _conflict_masks(rows, n, cfg.k, growth)
             cand, max_size = (1 << n) - 1, n
             if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
@@ -241,7 +241,7 @@ class TestEarlyExit:
             monkeypatch.setattr(search, name, counting(name, work))
         cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
         outcomes = Counter()
-        for n, rows, *_ in _root_stream(cfg):
+        for n, rows, *_ in _root_stream(cfg, Budget()):
             if n == n_max:
                 continue
             full = (1 << n) - 1
@@ -273,7 +273,7 @@ class TestComponentTable:
         # Every child of order up to 7 of every k = 1 parent (every connected
         # graph): S meets each piece of v iff the child minus v is connected.
         children = 0
-        for n, rows, *_ in _root_stream(SearchConfig(k=1, l=1, n_max=6)):
+        for n, rows, *_ in _root_stream(SearchConfig(k=1, l=1, n_max=6), Budget()):
             pieces = _pieces(rows, n)
             if n > 1:
                 parent = Graph(rows)
@@ -392,7 +392,7 @@ class TestAutomorphismOrbits:
 class TestIncrementalOddGirth:
     def test_streamed_value_matches_full_odd_girth(self):
         cfg = SearchConfig(k=2, l=1, n_max=9)
-        for _, rows, og, *_ in _root_stream(cfg):
+        for _, rows, og, *_ in _root_stream(cfg, Budget()):
             assert og == odd_girth(Graph(rows)), rows
 
 
@@ -434,14 +434,15 @@ def atlas_non_3_colourable(max_n):
 
 
 class TestColourings:
-    def test_witnesses_match_atlas(self):
+    def test_witnesses_match_atlas(self, tmp_path):
         # k = 1: every graph with a triangle and no 3-colouring is a witness,
         # and so are its descendants; they start with no colouring.
         want = atlas_non_3_colourable(7)
         assert want == [0, 0, 0, 1, 4, 31, 334]
         cfg = SearchConfig(k=1, l=1, n_max=7)
+        path = str(tmp_path / "eta.ckpt")
         for report in (eta_search(cfg), eta_search(cfg, jobs=2),
-                       eta_search(SearchConfig(k=1, l=1, n_max=7, parallel_width=5))):
+                       eta_search(cfg, checkpoint=path), eta_search(cfg, checkpoint=path)):
             assert [r.witness_count for r in report.records] == want
             assert [r.enumerated for r in report.records] == A001349[:7]
 
@@ -451,7 +452,7 @@ class TestColourings:
         target = cycle(2 * cfg.l + 1)
         calls = solver_calls(monkeypatch)
         coloured = set()
-        for n, rows, _, colour, witness in _root_stream(cfg, target=target):
+        for n, rows, _, colour, witness in _root_stream(cfg, Budget(), target=target):
             if colour is not None:
                 assert verify_mapping(Graph(rows), target, VertexMap(n, target.order, colour)), rows
                 assert witness is None
@@ -472,16 +473,16 @@ class TestColourings:
 
     def test_solver_calls(self, monkeypatch, tmp_path):
         # Solving every odd-girth-5 class from scratch takes 732 calls.  A
-        # frontier node keeps the colouring the stream gave it, in a split
-        # run, a checkpoint and its resume, so none of them solves more.
+        # frontier node keeps the colouring the stream gave it, in the serial
+        # run (split at order 8), a checkpoint and its resume, so none of
+        # them solves more.
         calls = solver_calls(monkeypatch)
         cfg = SearchConfig(k=2, l=1, n_max=9)
         report = eta_search(cfg)
         assert report.eta_lower_bound_established == 10
         assert len(calls) < 732 / 100
         path = tmp_path / "eta.ckpt"
-        for run in (lambda: eta_search(SearchConfig(k=2, l=1, n_max=9, parallel_width=6)),
-                    lambda: eta_search(cfg, checkpoint=str(path)),
+        for run in (lambda: eta_search(cfg, checkpoint=str(path)),
                     lambda: eta_search(cfg, checkpoint=str(path))):
             calls.clear()
             assert records_of(run()) == records_of(report)
@@ -500,14 +501,12 @@ class TestEtaDriver:
         want = records_of(serial)
         assert records_of(eta_search(self.CFG, jobs=2)) == want
         assert records_of(eta_search(self.CFG, jobs=2, budget=Budget(seconds=600))) == want
-        width6 = SearchConfig(k=2, l=1, n_max=9, parallel_width=6)
-        assert records_of(eta_search(width6)) == want
         path = tmp_path / "eta.ckpt"
         assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
         assert path.exists()
         assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
 
-    def test_budget_counts_every_tick(self):
+    def test_budget_counts_every_tick(self, tmp_path):
         # Workers tick pickled copies of the budget; their ticks must reach
         # the caller's, and the serial split must not count them twice.
         def nodes(cfg, **kw):
@@ -517,7 +516,7 @@ class TestEtaDriver:
 
         serial = nodes(self.CFG)
         assert serial > 0
-        assert nodes(SearchConfig(k=2, l=1, n_max=9, parallel_width=6)) == serial
+        assert nodes(self.CFG, checkpoint=str(tmp_path / "eta.ckpt")) == serial
         assert nodes(self.CFG, jobs=2) == serial
 
     def test_node_budget_under_jobs(self):
@@ -566,8 +565,13 @@ class TestEtaDriver:
         assert report.eta_lower_bound_established is None
 
     def test_node_budget_reaches_serial_subtrees(self):
-        cfg = SearchConfig(k=2, l=1, n_max=10, parallel_width=6)
-        report = eta_search(cfg, budget=Budget(max_nodes=2000))
+        # The tree is split at order 8, and growing it that far ticks fewer
+        # nodes than the limit, so the limit is hit inside the subtrees.
+        frontier = Budget()
+        for _ in enumerate_graphs(SearchConfig(k=2, l=1, n_max=8), frontier):
+            pass
+        assert frontier.nodes < 2000
+        report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=2000))
         assert report.truncated
         assert report.eta_lower_bound_established is None
 
