@@ -1,4 +1,4 @@
-"""Small wall-clock/node budget shared by the exhaustive searches.
+"""Small wall-clock budget shared by the exhaustive searches.
 
 A search that runs out of budget must say so rather than return a silent
 "not found": callers distinguish ``None`` (exhaustive, no witness) from
@@ -11,29 +11,24 @@ import time
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a search exceeds its time or node allowance."""
+    """Raised when a search runs past its deadline."""
 
 
 class Budget:
-    """Wall-clock and/or node-count allowance, checked cheaply in inner loops."""
+    """An optional deadline, checked cheaply in inner loops; ``nodes`` counts the ticks."""
 
-    __slots__ = ("deadline", "max_nodes", "nodes", "_mask")
+    __slots__ = ("deadline", "nodes")
 
-    def __init__(self, seconds=None, max_nodes=None):
+    def __init__(self, seconds=None):
         self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.max_nodes = max_nodes
         self.nodes = 0
-        self._mask = 0x3FF  # consult the clock every 1024 ticks
 
     def tick(self, what="search"):
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExceededError(f"{what}: node budget of {self.max_nodes} exceeded")
-        if self.deadline is not None and self.nodes & self._mask == 0:
+        # Consult the clock every 1024 ticks.
+        if self.deadline is not None and self.nodes & 0x3FF == 0:
             if time.monotonic() > self.deadline:
                 raise BudgetExceededError(f"{what}: time budget exceeded")
 
     def expired(self) -> bool:
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            return True
         return self.deadline is not None and time.monotonic() > self.deadline

@@ -22,10 +22,10 @@ every cell.
 
 The same walk over the individualization tree yields generators of the
 automorphism group, and uses them to prune the tree as nauty does (McKay
-and Piperno, above).  A leaf whose bytes equal the first leaf's or the best
-leaf's gives one generator; a branch stopped early because its partition is
-homogeneous contributes the transpositions inside its cells, which are
-automorphisms whatever the bytes.  A leaf equal to the first leaf sends the
+and Piperno, above).  A leaf whose bytes equal the first leaf's gives one
+generator; a branch stopped early because its partition is homogeneous
+contributes the transpositions inside its cells, which are automorphisms
+whatever the bytes.  A leaf equal to the first leaf sends the
 walk back to the first path, and at a node on the first path a child in
 the orbit of an earlier child is skipped.  Cells split in place, so an
 individualized vertex keeps the position of its cell in every leaf below
@@ -33,9 +33,9 @@ it, and an automorphism between two leaves maps their paths onto each
 other: what is pruned is an automorphic image of what was walked.  The
 least bytes, their ordering and the group the generators span are those of
 the unpruned walk, and the search also returns the vertex orbits of that
-group.  The enumeration module uses all three for canonical augmentation:
-the canonical position picks the deletion vertex, the orbits decide
-acceptance, and the generators drop isomorphic siblings.
+group and the generators.  The enumeration module uses all three for
+canonical augmentation: the canonical position picks the deletion vertex,
+the orbits decide acceptance, and the generators drop isomorphic siblings.
 """
 
 from __future__ import annotations
@@ -159,50 +159,46 @@ def _union(root, v, w):
         root[max(a, b)] = min(a, b)
 
 
-def canonical_search(rows, n, cells, gens=None):
+def canonical_search(rows, n, cells):
     """Least adjacency bytes below an equitable ordered partition ``cells``.
 
-    Returns ``(bytes, perm, orbit)`` with ``perm[v]`` the position of ``v``
-    in the best ordering and ``orbit[v]`` the least vertex of the orbit of
-    ``v`` under the automorphisms found on the way.  Those automorphisms
-    generate the automorphisms of the graph that preserve ``cells``; when
-    ``gens`` is a list they are appended to it as tuples (``g[v]`` is the
-    image of ``v``).
+    Returns ``(bytes, perm, orbit, gens)`` with ``perm[v]`` the position of
+    ``v`` in the best ordering, ``gens`` the automorphisms found on the way
+    as tuples (``g[v]`` is the image of ``v``), and ``orbit[v]`` the least
+    vertex of the orbit of ``v`` under them.  They generate the
+    automorphisms of the graph that preserve ``cells``.
 
     The walk is depth-first, children in increasing vertex order, and keeps
     the first leaf as well as the best.  A leaf with the first leaf's bytes
     gives an automorphism that maps its path onto the first path, so the
     rest of its subtree is an image of a subtree already walked: the walk
-    returns to the nearest ancestor on the first path.  A leaf with the best
-    leaf's bytes gives an automorphism too.  At a node on the first path,
-    every generator found so far fixes the vertices individualized above
-    it, so a child in the orbit of an earlier child (equivalently, not the
-    least vertex of its orbit) roots an image of that child's subtree and
-    is skipped.  A skipped leaf always has an equal-bytes leaf earlier in
-    the unpruned walk, so ``bytes`` and ``perm`` are those of the unpruned
-    walk.  Every child in the orbit of the first child is either skipped or
-    walked until a leaf equals the first leaf, so the generators reach the
-    whole group (Schreier's lemma, as in McKay and Piperno).
+    returns to the nearest ancestor on the first path.  At a node on the
+    first path, every generator found so far fixes the vertices
+    individualized above it, so a child in the orbit of an earlier child
+    (equivalently, not the least vertex of its orbit) roots an image of that
+    child's subtree and is skipped.  A skipped leaf always has an
+    equal-bytes leaf earlier in the unpruned walk, so ``bytes`` and ``perm``
+    are those of the unpruned walk.  Every child in the orbit of the first
+    child is either skipped or walked until a leaf equals the first leaf, so
+    these generators, with the transpositions of homogeneous cells, reach
+    the whole group (Schreier's lemma, as in McKay and Piperno).
     """
-    if gens is None:
-        gens = []
-    known = set(gens)
+    gens = []
     # Orbits of the generators found here, as a union-find.
     root = list(range(n))
     # Pairs already offered by transpositions().
     swapped = set()
-    first = best = best_inv = None
+    first = best = None
 
     def add(g):
         gens.append(g)
-        known.add(g)
         for v, w in enumerate(g):
             if v != w:
                 _union(root, v, w)
 
     def leaf(cells):
         """Record a leaf; True when it equals the first leaf."""
-        nonlocal first, best, best_inv
+        nonlocal first, best
         perm = [0] * n
         inv = [0] * n
         pos = 0
@@ -222,9 +218,6 @@ def canonical_search(rows, n, cells, gens=None):
             return True
         if best is None or b < best[0]:
             best = (b, tuple(perm))
-            best_inv = inv
-        elif b == best[0]:
-            add(tuple([best_inv[p] for p in perm]))
         return False
 
     def transpositions(cells):
@@ -235,11 +228,7 @@ def canonical_search(rows, n, cells, gens=None):
                     swapped.add((a, b))
                     g = list(range(n))
                     g[a], g[b] = b, a
-                    g = tuple(g)
-                    if g not in known:
-                        gens.append(g)
-                        known.add(g)
-                        _union(root, a, b)
+                    add(tuple(g))
 
     def rec(cells, on_first):
         """Walk below ``cells``; True sends the walk back to the first path."""
@@ -266,7 +255,7 @@ def canonical_search(rows, n, cells, gens=None):
         return leaf(cells)
 
     rec(cells, True)
-    return best[0], best[1], [_find(root, v) for v in range(n)]
+    return best[0], best[1], [_find(root, v) for v in range(n)], gens
 
 
 @dataclass(frozen=True)
@@ -283,7 +272,7 @@ class CanonicalForm:
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``."""
     cells = refine_partition(g.rows, [(1 << g.order) - 1])
-    b, perm, _ = canonical_search(g.rows, g.order, cells)
+    b, perm, *_ = canonical_search(g.rows, g.order, cells)
     return CanonicalForm(b, perm)
 
 

@@ -223,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "they are proved only for --k 3 --l 2 --max-n 14 or less")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", default=None,
-                   help="file of the subtree roots at the split order min(8, max-n - 1), each "
-                        "with its odd girth and colouring; written by the first run, resumed by "
-                        "the next one of the same configuration")
+                   help="append-only log of the finished subtrees below the split order "
+                        "min(8, max-n - 1), one line each; a run of the same configuration skips "
+                        "the subtrees it holds, so an interrupted run resumes where it stopped")
     p.set_defaults(fn=_cmd_search_eta)
 
     p = sub.add_parser("table1", help="recompute desk-scale evidence for the known-values table")

@@ -12,7 +12,7 @@ the new vertex lies in the automorphism orbit of that vertex.  Most degree
 rejections happen before a child is built: an S larger than one plus the
 least degree of a parent non-cutvertex, or of exactly that size but missing
 a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
-a node budget counts only the sets inside this bound.  Whether a vertex is
+the budget ticks only the sets inside this bound.  Whether a vertex is
 a non-cutvertex is read from one component table per parent (the
 components of the parent minus each vertex; in a child, a parent vertex is
 a non-cutvertex iff S meets each of its components).  A remaining child
@@ -65,9 +65,13 @@ descendants extend.
 
 Every eta run, serial or parallel, grows the tree to one split order,
 min(8, n_max - 1), then grows the subtree below each node of that order
-from the node's (rows, odd girth, colouring) as the stream yielded it, so
-no subtree solves again what its root already settled.  Every run also
-ticks one node budget, a no-limit one unless the caller passes a limit.
+from the node's (rows, odd girth, colouring, cells, generators) as the
+stream yielded it, so no subtree refines, searches or solves again what its
+root already settled.  Frontier nodes stay in memory, or are pickled to
+workers.  A checkpoint is an append-only log of finished subtrees, their
+roots' rows, counts and witnesses; every run regrows the frontier and
+merges the logged subtrees instead of growing them again.  Every run also
+ticks one budget, one with no deadline unless the caller passes one.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ import json
 import os
 import time
 from collections import Counter, defaultdict
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable
 
@@ -439,8 +444,7 @@ def _accepted(rows_t, n, S, pieces):
     tie = [added] + list(_bits(cell & tied_bits))
     if twins(tie[1:]):
         return cells, None
-    gens = []
-    _, perm, orbit = canonical_search(rows_t, n, cells, gens)
+    _, perm, orbit, gens = canonical_search(rows_t, n, cells)
     if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
         return None
     return cells, gens
@@ -491,15 +495,16 @@ def _extend_colouring(colour, S, m):
 
 
 def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target=None,
-                 cells=None, gens=None, colour=None):
+                 colour=None, cells=None, gens=None):
     """DFS over accepted descendants of one augmentation node.
 
-    Yields (order, rows, odd girth, colouring, witness) for each accepted
-    graph strictly below the node, whose odd girth is ``og``.  ``cells`` and
-    ``gens`` are the node's refined partition and automorphism generators
-    when already known.  When ``stop_order`` is given, graphs of that order
-    are yielded but not expanded (they form the frontier whose subtrees
-    ``_expand_subtree`` grows).
+    Yields (order, rows, odd girth, colouring, witness, cells, gens) for
+    each accepted graph strictly below the node, whose odd girth is ``og``.
+    ``cells`` and ``gens`` are a graph's refined partition and automorphism
+    generators when ``_accepted`` found them, else None; the node's are
+    computed here when not passed.  When ``stop_order`` is given, graphs of
+    that order are yielded but not expanded (they form the frontier whose
+    subtrees ``_expand_subtree`` grows).
 
     With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
     (witness: its graph6, else None) and carries a colouring, a map to the
@@ -521,8 +526,7 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
     if cells is None:
         cells = refine_partition(rows, [full])
     if gens is None and any(c & (c - 1) for c in cells):
-        gens = []
-        canonical_search(rows, n, cells, gens)
+        gens = canonical_search(rows, n, cells)[3]
     pieces = _pieces(rows, n)
     # Later members of an orbit of attachment sets, waiting to be skipped.
     pending = set()
@@ -556,9 +560,9 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
         if target is not None:
             inherited = None if colour is None else _extend_colouring(colour, S, target.order)
             witness, child_colour = _test_witness(child_t, child_og, inherited, cfg, target)
-        yield nc, child_t, child_og, child_colour, witness
+        yield nc, child_t, child_og, child_colour, witness, *state
         yield from _descendants(child_t, nc, child_og, cfg, budget, stop_order, target,
-                                *state, child_colour)
+                                child_colour, *state)
 
 
 def _root_stream(cfg: SearchConfig, budget, stop_order=None, target=None):
@@ -566,8 +570,8 @@ def _root_stream(cfg: SearchConfig, budget, stop_order=None, target=None):
     root = (0,)
     og = odd_girth(Graph(root, _validate=False))
     colour = None if target is None else (0,)
-    yield 1, root, og, colour, None
-    yield from _descendants(root, 1, og, cfg, budget, stop_order, target, colour=colour)
+    yield 1, root, og, colour, None, None, None
+    yield from _descendants(root, 1, og, cfg, budget, stop_order, target, colour)
 
 
 def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
@@ -682,19 +686,20 @@ def _tally(stream, split=None):
     """Count a stream: (counts, witnesses, frontier, truncated).
 
     The stream has already tested its graphs as witnesses; the frontier
-    holds its (rows, odd girth, colouring) at order ``split``.  A stream cut
-    by its budget returns what it found so far, truncated.
+    holds its nodes (rows, odd girth, colouring, cells, gens) at order
+    ``split``.  A stream cut by its budget returns what it found so far,
+    truncated.
     """
     counts = Counter()
     wits = defaultdict(list)
     frontier = []
     try:
-        for n, rows, og, colour, witness in stream:
+        for n, rows, og, colour, witness, *state in stream:
             counts[n] += 1
             if witness is not None:
                 wits[n].append(witness)
             if n == split:
-                frontier.append((rows, og, colour))
+                frontier.append((rows, og, colour, *state))
     except BudgetExceededError:
         return counts, wits, frontier, True
     return counts, wits, frontier, False
@@ -703,56 +708,45 @@ def _tally(stream, split=None):
 def _expand_subtree(args):
     """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants.
 
-    The node is (rows, odd girth, colouring) as the stream yielded it, so
-    its descendants grow as they would in the stream and nothing is solved again.
+    The node is (rows, odd girth, colouring, cells, gens) as the stream
+    yielded it, so its descendants grow as they would in the stream:
+    nothing is refined, searched or solved again.
     """
-    (rows, og, colour), cfg, budget = args
+    (rows, og, *state), cfg, budget = args
     if budget.expired():
         return Counter(), {}, True, 0
     start = budget.nodes
     counts, wits, _, truncated = _tally(_descendants(
-        rows, len(rows), og, cfg, budget, target=cycle(2 * cfg.l + 1), colour=colour))
+        rows, len(rows), og, cfg, budget, None, cycle(2 * cfg.l + 1), *state))
     return counts, wits, truncated, budget.nodes - start
 
 
-_CHECKPOINT_MAGIC = "#oddhom-eta-checkpoint v2"
+_LOG_MAGIC = "#oddhom-eta-checkpoint v3"
 
 
-def _write_checkpoint(path, cfg, counts, wits, frontier):
-    """A header line, then one JSON frontier node a line, moved into place whole."""
-    head = {
-        "cfg": cfg.config_hash(),
-        "counts": {str(n): c for n, c in sorted(counts.items())},
-        "witnesses": {str(n): sorted(ws) for n, ws in sorted(wits.items())},
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{_CHECKPOINT_MAGIC} {json.dumps(head, sort_keys=True)}\n")
-        for node in frontier:
-            fh.write(json.dumps(node) + "\n")
-    os.replace(tmp, path)
+def _read_log(path, cfg):
+    """The subtrees the checkpoint log ``path`` holds: root rows -> (counts, witnesses).
 
-
-def _read_checkpoint(path, cfg, split):
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header.startswith("#oddhom-eta-checkpoint v1 "):
-            raise ValueError(f"{path} is a v1 eta checkpoint, which stores no colourings; "
-                             "delete it and run again")
-        if not header.startswith(_CHECKPOINT_MAGIC + " "):
-            raise ValueError(f"{path} is not an eta checkpoint")
-        head = json.loads(header[len(_CHECKPOINT_MAGIC) + 1:])
-        if head["cfg"] != cfg.config_hash():
-            raise ValueError("checkpoint was written for a different search configuration")
-        nodes = (json.loads(line) for line in fh if line.strip())
-        frontier = [(tuple(rows), og, None if colour is None else tuple(colour))
-                    for rows, og, colour in nodes]
-    counts = Counter({int(n): c for n, c in head["counts"].items()})
-    if len(frontier) != counts[split]:
-        raise ValueError(f"{path} is damaged: it holds {len(frontier)} frontier nodes, "
-                         f"but its header counts {counts[split]} at order {split}")
-    wits = defaultdict(list, {int(n): list(ws) for n, ws in head["witnesses"].items()})
-    return counts, wits, frontier
+    A new log gets its header line, the magic and ``cfg.config_hash()``; an
+    existing log must start with that line.  A last line that lacks its
+    newline was cut off mid-write, so it is dropped from the file and its
+    subtree grows again.
+    """
+    header = f"{_LOG_MAGIC} {cfg.config_hash()}\n".encode()
+    if not os.path.exists(path):
+        with open(path, "wb") as fh:
+            fh.write(header)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(header):
+        raise ValueError(f"{path} is not a v3 eta checkpoint of this search configuration")
+    end = data.rfind(b"\n") + 1
+    subtrees = {}
+    for line in data[len(header):end].splitlines():
+        rows, counts, wits = json.loads(line)
+        subtrees[tuple(rows)] = dict(counts), dict(wits)
+    os.truncate(path, end)
+    return subtrees
 
 
 def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = None,
@@ -764,14 +758,22 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     reports per-order counts plus independently re-verified witnesses.  Every
     run grows the tree to the split order min(8, n_max - 1), and the subtrees
     below its nodes are grown in-process or by ``jobs`` workers; they are
-    disjoint, so results merge by plain union.  ``checkpoint`` stores the
-    split order's nodes so an interrupted run can resume without regrowing
-    them.  The run ticks a budget, a fresh no-limit one when none is given;
-    a limit truncates the run and flags the report instead of raising.  Its
-    deadline is a ``time.monotonic()`` value, a system-wide clock on Linux,
-    so it holds in every worker.  Under ``jobs`` each worker checks a node
-    limit against its own copy; their ticks are added to ``budget.nodes``,
-    and a total above the limit truncates the report as in the serial run.
+    disjoint, so results merge by plain union.
+
+    ``checkpoint`` names an append-only log of finished subtrees: a header
+    line, ``#oddhom-eta-checkpoint v3`` and ``config.config_hash()``, then
+    one flushed JSON line per untruncated subtree, written as its result is
+    merged: ``[root rows, [[n, count], ...], [[n, [graph6, ...]], ...]]``.
+    Every run regrows the frontier and merges the logged results of the
+    roots the log holds instead of growing their subtrees, so a run stopped
+    at any point resumes where it stopped.  A log of another configuration,
+    or any other file, raises ValueError.
+
+    The run ticks a budget, a fresh one with no deadline when none is
+    given; a deadline truncates the run and flags the report instead of
+    raising.  The deadline is a ``time.monotonic()`` value, a system-wide
+    clock on Linux, so it holds in every worker, and the workers' ticks are
+    added to ``budget.nodes``.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -780,35 +782,33 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
         budget = Budget()
     split = min(8, config.n_max - 1)
 
-    truncated = False
-    if checkpoint and os.path.exists(checkpoint):
-        counts, wits, frontier = _read_checkpoint(checkpoint, config, split)
-    else:
+    with ExitStack() as stack:
+        subtrees = _read_log(checkpoint, config) if checkpoint else {}
+        log = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
         counts, wits, frontier, truncated = _tally(
             _root_stream(config, budget, split, cycle(2 * config.l + 1)), split)
-        if checkpoint and not truncated:
-            _write_checkpoint(checkpoint, config, counts, wits, frontier)
-
-    if not truncated:
-        tasks = [(node, config, budget) for node in frontier]
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunk = max(1, len(tasks) // (jobs * 8))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_expand_subtree, tasks, chunksize=chunk))
-        else:
-            results = map(_expand_subtree, tasks)
-        for cts, ws, cut, ticks in results:
+        if not truncated:
+            tasks = [(node, config, budget) for node in frontier if node[0] not in subtrees]
             if jobs > 1:
-                # A worker ticks a pickled copy; the serial run ticks ``budget`` itself.
-                budget.nodes += ticks
-            counts.update(cts)
-            for n, lst in ws.items():
-                wits[n].extend(lst)
-            truncated |= cut
-    if budget.max_nodes is not None and budget.nodes > budget.max_nodes:
-        truncated = True
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+                results = pool.map(_expand_subtree, tasks, chunksize=max(1, len(tasks) // (jobs * 8)))
+            else:
+                results = map(_expand_subtree, tasks)
+            for ((rows, *_), _, _), (cts, ws, cut, ticks) in zip(tasks, results):
+                if jobs > 1:
+                    # A worker ticks a pickled copy; the serial run ticks ``budget`` itself.
+                    budget.nodes += ticks
+                truncated |= cut
+                subtrees[rows] = cts, ws
+                if log and not cut:
+                    log.write(json.dumps([rows, sorted(cts.items()), sorted(ws.items())]) + "\n")
+                    log.flush()
+            for cts, ws in subtrees.values():
+                counts.update(cts)
+                for n, lst in ws.items():
+                    wits[n].extend(lst)
 
     records = tuple(OrderRecord(n, counts.get(n, 0), tuple(sorted(wits.get(n, []))))
                     for n in range(1, config.n_max + 1))

@@ -181,7 +181,7 @@ def full_refinement_accepted(rows_t, n):
         return None
     tie = [added] + [v for v in range(added) if cells[ca] >> v & 1 and noncut(v)]
     if len(tie) > 1:
-        _, perm, orbit = canonical_search(rows_t, n, cells)
+        _, perm, orbit, _ = canonical_search(rows_t, n, cells)
         if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
             return None
     return cells
@@ -333,14 +333,8 @@ def group_closure(n, gens):
     return group
 
 
-def canonical(g, gens=None):
-    return canonical_search(g.rows, g.order, refine_partition(g.rows, [(1 << g.order) - 1]), gens)
-
-
-def generators(g):
-    gens = []
-    result = canonical(g, gens)
-    return result, gens
+def canonical(g):
+    return canonical_search(g.rows, g.order, refine_partition(g.rows, [(1 << g.order) - 1]))
 
 
 class TestAutomorphismOrbits:
@@ -348,12 +342,10 @@ class TestAutomorphismOrbits:
         for n in range(1, 7):
             for g in brute_classes(n, connected_only=False):
                 autos = brute_automorphisms(g)
-                result, gens = generators(g)
+                _, _, orbit, gens = canonical(g)
                 assert set(gens) <= autos
                 assert group_closure(n, gens) == autos, g.edges()
-                assert result[2] == brute_orbits(n, autos)
-                # Collecting generators must not change the result.
-                assert result == canonical(g)
+                assert orbit == brute_orbits(n, autos)
 
     def test_random_graphs_order_7_8(self):
         rng = random.Random(7)
@@ -361,20 +353,19 @@ class TestAutomorphismOrbits:
             n = rng.choice([7, 8])
             g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
             autos = brute_automorphisms(g)
-            result, gens = generators(g)
+            _, _, orbit, gens = canonical(g)
             assert set(gens) <= autos
-            assert result[2] == brute_orbits(n, autos)
-            assert result == canonical(g)
+            assert orbit == brute_orbits(n, autos)
 
     def test_vertex_transitive_group_orders(self):
         # The pruned tree still yields generators of the whole group.
         for g, order in vertex_transitive_graphs():
             n = g.order
-            result, gens = generators(g)
+            _, _, orbit, gens = canonical(g)
             edges = set(g.edges())
             for p in gens:
                 assert {(min(p[a], p[b]), max(p[a], p[b])) for a, b in edges} == edges
-            assert result[2] == [0] * n
+            assert orbit == [0] * n
             if order is not None:
                 assert len(group_closure(n, gens)) == order, g.edges()
 
@@ -383,7 +374,7 @@ class TestAutomorphismOrbits:
         # compare orbits of vertex sets with the brute-force group's.
         for g in brute_classes(5, connected_only=False):
             autos = brute_automorphisms(g)
-            _, gens = generators(g)
+            gens = canonical(g)[3]
             for s in range(1, 1 << 5):
                 want = {sum(1 << p[v] for v in range(5) if s >> v & 1) for p in autos}
                 assert _set_orbit(s, gens) == want
@@ -452,7 +443,7 @@ class TestColourings:
         target = cycle(2 * cfg.l + 1)
         calls = solver_calls(monkeypatch)
         coloured = set()
-        for n, rows, _, colour, witness in _root_stream(cfg, Budget(), target=target):
+        for n, rows, _, colour, witness, *_ in _root_stream(cfg, Budget(), target=target):
             if colour is not None:
                 assert verify_mapping(Graph(rows), target, VertexMap(n, target.order, colour)), rows
                 assert witness is None
@@ -490,6 +481,10 @@ class TestColourings:
         assert path.exists()
 
 
+class Killed(Exception):
+    pass
+
+
 class TestEtaDriver:
     CFG = SearchConfig(k=2, l=1, n_max=9)
 
@@ -519,15 +514,6 @@ class TestEtaDriver:
         assert nodes(self.CFG, checkpoint=str(tmp_path / "eta.ckpt")) == serial
         assert nodes(self.CFG, jobs=2) == serial
 
-    def test_node_budget_under_jobs(self):
-        # Each worker checks the limit against its own subtree only; the
-        # merged ticks must still truncate the run as the serial run is.
-        budget = Budget(max_nodes=5000)
-        report = eta_search(SearchConfig(k=2, l=1, n_max=10), jobs=2, budget=budget)
-        assert budget.nodes > 5000
-        assert report.truncated
-        assert report.eta_lower_bound_established is None
-
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_refused(self, jobs, monkeypatch):
         with pytest.raises(ValueError, match="jobs"):
@@ -537,41 +523,98 @@ class TestEtaDriver:
             main(["search-eta", "--k", "2", "--l", "1", "--max-n", "9", "--jobs", str(jobs)])
         assert exc.value.code == EXIT_USAGE
 
-    def test_damaged_checkpoint_is_refused(self, tmp_path, monkeypatch, capsys):
+    def grown_roots(self, monkeypatch, die_after=None):
+        """Record the root of every subtree the serial run grows; with
+        ``die_after``, raise ``Killed`` in place of growing one more."""
+        grown = []
+        real = search._expand_subtree
+
+        def expand(args):
+            if len(grown) == die_after:
+                raise Killed
+            grown.append(args[0][0])
+            return real(args)
+
+        monkeypatch.setattr(search, "_expand_subtree", expand)
+        return grown
+
+    def test_killed_run_resumes_where_it_stopped(self, tmp_path, monkeypatch):
+        want = records_of(eta_search(self.CFG))
+        frontier = A024607[7]  # the subtree roots, at the split order 8
+        path = tmp_path / "eta.ckpt"
+        first = self.grown_roots(monkeypatch, die_after=3)
+        with pytest.raises(Killed):
+            eta_search(self.CFG, checkpoint=str(path))
+        killed = path.read_bytes()
+        assert len(killed.splitlines()) == 1 + 3  # the header and three subtrees
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes(killed)
+
+        monkeypatch.undo()
+        rest = self.grown_roots(monkeypatch)
+        serial = Budget()
+        assert records_of(eta_search(self.CFG, checkpoint=str(path), budget=serial)) == want
+        assert len(rest) == frontier - 3
+        assert not set(first) & set(rest)
+        assert len(path.read_bytes().splitlines()) == 1 + frontier
+
+        # Workers grow the same subtrees: the same ticks reach the caller.
+        monkeypatch.undo()
+        jobs = Budget()
+        assert records_of(eta_search(self.CFG, jobs=2, checkpoint=str(copy), budget=jobs)) == want
+        assert jobs.nodes == serial.nodes
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_line_cut_mid_write_grows_again(self, tmp_path, monkeypatch):
+        want = records_of(eta_search(self.CFG))
         path = tmp_path / "eta.ckpt"
         eta_search(self.CFG, checkpoint=str(path))
-        lines = path.read_text().splitlines(keepends=True)
-        assert len(lines) == 1 + A024607[7]  # the header, then the nodes at order 8
-        path.write_text("".join(lines[:-40]))
-        with pytest.raises(ValueError, match="damaged"):
+        lines = path.read_bytes().splitlines(keepends=True)
+        cut = lines[4]
+        path.write_bytes(b"".join(lines[:4]) + cut[:len(cut) // 2])
+        grown = self.grown_roots(monkeypatch)
+        assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
+        assert len(grown) == A024607[7] - 3
+        assert grown[0] == tuple(json.loads(cut)[0])
+        assert path.read_bytes().splitlines(keepends=True) == lines
+
+    @pytest.mark.parametrize("kind", ["v2", "not a checkpoint", "other configuration"])
+    def test_foreign_file_is_refused(self, kind, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "eta.ckpt"
+        if kind == "v2":
+            head = {"cfg": self.CFG.config_hash(), "counts": {}, "witnesses": {}}
+            path.write_text(f"#oddhom-eta-checkpoint v2 {json.dumps(head)}\n")
+        elif kind == "not a checkpoint":
+            path.write_text("G?bF`w\n")
+        else:
+            eta_search(SearchConfig(k=2, l=1, n_max=8), checkpoint=str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not a v3 eta checkpoint of this search configuration"):
             eta_search(self.CFG, checkpoint=str(path))
         monkeypatch.delenv("ODDHOM_BUDGET_SECONDS", raising=False)
         with pytest.raises(SystemExit) as exc:
             main(["search-eta", "--k", "2", "--l", "1", "--max-n", "9",
                   "--checkpoint", str(path)])
         assert exc.value.code == EXIT_USAGE
-        assert "eta(2,1) >=" not in capsys.readouterr().err
-
-    def test_v1_checkpoint_is_refused(self, tmp_path):
-        path = tmp_path / "eta.ckpt"
-        head = {"cfg": self.CFG.config_hash(), "split": 8, "counts": {"8": 1}, "witnesses": {}}
-        path.write_text(f"#oddhom-eta-checkpoint v1 {json.dumps(head)}\nG?bF`w\n")
-        with pytest.raises(ValueError, match="v1.*delete"):
-            eta_search(self.CFG, checkpoint=str(path))
+        out = capsys.readouterr()
+        assert "eta(" not in out.out + out.err
+        assert path.read_bytes() == before
 
     def test_truncated_report_claims_no_bound(self):
-        report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=200))
+        report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(seconds=0))
         assert report.truncated
         assert report.eta_lower_bound_established is None
 
     def test_node_budget_reaches_serial_subtrees(self):
         # The tree is split at order 8, and growing it that far ticks fewer
-        # nodes than the limit, so the limit is hit inside the subtrees.
+        # nodes than the 1,024 after which the budget first reads the clock,
+        # so a spent deadline is seen only by the subtrees.
         frontier = Budget()
         for _ in enumerate_graphs(SearchConfig(k=2, l=1, n_max=8), frontier):
             pass
-        assert frontier.nodes < 2000
-        report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(max_nodes=2000))
+        assert frontier.nodes < 1024
+        report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(seconds=0))
+        assert [r.enumerated for r in report.records[:8]] == A024607[:8]
         assert report.truncated
         assert report.eta_lower_bound_established is None
 
