@@ -26,7 +26,8 @@ the remaining children are refined round by round from the degree
 partition, until the cells place a rival before the new vertex (reject) or
 none beside it, or only twins (accept).  One canonical search of the
 child, which also yields its automorphism generators and orbits, settles
-the rest.  Among siblings, S is tried only if it is the first-enumerated
+the rest; an accepted child keeps its partition, refined further only when
+it is grown.  Among siblings, S is tried only if it is the first-enumerated
 member of its orbit under the parent's automorphism group.
 
 Why this gives one representative per isomorphism class: every connected
@@ -65,9 +66,9 @@ descendants extend.
 
 Every eta run, serial or parallel, grows the tree to one split order,
 min(8, n_max - 1), then grows the subtree below each node of that order
-from the node's (rows, odd girth, colouring, cells, generators) as the
-stream yielded it, so no subtree refines, searches or solves again what its
-root already settled.  Frontier nodes stay in memory, or are pickled to
+from its record (rows, odd girth, colouring, cells, fresh cells, gens) as
+the stream yielded it, so no subtree refines, searches or solves again what
+its root already settled.  Frontier nodes stay in memory, or are pickled to
 workers.  A checkpoint is an append-only log of finished subtrees, their
 roots' rows, counts and witnesses; every run regrows the frontier and
 merges the logged subtrees instead of growing them again.  Every run also
@@ -89,6 +90,7 @@ from .budget import Budget, BudgetExceededError
 from .canon import canonical_search, refine_partition, refine_round
 from .constructions import cycle
 from .graphs import (
+    INFINITE,
     Graph,
     _bits,
     _neighbors_of_set,
@@ -361,10 +363,11 @@ def _accepted(rows_t, n, S, pieces):
 
     The child joins the added vertex to the set ``S`` of its parent, whose
     component table is ``pieces`` (see ``_pieces``).  Returns None when the
-    child is rejected.  Otherwise returns its refined cells and the
-    automorphism generators found by its canonical search, (cells, None)
-    when refinement ran but no search, or (None, None) when neither did; the
-    caller keeps them as the child's state when it grows the child further.
+    child is rejected.  Otherwise returns ``(cells, fresh, gens)``: the
+    cells where the test stopped, the fresh cells they are not yet stable
+    towards, and the generators of a canonical search, else None.  Refining
+    on from there reaches the unit partition's fixpoint, whose first round
+    is the degree partition with every cell but the last fresh.
 
     The rivals of the added vertex are the other non-cutvertices of its
     degree; a parent vertex is one in the child iff S meets each of its
@@ -398,13 +401,13 @@ def _accepted(rows_t, n, S, pieces):
             if degs[v] < da:
                 return None
             rivals.append(v)
-    if not rivals:
-        return None, None
     by_degree = {}
     for v, d in enumerate(degs):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
     fresh = cells[:-1]
+    if not rivals:
+        return cells, fresh, None
 
     def key(v):
         row, k = rows_t[v], 0
@@ -421,7 +424,7 @@ def _accepted(rows_t, n, S, pieces):
         if kv == ka:
             tied.append(v)
     if not tied:
-        return None, None
+        return cells, fresh, None
     bit = 1 << added
     row_a = rows_t[added]
 
@@ -429,7 +432,7 @@ def _accepted(rows_t, n, S, pieces):
         return all(rows_t[v] & ~bit == row_a & ~(1 << v) for v in vs)
 
     if twins(tied):
-        return None, None
+        return cells, fresh, None
     tied_bits = sum(1 << v for v in tied)
     cell = by_degree[da]
     while fresh:
@@ -440,14 +443,14 @@ def _accepted(rows_t, n, S, pieces):
             if cell & tied_bits:
                 return None
         if not cell & tied_bits:
-            return None, None
+            return cells, fresh, None
     tie = [added] + list(_bits(cell & tied_bits))
     if twins(tie[1:]):
-        return cells, None
+        return cells, [], None
     _, perm, orbit, gens = canonical_search(rows_t, n, cells)
     if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
         return None
-    return cells, gens
+    return cells, [], gens
 
 
 def _set_orbit(s, gens):
@@ -494,37 +497,36 @@ def _extend_colouring(colour, S, m):
     return None
 
 
-def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target=None,
-                 colour=None, cells=None, gens=None):
+def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     """DFS over accepted descendants of one augmentation node.
 
-    Yields (order, rows, odd girth, colouring, witness, cells, gens) for
-    each accepted graph strictly below the node, whose odd girth is ``og``.
-    ``cells`` and ``gens`` are a graph's refined partition and automorphism
-    generators when ``_accepted`` found them, else None; the node's are
-    computed here when not passed.  When ``stop_order`` is given, graphs of
-    that order are yielded but not expanded (they form the frontier whose
-    subtrees ``_expand_subtree`` grows).
+    A node is ``(rows, odd girth, colouring, cells, fresh, gens)``, with
+    ``cells``, ``fresh`` and ``gens`` as ``_accepted`` returned them; the
+    node's refinement is finished here, and its canonical search runs only
+    when ``gens`` is None and some cell is not a singleton.  Yields
+    ``(witness, child node)`` for each accepted graph strictly below the
+    node.  Graphs of order ``stop`` (at most n_max) are yielded but not
+    grown; they form the frontier whose subtrees ``_expand_subtree`` grows.
 
     With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
     (witness: its graph6, else None) and carries a colouring, a map to the
-    target as a tuple of colours, or None.  ``colour`` is the node's; a
-    child extends it when ``_extend_colouring`` can, and otherwise takes
-    the map the solver found for it, if the solver ran.  Without a target
-    both are None.
+    target as a tuple of colours, or None.  A child extends the node's
+    colouring when ``_extend_colouring`` can, and otherwise takes the map
+    the solver found for it, if the solver ran.  Without a target both are
+    None.
     """
-    if n >= cfg.n_max or (stop_order is not None and n >= stop_order):
+    rows, og, colour, cells, fresh, gens = node
+    n = len(rows)
+    if n >= stop:
         return
     growth = _rules(cfg.prune_rules, "growth")
     child_checks = [rule.check for rule in growth if rule.conflict is None]
     conf = _conflict_masks(rows, n, cfg.k, growth)
-    full = (1 << n) - 1
-    cand, max_size = full, n
+    cand, max_size = (1 << n) - 1, n
     if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
         cand = sum(1 << v for v in range(n) if rows[v].bit_count() < 3)
         max_size = 3
-    if cells is None:
-        cells = refine_partition(rows, [full])
+    cells = refine_partition(rows, cells, fresh)
     if gens is None and any(c & (c - 1) for c in cells):
         gens = canonical_search(rows, n, cells)[3]
     pieces = _pieces(rows, n)
@@ -560,18 +562,16 @@ def _descendants(rows, n, og, cfg: SearchConfig, budget, stop_order=None, target
         if target is not None:
             inherited = None if colour is None else _extend_colouring(colour, S, target.order)
             witness, child_colour = _test_witness(child_t, child_og, inherited, cfg, target)
-        yield nc, child_t, child_og, child_colour, witness, *state
-        yield from _descendants(child_t, nc, child_og, cfg, budget, stop_order, target,
-                                child_colour, *state)
+        grown = (child_t, child_og, child_colour, *state)
+        yield witness, grown
+        yield from _descendants(grown, cfg, budget, stop, target)
 
 
-def _root_stream(cfg: SearchConfig, budget, stop_order=None, target=None):
+def _root_stream(cfg: SearchConfig, budget, stop, target=None):
     """The one-vertex root and its descendants, as ``_descendants`` yields them."""
-    root = (0,)
-    og = odd_girth(Graph(root, _validate=False))
-    colour = None if target is None else (0,)
-    yield 1, root, og, colour, None, None, None
-    yield from _descendants(root, 1, og, cfg, budget, stop_order, target, colour)
+    root = ((0,), INFINITE, None if target is None else (0,), [1], [], None)
+    yield None, root
+    yield from _descendants(root, cfg, budget, stop, target)
 
 
 def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
@@ -585,8 +585,8 @@ def enumerate_graphs(config: SearchConfig, budget: Budget | None = None):
     while a graph is still growing.  A budget, if given, raises
     BudgetExceededError when the stream outgrows it.
     """
-    for _, rows, *_ in _root_stream(config, Budget() if budget is None else budget):
-        yield Graph(rows, _validate=False)
+    for _, node in _root_stream(config, Budget() if budget is None else budget, config.n_max):
+        yield Graph(node[0], _validate=False)
 
 
 # -- eta search ------------------------------------------------------------------
@@ -686,20 +686,20 @@ def _tally(stream, split=None):
     """Count a stream: (counts, witnesses, frontier, truncated).
 
     The stream has already tested its graphs as witnesses; the frontier
-    holds its nodes (rows, odd girth, colouring, cells, gens) at order
-    ``split``.  A stream cut by its budget returns what it found so far,
-    truncated.
+    holds its nodes of order ``split``, whole, as the stream yielded them.
+    A stream cut by its budget returns what it found so far, truncated.
     """
     counts = Counter()
     wits = defaultdict(list)
     frontier = []
     try:
-        for n, rows, og, colour, witness, *state in stream:
+        for witness, node in stream:
+            n = len(node[0])
             counts[n] += 1
             if witness is not None:
                 wits[n].append(witness)
             if n == split:
-                frontier.append((rows, og, colour, *state))
+                frontier.append(node)
     except BudgetExceededError:
         return counts, wits, frontier, True
     return counts, wits, frontier, False
@@ -708,16 +708,16 @@ def _tally(stream, split=None):
 def _expand_subtree(args):
     """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants.
 
-    The node is (rows, odd girth, colouring, cells, gens) as the stream
-    yielded it, so its descendants grow as they would in the stream:
-    nothing is refined, searched or solved again.
+    The node is whole as the stream yielded it, so its descendants grow as
+    they would in the stream: its refinement is finished from where
+    ``_accepted`` stopped, and nothing is searched or solved again.
     """
-    (rows, og, *state), cfg, budget = args
+    node, cfg, budget = args
     if budget.expired():
         return Counter(), {}, True, 0
     start = budget.nodes
     counts, wits, _, truncated = _tally(_descendants(
-        rows, len(rows), og, cfg, budget, None, cycle(2 * cfg.l + 1), *state))
+        node, cfg, budget, cfg.n_max, cycle(2 * cfg.l + 1)))
     return counts, wits, truncated, budget.nodes - start
 
 

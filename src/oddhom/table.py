@@ -22,7 +22,7 @@ checks read that classification.  Sources of the bounds, by kind:
 
 from __future__ import annotations
 
-from .constructions import complete, cycle, fixture, generalized_mycielski, odd_k4
+from .constructions import cycle, fixture, generalized_mycielski, odd_k4
 from .graphs import odd_girth
 from .hom import has_homomorphism
 
@@ -95,7 +95,7 @@ REFERENCE_TABLE = {(k, l): classify(k, l)[1:] for l in range(1, 9) for k in rang
 def cell_checks(k: int, l: int):
     """Desk-scale checks for one cell: list of (description, passed)."""
     kind, lo, hi = classify(k, l)
-    target = cycle(2 * l + 1) if l > 1 else complete(3)
+    target = cycle(2 * l + 1)
     if kind == "k<l":
         g = cycle(2 * k + 1)
         return [(f"C{2*k+1} has no map to C{2*l+1}", not has_homomorphism(g, target)),

@@ -134,14 +134,14 @@ class OddK32Witness:
                 "paths": [list(p) for p in self.paths]}
 
 
-def _paths_between(rows, n, u, v, forbidden, budget, max_len):
+def _paths_between(rows, u, v, forbidden, budget):
     """Yield simple u-v paths (as tuples) in increasing length.
 
     Interior vertices avoid ``forbidden`` (a bitmask that includes every
     vertex already spoken for).  Iterative deepening keeps the shortest-first
     order without materialising the whole path set.
     """
-    for target in range(1, max_len + 1):
+    for target in range(1, len(rows)):
         stack = [(u, 1 << u, (u,))]
         while stack:
             cur, used, path = stack.pop()
@@ -191,8 +191,7 @@ def find_odd_k4(g: Graph, budget: Budget | None = None) -> OddK4Witness | None:
             bu, bv = _K4_EDGES[eidx]
             u, v = quad[bu], quad[bv]
             forbidden = (branch_mask | used_inner) & ~(1 << u) & ~(1 << v)
-            budget_len = n - 1
-            for p in _paths_between(rows, n, u, v, forbidden, budget, budget_len):
+            for p in _paths_between(rows, u, v, forbidden, budget):
                 paths[eidx] = p
                 ok = True
                 for fi, face in enumerate(_K4_FACES):
@@ -232,17 +231,11 @@ def _odd_cycles(g: Graph, budget: Budget):
             budget.tick("cycle enumeration")
             row = rows[cur]
             if len(path) >= 3 and len(path) % 2 == 1 and row >> s & 1 and path[1] < path[-1]:
-                out.append(path)
+                out.append((used, path))
             for w in _bits(row & allowed & ~used):
                 stack.append((w, used | 1 << w, path + (w,)))
-    out.sort(key=len)
-    result = []
-    for p in out:
-        m = 0
-        for v in p:
-            m |= 1 << v
-        result.append((m, p))
-    return result
+    out.sort(key=lambda cyc: len(cyc[1]))
+    return out
 
 
 def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None:
@@ -258,7 +251,7 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
     cycles = _odd_cycles(g, budget)
     if len(cycles) < 3:
         return None
-    n, rows = g.order, g.rows
+    rows = g.rows
 
     for i1 in range(len(cycles)):
         m1, c1 = cycles[i1]
@@ -299,14 +292,13 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
                             if 1 << v & used_paths:
                                 continue
                             forbidden = (all_cyc | used_paths) & ~(1 << u) & ~(1 << v)
-                            for p in _paths_between(rows, n, u, v, forbidden, budget, n - 1):
+                            for p in _paths_between(rows, u, v, forbidden, budget):
                                 pm = 0
                                 for w in p:
                                     pm |= 1 << w
-                                if pm & third or pm & used_paths:
-                                    continue
-                                inner = pm ^ (1 << u) ^ (1 << v)
-                                if inner & all_cyc:
+                                # The interior avoids forbidden, so only an
+                                # endpoint can lie on the third cycle.
+                                if pm & third:
                                     continue
                                 chosen[pi] = p
                                 if connect(pi + 1, chosen, used_paths | pm):

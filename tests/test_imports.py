@@ -1,10 +1,12 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name outlives its last use.
+"""No module of the package imports a name it never uses, no private
+module-level name outlives its last use, and no function takes a parameter
+it never reads.
 
 ``__init__.py`` is exempt from the first guard: its imports are the
 re-exported public API.  The second guard reads the whole package: a
 ``_``-prefixed function, class or constant must be referenced somewhere
-outside its own definition.
+outside its own definition.  The third exempts ``self`` and ``cls``, dunder
+methods, and the ``_cmd_*`` handlers, which argparse passes ``args``.
 """
 
 import ast
@@ -89,3 +91,39 @@ def test_private_checker_flags_a_lingering_helper():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names([p.read_text() for p in PACKAGE]) == []
+
+
+def unused_parameters(source):
+    """(function, parameter) of each parameter that its function or lambda never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+            if name.startswith("_cmd_") or name.startswith("__") and name.endswith("__"):
+                continue
+        elif isinstance(node, ast.Lambda):
+            name = "<lambda>"
+        else:
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        out += [(name, p) for p in params if p not in read and p not in ("self", "cls")]
+    return sorted(out)
+
+
+def test_parameter_checker_flags_an_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    return a + kw['x']\n"
+              "class C:\n    def m(self, x):\n        return 0\n"
+              "    def __exit__(self, *exc):\n        pass\n"
+              "def _cmd_run(args):\n    return 0\n"
+              "g = lambda u, v: u\n")
+    assert unused_parameters(source) == [
+        ("<lambda>", "v"), ("f", "b"), ("f", "c"), ("f", "rest"), ("m", "x")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

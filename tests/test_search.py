@@ -30,7 +30,7 @@ from oddhom import (
     odd_girth,
     to_graph6,
 )
-from oddhom import search
+from oddhom import canon, search
 from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.graphs import delete_vertex
@@ -133,7 +133,8 @@ class TestDegreeBound:
         # _descendants, so the degree-3 cap meets the m + 1 cap here too.
         growth = _rules(cfg.prune_rules, "growth")
         dropped = 0
-        for n, rows, *_ in _root_stream(cfg, Budget()):
+        for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
+            n = len(rows)
             conf = _conflict_masks(rows, n, cfg.k, growth)
             cand, max_size = (1 << n) - 1, n
             if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
@@ -187,6 +188,12 @@ def full_refinement_accepted(rows_t, n):
     return cells
 
 
+def degree_partition(rows_t):
+    """The vertex masks of each degree, in increasing degree."""
+    degs = [r.bit_count() for r in rows_t]
+    return [sum(1 << v for v, d in enumerate(degs) if d == e) for e in sorted(set(degs))]
+
+
 def decisive_stage(rows_t, n):
     """The first stage of ``_accepted`` that decides, by an independent oracle.
 
@@ -203,7 +210,7 @@ def decisive_stage(rows_t, n):
     noncut = [v for v in range(added) if is_connected(delete_vertex(Graph(rows_t), v))]
     if any(degs[v] < da for v in noncut) or all(degs[v] != da for v in noncut):
         return "degree"
-    cells = [sum(1 << v for v in range(n) if degs[v] == d) for d in sorted(set(degs))]
+    cells = degree_partition(rows_t)
 
     def key(v):
         return tuple((rows_t[v] & c).bit_count() for c in cells[:-1])
@@ -235,13 +242,15 @@ class TestEarlyExit:
     def test_same_decision_as_full_refinement(self, k, n_max, monkeypatch):
         # Every independent attachment set of every parent below n_max,
         # including those the degree bound never builds.  A stage before
-        # the rounds may neither refine nor search.
+        # the rounds may neither refine nor search, and an accept there
+        # hands over the degree partition with all but its last cell fresh.
         work = Counter()
         for name in ("refine_round", "canonical_search"):
             monkeypatch.setattr(search, name, counting(name, work))
         cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
         outcomes = Counter()
-        for n, rows, *_ in _root_stream(cfg, Budget()):
+        for _, (rows, *_) in _root_stream(cfg, Budget(), n_max):
+            n = len(rows)
             if n == n_max:
                 continue
             full = (1 << n) - 1
@@ -254,12 +263,19 @@ class TestEarlyExit:
                 assert (got is None) == (want is None), (rows, S)
                 stage = decisive_stage(child, n + 1)
                 if stage != "rounds":
-                    assert not work and got in (None, (None, None)), (rows, S, stage)
+                    cells = degree_partition(child)
+                    assert not work and got in (None, (cells, cells[:-1], None)), (rows, S, stage)
                     outcomes[stage] += 1
                 else:
-                    assert got is None or got[0] is None or got[0] == want, (rows, S)
                     assert work["canonical_search"] <= 1
                     outcomes["search" if work["canonical_search"] else "rounds"] += 1
+                if got is not None:
+                    # The generators come with the child iff a search ran,
+                    # and its refinement, finished from where _accepted
+                    # stopped, is the unit partition's fixpoint.
+                    cells, fresh, gens = got
+                    assert (gens is not None) == (work["canonical_search"] == 1), (rows, S)
+                    assert refine_partition(child, cells, fresh) == want, (rows, S)
         # Every stage decides some child.  Adjacent twins of degree 2 or
         # more close a triangle, so for k >= 2 the only closed twins are the
         # two vertices of K2.
@@ -273,7 +289,8 @@ class TestComponentTable:
         # Every child of order up to 7 of every k = 1 parent (every connected
         # graph): S meets each piece of v iff the child minus v is connected.
         children = 0
-        for n, rows, *_ in _root_stream(SearchConfig(k=1, l=1, n_max=6), Budget()):
+        for _, (rows, *_) in _root_stream(SearchConfig(k=1, l=1, n_max=6), Budget(), 6):
+            n = len(rows)
             pieces = _pieces(rows, n)
             if n > 1:
                 parent = Graph(rows)
@@ -305,6 +322,27 @@ def test_accepted_canonical_searches_pinned(monkeypatch):
     monkeypatch.setattr(search, "_accepted", counting_accepted)
     assert stream_counts(SearchConfig(k=3, l=2, n_max=10)) == ODD_GIRTH_7
     assert 0 < calls["accepted"] <= 800, calls
+
+
+def test_refinement_rounds_pinned(monkeypatch):
+    # A grown node finishes the refinement _accepted began instead of
+    # refining again from the unit partition: the serial k = 3, n <= 10 run
+    # makes at most 8,869 rounds inside refine_partition (9,735 when every
+    # node was refined from the unit partition) and the same 1,499
+    # canonical searches.
+    calls = Counter()
+    real_round = canon.refine_round
+
+    def counting_round(*args):
+        calls["rounds"] += 1
+        return real_round(*args)
+
+    monkeypatch.setattr(canon, "refine_round", counting_round)
+    monkeypatch.setattr(search, "canonical_search", counting("canonical_search", calls))
+    report = eta_search(SearchConfig(k=3, l=2, n_max=10))
+    assert [r.enumerated for r in report.records] == ODD_GIRTH_7
+    assert calls["rounds"] <= 8_869, calls
+    assert calls["canonical_search"] == 1_499, calls
 
 
 def brute_automorphisms(g):
@@ -383,7 +421,7 @@ class TestAutomorphismOrbits:
 class TestIncrementalOddGirth:
     def test_streamed_value_matches_full_odd_girth(self):
         cfg = SearchConfig(k=2, l=1, n_max=9)
-        for _, rows, og, *_ in _root_stream(cfg, Budget()):
+        for _, (rows, og, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             assert og == odd_girth(Graph(rows)), rows
 
 
@@ -443,9 +481,9 @@ class TestColourings:
         target = cycle(2 * cfg.l + 1)
         calls = solver_calls(monkeypatch)
         coloured = set()
-        for n, rows, _, colour, witness, *_ in _root_stream(cfg, Budget(), target=target):
+        for witness, (rows, _, colour, *_) in _root_stream(cfg, Budget(), n_max, target):
             if colour is not None:
-                assert verify_mapping(Graph(rows), target, VertexMap(n, target.order, colour)), rows
+                assert verify_mapping(Graph(rows), target, VertexMap(len(rows), target.order, colour)), rows
                 assert witness is None
                 coloured.add(rows)
         mapped = {rows for rows, m in calls if m is not None}
