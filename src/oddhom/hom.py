@@ -13,7 +13,16 @@ any graph6 copy of one), the rotation v -> v + c is an automorphism of the
 target, so the first variable is pinned to target vertex 0: any solution
 can be rotated onto that choice, so completeness is unaffected and the
 search shrinks by a factor of the target order.  The check is read off the
-rows on every call, so no caller has to declare it.
+rows on every call, so no caller has to declare it.  A circulant's connection
+set is closed under negation, since the target is undirected, so the
+reflection c -> -c is an automorphism too, and it fixes 0: a solution with
+the first variable at 0 reflects onto one whose second variable c satisfies
+c <= -c mod |h|, so the second variable is restricted to those values.
+
+Cores use the source's own symmetry the same way.  If an automorphism maps v
+to w, then g - v and g - w are isomorphic, so g maps to one exactly when it
+maps to the other; one canonical search gives the vertex orbits, and only
+one vertex per orbit is ever refuted.
 
 Chromatic number is the least k with a map to K_k; circular chromatic
 number scans reduced fractions p/q upward (p bounded by the order, where the
@@ -34,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .canon import canonical_search, refine_partition
 from .constructions import circular_clique, complete, cycle
 from .graphs import Graph, _bits, _neighbors_of_set, delete_vertex, distance_partition, odd_girth
 
@@ -129,6 +139,8 @@ def find_homomorphism(g: Graph, h: Graph) -> VertexMap | None:
     doms = [full] * n
     if n >= 1 and _circulant(h):
         doms[order[0]] = 1
+        if n >= 2:
+            doms[order[1]] = sum(1 << c for c in range(hn) if c <= -c % hn)
     if not propagate(doms, set(range(n))):
         return None
 
@@ -158,15 +170,25 @@ def has_homomorphism(g: Graph, h: Graph) -> bool:
     return find_homomorphism(g, h) is not None
 
 
+def _orbits(g: Graph):
+    """``orbit[v]``, the least vertex of the orbit of v under Aut(g)."""
+    cells = refine_partition(g.rows, [(1 << g.order) - 1])
+    return canonical_search(g.rows, g.order, cells)[2]
+
+
 def is_core(g: Graph) -> bool:
     """True iff g has no homomorphism to any proper subgraph.
 
     Any homomorphism into a proper subgraph misses some vertex, so it
-    suffices to test the vertex-deleted subgraphs.
+    suffices to test the vertex-deleted subgraphs.  An automorphism taking
+    v to w makes g - v and g - w isomorphic, so one vertex per orbit is
+    tested: the least, as ``canonical_search`` reports the orbits.
     """
     if g.order == 1:
         return True
-    return all(find_homomorphism(g, delete_vertex(g, v)) is None for v in range(g.order))
+    orbit = _orbits(g)
+    return all(find_homomorphism(g, delete_vertex(g, v)) is None
+               for v in range(g.order) if orbit[v] == v)
 
 
 def compute_core(g: Graph) -> Graph:
@@ -174,18 +196,26 @@ def compute_core(g: Graph) -> Graph:
 
     Deleting a vertex v with g -> g-v keeps the homomorphism equivalence
     class, so repeating until no vertex is deletable lands on the core.
-    Deletion candidates are tried in decreasing index.
+    Deletion candidates are tried in decreasing index.  Once the highest
+    vertex of an orbit of the current graph fails, the rest of its orbit
+    would fail too (their deletions are isomorphic), so they are skipped;
+    the vertex deleted in each round, and so the result, is the one the
+    plain scan finds.
     """
     cur = g
-    changed = True
-    while changed and cur.order > 1:
-        changed = False
+    while cur.order > 1:
+        orbit = _orbits(cur)
+        failed = set()
         for v in range(cur.order - 1, -1, -1):
+            if orbit[v] in failed:
+                continue
             smaller = delete_vertex(cur, v)
             if find_homomorphism(cur, smaller) is not None:
                 cur = smaller
-                changed = True
                 break
+            failed.add(orbit[v])
+        else:
+            break
     return cur
 
 

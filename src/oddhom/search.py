@@ -656,6 +656,54 @@ class SearchReport:
         return []
 
 
+def _cycle_colouring(rows, m):
+    """A homomorphism to C_m as a list of colours, or None; shares no code with hom.py.
+
+    Vertices are placed in BFS order, component by component.  A root takes
+    colour 0 and its first child colour 1 (the rotations and the reflection
+    of C_m, applied to each component on its own, reach any map from one
+    with those colours); every later vertex takes one of the two neighbours
+    of its BFS parent's colour, and an edge to a placed vertex must join two
+    colours one step apart on the cycle.  So at most 2^(n-2) leaves are
+    tried on a connected graph of order n.
+    """
+    n = len(rows)
+    order, parent, first_child = [], [None] * n, set()
+    for s in range(n):
+        if parent[s] is None:
+            parent[s] = -1
+            queue = [s]
+            for v in queue:
+                for u in range(n):
+                    if rows[v] >> u & 1 and parent[u] is None:
+                        if v == s and len(queue) == 1:
+                            first_child.add(u)
+                        parent[u] = v
+                        queue.append(u)
+            order += queue
+    colour = [None] * n
+
+    def place(i):
+        if i == n:
+            return True
+        v = order[i]
+        p = parent[v]
+        if p < 0:
+            options = (0,)
+        else:
+            options = (1,) if v in first_child else ((colour[p] + 1) % m, (colour[p] - 1) % m)
+        placed = [colour[u] for u in range(n) if rows[v] >> u & 1 and colour[u] is not None]
+        for c in options:
+            if all((d - c) % m in (1, m - 1) for d in placed):
+                colour[v] = c
+                if place(i + 1):
+                    return True
+        colour[v] = None
+        return False
+
+    return colour if place(0) else None
+
+
 def _test_witness(rows, og, colour, cfg: SearchConfig, target):
     """(graph6 of a verified witness or None, the graph's colouring or None).
 
@@ -664,8 +712,8 @@ def _test_witness(rows, og, colour, cfg: SearchConfig, target):
     witness has odd-girth ``og`` exactly 2k+1, passes the final rules and
     has no homomorphism to ``target``, C_{2l+1}; a map the solver finds
     becomes the graph's colouring.  Before a witness is reported, the graph
-    is round tripped through graph6 and re-checked, odd-girth included,
-    with fresh state.
+    is round tripped through graph6 and re-checked, odd-girth included, by
+    ``_cycle_colouring``, which shares no code with the solver.
     """
     if colour is not None or og != 2 * cfg.k + 1:
         return None, colour
@@ -677,7 +725,7 @@ def _test_witness(rows, og, colour, cfg: SearchConfig, target):
         return None, m.image
     g6 = to_graph6(g)
     fresh = from_graph6(g6)
-    if odd_girth(fresh) != 2 * cfg.k + 1 or find_homomorphism(fresh, cycle(target.order)) is not None:
+    if odd_girth(fresh) != 2 * cfg.k + 1 or _cycle_colouring(fresh.rows, target.order) is not None:
         raise AssertionError(f"witness failed independent re-check: {g6}")
     return g6, None
 

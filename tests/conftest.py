@@ -10,8 +10,20 @@ import random
 
 import pytest
 
-from oddhom import Graph, find_homomorphism, is_connected, odd_girth, verify_mapping
+from oddhom import (
+    FIXTURE_NAMES,
+    Graph,
+    find_homomorphism,
+    fixture,
+    generalized_mycielski,
+    is_connected,
+    odd_girth,
+    odd_k32,
+    odd_k4,
+    verify_mapping,
+)
 from oddhom.canon import canonical_bytes
+from oddhom.table import designated_odd_k4
 
 
 def all_labelled_graphs(n):
@@ -90,6 +102,19 @@ def vertex_transitive_graphs():
     cycles = [(circulant(n, (1,)), 2 * n) for n in range(3, 13)]
     return cycles + [(circulant(9, (1, 3)), None), (circulant(12, (1, 4)), None),
                      (k33, 72), (cube, 48), (petersen, 120)]
+
+
+def corpus():
+    """The named graphs of the single-graph queries: every fixture, the
+    generalized Mycielski graphs of levels 2 to 4, the designated odd-K4 of
+    each 4k cell for k <= 8, and six odd-K3^2 graphs."""
+    graphs = [fixture(name) for name in FIXTURE_NAMES]
+    graphs += [generalized_mycielski(k) for k in (2, 3, 4)]
+    graphs += [odd_k4(*designated_odd_k4(k)[0]) for k in range(1, 9)]
+    graphs += [odd_k32(c, p) for c, p in [((3, 3, 3), (1, 1, 1)), ((3, 5, 7), (2, 1, 1)),
+                                          ((5, 5, 5), (1, 2, 3)), ((5, 5, 7), (1, 1, 2)),
+                                          ((5, 7, 7), (2, 2, 1)), ((7, 7, 7), (1, 1, 1))]]
+    return graphs
 
 
 @pytest.fixture(scope="session")

@@ -19,15 +19,36 @@ from oddhom import (
     from_graph6,
     generalized_mycielski,
     is_core,
+    odd_girth,
     odd_k4,
     path,
     to_graph6,
     verify_mapping,
 )
-from oddhom.canon import canonical_bytes
-from oddhom.hom import _circulant
+import networkx as nx
 
-from conftest import brute_classes, brute_has_hom, hom_checked, random_graph, vertex_transitive_graphs
+from oddhom import hom
+from oddhom.canon import canonical_bytes
+from oddhom.graphs import delete_vertex
+from oddhom.hom import _circulant
+from oddhom.search import _cycle_colouring
+
+from conftest import (
+    brute_classes,
+    brute_has_hom,
+    corpus,
+    hom_checked,
+    random_graph,
+    vertex_transitive_graphs,
+)
+
+# Every graph on 1 to 7 vertices (Read and Wilson's atlas, via networkx).
+ATLAS = [Graph.from_edges(a.number_of_nodes(), list(a.edges()))
+         for a in nx.graph_atlas_g() if a.number_of_nodes()]
+
+# Circulant targets, so both pins fire on each.
+PIN_TARGETS = ([cycle(3), cycle(5), cycle(7), complete(4)]
+               + [circular_clique(p, q) for p, q in [(7, 2), (7, 3), (8, 3), (9, 4), (12, 5)]])
 
 
 class TestVerifyMapping:
@@ -120,6 +141,135 @@ class TestCirculantPin:
         for h in targets:
             for g in sources:
                 assert (hom_checked(g, h) is not None) == brute_has_hom(g, h), (g, h)
+
+
+def solve_unpinned(g, h):
+    """The same solver with both symmetry pins off.  K3 and K4 have no
+    labelling that is not circulant, so the pins are switched off rather
+    than dodged by relabelling the target."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hom, "_circulant", lambda _: False)
+        return hom_checked(g, h)
+
+
+def sparse_graph(rng, n, og):
+    """Random edges, each kept only if the odd girth stays at least ``og``."""
+    rows = [0] * n
+    for _ in range(3 * n):
+        a, b = rng.sample(range(n), 2)
+        g = Graph.from_edges(n, [(a, b)] + list(Graph(rows).edges()))
+        if odd_girth(g) >= og:
+            rows = list(g.rows)
+    return Graph(rows)
+
+
+class TestReflectionPin:
+    """Pinning the second variable to c <= -c mod |h| loses no solution."""
+
+    def test_same_decisions_as_unpinned_solver(self, rng):
+        # Without the pins, some of these targets take minutes on the
+        # Mycielski graphs of levels 3 and 4.
+        slow = {generalized_mycielski(3), generalized_mycielski(4)}
+        sources = [g for g in corpus() if g not in slow]
+        sources += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.6)) for _ in range(60)]
+        sources += [sparse_graph(rng, rng.randint(5, 12), og) for og in (5, 7) for _ in range(15)]
+        for h in PIN_TARGETS:
+            assert _circulant(h)
+            for g in sources:
+                assert (hom_checked(g, h) is None) == (solve_unpinned(g, h) is None), (g, h)
+
+    def test_matches_brute_force_up_to_6(self, rng):
+        small = [h for h in PIN_TARGETS if h.order <= 7]
+        sources = [g for n in range(1, 6) for g in brute_classes(n)]
+        for h in small:
+            for g in sources:
+                assert (hom_checked(g, h) is not None) == brute_has_hom(g, h), (g, h)
+        six = [random_graph(rng, 6, rng.uniform(0.2, 0.6)) for _ in range(25)]
+        for h in (cycle(3), cycle(5), complete(4)):
+            for g in six:
+                assert (hom_checked(g, h) is not None) == brute_has_hom(g, h), (g, h)
+
+    def test_agrees_with_independent_refuter_up_to_16(self, rng):
+        sources = [g for g in corpus() if g.order <= 16]
+        sources += [random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.4)) for _ in range(40)]
+        sources += [sparse_graph(rng, rng.randint(8, 16), og) for og in (5, 7) for _ in range(25)]
+        refuted = 0
+        for m in (3, 5, 7):
+            h = cycle(m)
+            for g in sources:
+                colour = _cycle_colouring(g.rows, m)
+                if colour is not None:
+                    assert verify_mapping(g, h, VertexMap(g.order, m, tuple(colour)))
+                refuted += colour is None
+                assert (colour is None) == (hom_checked(g, h) is None), (g, m)
+        assert refuted > 50
+
+
+def all_vertex_scan(g):
+    """``is_core`` as it was before orbits: every vertex-deleted subgraph."""
+    return g.order == 1 or all(find_homomorphism(g, delete_vertex(g, v)) is None
+                               for v in range(g.order))
+
+
+def endomorphism_scan(g):
+    """Core by definition: every endomorphism is onto.  Backtracks over all
+    endomorphisms, vertex by vertex, and stops at the first one that is not."""
+    n = g.order
+    image = [None] * n
+
+    def grow(i):
+        if i == n:
+            return len(set(image)) < n
+        for c in range(n):
+            if all(g.has_edge(image[u], c) for u in range(i) if g.has_edge(u, i)):
+                image[i] = c
+                if grow(i + 1):
+                    return True
+        return False
+
+    return not grow(0)
+
+
+def plain_compute_core(g):
+    """``compute_core`` as it was before orbits: the first deletable vertex
+    from the top, one full scan per round."""
+    cur = g
+    changed = True
+    while changed and cur.order > 1:
+        changed = False
+        for v in range(cur.order - 1, -1, -1):
+            smaller = delete_vertex(cur, v)
+            if find_homomorphism(cur, smaller) is not None:
+                cur = smaller
+                changed = True
+                break
+    return cur
+
+
+class TestCoreOrbits:
+    """One refutation per vertex orbit decides exactly what the full scan does."""
+
+    def test_atlas_matches_all_vertex_scan(self):
+        assert len(ATLAS) == 1252
+        cores = [g for g in ATLAS if is_core(g)]
+        assert cores == [g for g in ATLAS if all_vertex_scan(g)]
+        assert len(cores) == 18
+
+    def test_atlas_below_7_matches_endomorphisms(self):
+        for g in ATLAS:
+            if g.order < 7:
+                assert is_core(g) == endomorphism_scan(g), g
+
+    def test_symmetric_graphs_and_corpus(self):
+        graphs = [g for g, _ in vertex_transitive_graphs()] + corpus()
+        assert [is_core(g) for g in graphs] == [all_vertex_scan(g) for g in graphs]
+
+    def test_compute_core_matches_plain_loop(self, rng):
+        graphs = [g for g in corpus() if g.order <= 22]
+        graphs += [random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.7)) for _ in range(60)]
+        graphs += [g for g, _ in vertex_transitive_graphs()]
+        for g in graphs:
+            assert compute_core(g) == plain_compute_core(g), g
 
 
 class TestCores:

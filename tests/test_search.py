@@ -23,6 +23,7 @@ from oddhom import (
     cycle,
     enumerate_graphs,
     eta_search,
+    fixture,
     from_graph6,
     generalized_mycielski,
     is_connected,
@@ -34,7 +35,7 @@ from oddhom import canon, search
 from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from oddhom.graphs import delete_vertex
-from oddhom.hom import VertexMap, verify_mapping
+from oddhom.hom import VertexMap, find_homomorphism, is_core, verify_mapping
 from oddhom.table import designated_odd_k4
 from oddhom.search import (
     RULE_CONNECTED,
@@ -44,6 +45,7 @@ from oddhom.search import (
     _accepted,
     _attachment_sets,
     _conflict_masks,
+    _cycle_colouring,
     _extend_colouring,
     _indep_sets,
     _pieces,
@@ -62,6 +64,23 @@ ODD_GIRTH_7 = [1, 1, 1, 3, 5, 17, 45, 184, 748, 4143]  # connected, odd-girth >=
 # the filtered unconditional stream up to n = 10 below.
 MINIMAL_OG7 = [1, 1, 1, 2, 2, 4, 7, 13, 23, 51, 105, 246, 557, 1348]
 HEREDITARY = (RULE_NO_4_CYCLE, RULE_NO_6_CYCLE, RULE_MAX_DEGREE_3_SECONDNBHD)
+
+
+def assert_critical(g, m):
+    """What every witness at the first witness order must be: a graph with
+    no map to C_m (by the solver and by the independent refuter), a core,
+    vertex-critical (every G - v maps to C_m) and 2-connected.  Every graph
+    smaller than it with the same odd girth maps to C_m, so a retract or
+    either side of a cutvertex would be a smaller witness."""
+    h = cycle(m)
+    assert find_homomorphism(g, h) is None and _cycle_colouring(g.rows, m) is None
+    assert is_core(g)
+    assert is_connected(g)
+    for v in range(g.order):
+        gv = delete_vertex(g, v)
+        mv = find_homomorphism(gv, h)
+        assert mv is not None and verify_mapping(gv, h, mv), (to_graph6(g), v)
+        assert is_connected(gv), (to_graph6(g), v)
 
 
 def stream_counts(cfg):
@@ -703,6 +722,7 @@ class TestEtaDriver:
         witnesses = report.witnesses_at(11)
         assert len(witnesses) == 1
         assert canonical_bytes(from_graph6(witnesses[0])) == canonical_bytes(generalized_mycielski(2))
+        assert_critical(from_graph6(witnesses[0]), 3)
 
 
 class TestFourKCells:
@@ -720,6 +740,8 @@ class TestFourKCells:
         triple, p = designated_odd_k4(k)
         assert p == l
         assert canonical_bytes(odd_k4(*triple)) in found
+        for w in witnesses:
+            assert_critical(from_graph6(w), 2 * l + 1)
 
     def test_eta_2_2_is_8(self):
         self.check(2, 2, 4)
@@ -727,6 +749,16 @@ class TestFourKCells:
     @pytest.mark.slow
     def test_eta_3_3_is_12(self):
         self.check(3, 3, 12, jobs=2)
+
+
+@pytest.mark.parametrize("name, m", [
+    ("grotzsch", 3),  # eta(2,1) = 11
+    ("fig2a", 5),  # eta(3,2) = 15
+    ("fig2b", 5),
+    ("fig2c", 5),
+])
+def test_paper_witnesses_are_critical(name, m):
+    assert_critical(generalized_mycielski(2) if name == "grotzsch" else fixture(name), m)
 
 
 class TestRuleScope:
