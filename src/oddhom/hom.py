@@ -199,8 +199,8 @@ def compute_core(g: Graph) -> Graph:
     Deletion candidates are tried in decreasing index.  Once the highest
     vertex of an orbit of the current graph fails, the rest of its orbit
     would fail too (their deletions are isomorphic), so they are skipped;
-    the vertex deleted in each round, and so the result, is the one the
-    plain scan finds.
+    the vertex deleted in each round, and so the result, is the one a scan
+    of every vertex would find.
     """
     cur = g
     while cur.order > 1:

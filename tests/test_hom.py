@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import networkx as nx
 import pytest
 
 from oddhom import (
@@ -25,8 +26,6 @@ from oddhom import (
     to_graph6,
     verify_mapping,
 )
-import networkx as nx
-
 from oddhom import hom
 from oddhom.canon import canonical_bytes
 from oddhom.graphs import delete_vertex
@@ -167,10 +166,9 @@ class TestReflectionPin:
     """Pinning the second variable to c <= -c mod |h| loses no solution."""
 
     def test_same_decisions_as_unpinned_solver(self, rng):
-        # Without the pins, some of these targets take minutes on the
-        # Mycielski graphs of levels 3 and 4.
-        slow = {generalized_mycielski(3), generalized_mycielski(4)}
-        sources = [g for g in corpus() if g not in slow]
+        # Mycielski level 4 is left out: its map to C(7, 2) runs for
+        # minutes even with the pins.
+        sources = [g for g in corpus() if g != generalized_mycielski(4)]
         sources += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.6)) for _ in range(60)]
         sources += [sparse_graph(rng, rng.randint(5, 12), og) for og in (5, 7) for _ in range(15)]
         for h in PIN_TARGETS:
@@ -206,7 +204,7 @@ class TestReflectionPin:
 
 
 def all_vertex_scan(g):
-    """``is_core`` as it was before orbits: every vertex-deleted subgraph."""
+    """Core test by refuting every vertex-deleted subgraph, orbits aside."""
     return g.order == 1 or all(find_homomorphism(g, delete_vertex(g, v)) is None
                                for v in range(g.order))
 
@@ -231,8 +229,8 @@ def endomorphism_scan(g):
 
 
 def plain_compute_core(g):
-    """``compute_core`` as it was before orbits: the first deletable vertex
-    from the top, one full scan per round."""
+    """Core by deleting, each round, the highest vertex v with g -> g - v,
+    trying every vertex."""
     cur = g
     changed = True
     while changed and cur.order > 1:

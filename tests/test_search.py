@@ -69,9 +69,10 @@ HEREDITARY = (RULE_NO_4_CYCLE, RULE_NO_6_CYCLE, RULE_MAX_DEGREE_3_SECONDNBHD)
 def assert_critical(g, m):
     """What every witness at the first witness order must be: a graph with
     no map to C_m (by the solver and by the independent refuter), a core,
-    vertex-critical (every G - v maps to C_m) and 2-connected.  Every graph
-    smaller than it with the same odd girth maps to C_m, so a retract or
-    either side of a cutvertex would be a smaller witness."""
+    vertex-critical (every G - v maps to C_m) and 2-connected.  Every
+    smaller graph of the same odd girth maps to C_m: so a retract would be a
+    smaller witness, and maps of the two sides of a cutvertex could be
+    rotated to agree on it."""
     h = cycle(m)
     assert find_homomorphism(g, h) is None and _cycle_colouring(g.rows, m) is None
     assert is_core(g)
