@@ -143,9 +143,8 @@ class TestCirculantPin:
 
 
 def solve_unpinned(g, h):
-    """The same solver with both symmetry pins off.  K3 and K4 have no
-    labelling that is not circulant, so the pins are switched off rather
-    than dodged by relabelling the target."""
+    """The same solver with both symmetry pins off.  Unlike a relabelled
+    copy of the target, this reaches K3 and K4 too."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hom, "_circulant", lambda _: False)
         return hom_checked(g, h)
@@ -171,10 +170,20 @@ class TestReflectionPin:
         sources = [g for g in corpus() if g != generalized_mycielski(4)]
         sources += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.6)) for _ in range(60)]
         sources += [sparse_graph(rng, rng.randint(5, 12), og) for og in (5, 7) for _ in range(15)]
+        relabelled = 0
         for h in PIN_TARGETS:
             assert _circulant(h)
+            # Swapping 0 and 2 gives a copy no pin fires on, except for K3
+            # and K4, which every labelling leaves circulant.
+            swap = {0: 2, 2: 0}
+            copy = Graph.from_edges(h.order, [(swap.get(a, a), swap.get(b, b)) for a, b in h.edges()])
+            relabelled += not _circulant(copy)
             for g in sources:
-                assert (hom_checked(g, h) is None) == (solve_unpinned(g, h) is None), (g, h)
+                found = hom_checked(g, h) is not None
+                assert found == (solve_unpinned(g, h) is not None), (g, h)
+                if not _circulant(copy):
+                    assert found == (hom_checked(g, copy) is not None), (g, h)
+        assert relabelled == len(PIN_TARGETS) - 2
 
     def test_matches_brute_force_up_to_6(self, rng):
         small = [h for h in PIN_TARGETS if h.order <= 7]
