@@ -269,10 +269,16 @@ class CanonicalForm:
     relabeling: tuple
 
 
+def search_graph(g: Graph):
+    """``canonical_search`` of the whole of ``g``, from its refined unit
+    partition: ``orbit`` is then taken under the full automorphism group."""
+    cells = refine_partition(g.rows, [(1 << g.order) - 1])
+    return canonical_search(g.rows, g.order, cells)
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``."""
-    cells = refine_partition(g.rows, [(1 << g.order) - 1])
-    b, perm, *_ = canonical_search(g.rows, g.order, cells)
+    b, perm, *_ = search_graph(g)
     return CanonicalForm(b, perm)
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .canon import canonical_search, refine_partition
+from .canon import search_graph
 from .constructions import circular_clique, complete, cycle
 from .graphs import Graph, _bits, _neighbors_of_set, delete_vertex, distance_partition, odd_girth
 
@@ -170,12 +170,6 @@ def has_homomorphism(g: Graph, h: Graph) -> bool:
     return find_homomorphism(g, h) is not None
 
 
-def _orbits(g: Graph):
-    """``orbit[v]``, the least vertex of the orbit of v under Aut(g)."""
-    cells = refine_partition(g.rows, [(1 << g.order) - 1])
-    return canonical_search(g.rows, g.order, cells)[2]
-
-
 def is_core(g: Graph) -> bool:
     """True iff g has no homomorphism to any proper subgraph.
 
@@ -186,7 +180,7 @@ def is_core(g: Graph) -> bool:
     """
     if g.order == 1:
         return True
-    orbit = _orbits(g)
+    orbit = search_graph(g)[2]
     return all(find_homomorphism(g, delete_vertex(g, v)) is None
                for v in range(g.order) if orbit[v] == v)
 
@@ -200,19 +194,22 @@ def compute_core(g: Graph) -> Graph:
     vertex of an orbit of the current graph fails, the rest of its orbit
     would fail too (their deletions are isomorphic), so they are skipped;
     the vertex deleted in each round, and so the result, is the one a scan
-    of every vertex would find.
+    of every vertex would find.  The orbits are computed only once a round's
+    first candidate fails, so a round that deletes its highest vertex costs
+    no canonical search.
     """
     cur = g
     while cur.order > 1:
-        orbit = _orbits(cur)
+        orbit = None
         failed = set()
         for v in range(cur.order - 1, -1, -1):
-            if orbit[v] in failed:
+            if orbit is not None and orbit[v] in failed:
                 continue
             smaller = delete_vertex(cur, v)
             if find_homomorphism(cur, smaller) is not None:
                 cur = smaller
                 break
+            orbit = orbit or search_graph(cur)[2]
             failed.add(orbit[v])
         else:
             break

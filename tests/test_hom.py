@@ -1,8 +1,8 @@
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
 
-import networkx as nx
 import pytest
 
 from oddhom import (
@@ -40,10 +40,6 @@ from conftest import (
     random_graph,
     vertex_transitive_graphs,
 )
-
-# Every graph on 1 to 7 vertices (Read and Wilson's atlas, via networkx).
-ATLAS = [Graph.from_edges(a.number_of_nodes(), list(a.edges()))
-         for a in nx.graph_atlas_g() if a.number_of_nodes()]
 
 # Circulant targets, so both pins fire on each.
 PIN_TARGETS = ([cycle(3), cycle(5), cycle(7), complete(4)]
@@ -253,17 +249,26 @@ def plain_compute_core(g):
     return cur
 
 
+@cache
+def atlas():
+    """Every graph on 1 to 7 vertices (Read and Wilson's atlas, via networkx)."""
+    nx = pytest.importorskip("networkx")
+    return [Graph.from_edges(a.number_of_nodes(), list(a.edges()))
+            for a in nx.graph_atlas_g() if a.number_of_nodes()]
+
+
 class TestCoreOrbits:
     """One refutation per vertex orbit decides exactly what the full scan does."""
 
     def test_atlas_matches_all_vertex_scan(self):
-        assert len(ATLAS) == 1252
-        cores = [g for g in ATLAS if is_core(g)]
-        assert cores == [g for g in ATLAS if all_vertex_scan(g)]
+        graphs = atlas()
+        assert len(graphs) == 1252
+        cores = [g for g in graphs if is_core(g)]
+        assert cores == [g for g in graphs if all_vertex_scan(g)]
         assert len(cores) == 18
 
     def test_atlas_below_7_matches_endomorphisms(self):
-        for g in ATLAS:
+        for g in atlas():
             if g.order < 7:
                 assert is_core(g) == endomorphism_scan(g), g
 
@@ -277,6 +282,17 @@ class TestCoreOrbits:
         graphs += [g for g, _ in vertex_transitive_graphs()]
         for g in graphs:
             assert compute_core(g) == plain_compute_core(g), g
+
+    def test_compute_core_searches_only_after_a_failure(self, monkeypatch):
+        # C5 with a 12-vertex tail numbered outwards: each of 12 rounds deletes
+        # the tail's end, its highest vertex, at once; only the last round,
+        # on C5, has a failure and so needs the orbits.
+        g = Graph.from_edges(17, list(cycle(5).edges()) + [(v, v + 1) for v in range(4, 16)])
+        calls = []
+        search_graph = hom.search_graph
+        monkeypatch.setattr(hom, "search_graph", lambda h: calls.append(h.order) or search_graph(h))
+        assert compute_core(g) == cycle(5)
+        assert calls == [5]
 
 
 class TestCores:
