@@ -4,20 +4,27 @@ the v-special colourings that certify C5-colourability of odd-girth-7 graphs.
 The solver is a complete backtracking search with arc-consistency.  Domains
 are bitmasks over target vertices; after each assignment, every source edge
 (u, w) is kept arc-consistent by intersecting dom(w) with the union of
-target neighbourhoods of dom(u).  Variables are assigned in a fixed order,
-descending degree with ties broken by BFS order from the highest-degree
-vertex, which fails first on the most constrained part of the graph.  When
-the target's rows are a circulant labelling (row i is row 0 rotated by i,
-as in every cycle, complete graph and circular clique built here, and in
+target neighbourhoods of dom(u).  Variables are chosen by conflict-weighted
+branching (dom/wdeg, Boussemart, Hemery, Lecoutre and Sais, ECAI 2004): each
+source vertex has a weight, 1 at the start of a call, and when revising w
+from u empties dom(w) both u and w gain 1.  Each node branches on the open
+vertex of least |dom| / weight, compared as d_u * w_v < d_v * w_u, with ties
+going to the earlier vertex of the static order (descending degree, then
+index); so the search turns to the part of the graph that keeps failing.
+The weights live within one call, and the search is plain module functions,
+so a call leaves no reference cycle behind.  When the target's rows are a circulant labelling (row i is row 0 rotated by
+i, as in every cycle, complete graph and circular clique built here, and in
 any graph6 copy of one), the rotation v -> v + c is an automorphism of the
-target, so the first variable is pinned to target vertex 0: any solution
-can be rotated onto that choice, so completeness is unaffected and the
-search shrinks by a factor of the target order.  The check is read off the
-rows on every call, so no caller has to declare it.  A circulant's connection
-set is closed under negation, since the target is undirected, so the
-reflection c -> -c is an automorphism too, and it fixes 0: a solution with
-the first variable at 0 reflects onto one whose second variable c satisfies
-c <= -c mod |h|, so the second variable is restricted to those values.
+target, so the first vertex of that static order is pinned to target vertex
+0 before the search starts.  The check is read off the rows on every call,
+so no caller has to declare it.  A circulant's connection set is closed
+under negation, since the target is undirected, so the reflection c -> -c is
+an automorphism too, and it fixes 0; the second vertex of the static order
+is restricted to the colours c with c <= -c mod |h|.  Both pins restrict
+root domains only: any solution can be rotated so the first vertex goes to
+0 and then reflected so the second takes such a colour, so they lose no
+solution whatever order the search then branches in, and the decision
+stays exact.
 
 Cores use the source's own symmetry the same way.  If an automorphism maps v
 to w, then g - v and g - w are isomorphic, so g maps to one exactly when it
@@ -74,30 +81,6 @@ def verify_mapping(g: Graph, h: Graph, m: VertexMap) -> bool:
     return all(h.rows[img[a]] >> img[b] & 1 for a, b in g.edges())
 
 
-def _variable_order(g: Graph):
-    n = g.order
-    deg = g.degrees()
-    bfs_idx = [0] * n
-    seen = 0
-    idx = 0
-    for s in sorted(range(n), key=lambda v: (-deg[v], v)):
-        if seen >> s & 1:
-            continue
-        frontier = [s]
-        seen |= 1 << s
-        while frontier:
-            nxt = []
-            for v in frontier:
-                bfs_idx[v] = idx
-                idx += 1
-                for u in _bits(g.rows[v]):
-                    if not seen >> u & 1:
-                        seen |= 1 << u
-                        nxt.append(u)
-            frontier = nxt
-    return sorted(range(n), key=lambda v: (-deg[v], bfs_idx[v]))
-
-
 def _circulant(h: Graph) -> bool:
     """True iff every row of ``h`` is row 0 rotated by its own index."""
     n, r = h.order, h.rows[0]
@@ -105,62 +88,80 @@ def _circulant(h: Graph) -> bool:
     return all(row == (r << i | r >> (n - i)) & full for i, row in enumerate(h.rows))
 
 
+class _Supports(dict):
+    """Union of the target rows over a domain mask, cached per mask."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, mask):
+        s = self[mask] = _neighbors_of_set(self.rows, mask)
+        return s
+
+
+def _propagate(doms, dirty, nbr, supports, weight):
+    """Arc consistency from the vertices in ``dirty``; False on a wipeout,
+    which adds 1 to the weight of both ends of the emptying edge."""
+    while dirty:
+        u = dirty.pop()
+        su = supports[doms[u]]
+        for w in nbr[u]:
+            old = doms[w]
+            new = old & su
+            if new != old:
+                if not new:
+                    weight[u] += 1
+                    weight[w] += 1
+                    return False
+                doms[w] = new
+                dirty.add(w)
+    return True
+
+
+def _search(doms, order, nbr, supports, weight):
+    """Branch on the open vertex of least |dom| / weight, earliest in
+    ``order`` on ties; the arc-consistent singletons it reaches, or None."""
+    v, dv, wv = -1, 0, 1
+    for u in order:
+        d = doms[u]
+        if d & (d - 1):
+            du = d.bit_count()
+            if v < 0 or du * wv < dv * weight[u]:
+                v, dv, wv = u, du, weight[u]
+    if v < 0:
+        return doms
+    m = doms[v]
+    while m:
+        bit = m & -m
+        m ^= bit
+        nd = list(doms)
+        nd[v] = bit
+        if _propagate(nd, {v}, nbr, supports, weight):
+            res = _search(nd, order, nbr, supports, weight)
+            if res is not None:
+                return res
+    return None
+
+
 def find_homomorphism(g: Graph, h: Graph) -> VertexMap | None:
     """A homomorphism g -> h, or None; the decision is exact."""
     n, hn = g.order, h.order
-    g_rows, h_rows = g.rows, h.rows
-    full = (1 << hn) - 1
-    order = _variable_order(g)
-    nbr = [tuple(_bits(r)) for r in g_rows]
-
-    support_cache = {}
-
-    def supports(mask):
-        s = support_cache.get(mask)
-        if s is None:
-            s = _neighbors_of_set(h_rows, mask)
-            support_cache[mask] = s
-        return s
-
-    def propagate(doms, dirty):
-        while dirty:
-            u = dirty.pop()
-            su = supports(doms[u])
-            for w in nbr[u]:
-                old = doms[w]
-                new = old & su
-                if new != old:
-                    if not new:
-                        return False
-                    doms[w] = new
-                    dirty.add(w)
-        return True
-
-    doms = [full] * n
+    deg = g.degrees()
+    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    nbr = [tuple(_bits(r)) for r in g.rows]
+    supports = _Supports(h.rows)
+    weight = [1] * n
+    doms = [(1 << hn) - 1] * n
     if n >= 1 and _circulant(h):
         doms[order[0]] = 1
         if n >= 2:
             doms[order[1]] = sum(1 << c for c in range(hn) if c <= -c % hn)
-    if not propagate(doms, set(range(n))):
+    if not _propagate(doms, set(range(n)), nbr, supports, weight):
         return None
-
-    def search(i, doms):
-        if i == n:
-            return doms
-        v = order[i]
-        m = doms[v]
-        while m:
-            bit = m & -m
-            m ^= bit
-            nd = list(doms)
-            nd[v] = bit
-            if propagate(nd, {v}):
-                res = search(i + 1, nd)
-                if res is not None:
-                    return res
-        return None
-
-    res = search(0, doms)
+    res = _search(doms, order, nbr, supports, weight)
     if res is None:
         return None
     return VertexMap(n, hn, tuple(d.bit_length() - 1 for d in res))

@@ -77,7 +77,6 @@ ticks one budget, one with no deadline unless the caller passes one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -274,6 +273,10 @@ class SearchConfig:
             raise ValueError("prune rules outside their scope: " + ", ".join(outside))
 
     def config_hash(self) -> str:
+        # Imported here: hashlib loads OpenSSL, several MB of resident
+        # memory that only a checkpointed run needs.
+        import hashlib
+
         payload = json.dumps(
             {"k": self.k, "l": self.l, "n_max": self.n_max, "rules": sorted(self.prune_rules)},
             sort_keys=True)

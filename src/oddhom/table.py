@@ -110,8 +110,8 @@ def cell_checks(k: int, l: int):
         return _EXACT[(k, l)][1](target)
     # Range cells: verify the buildable upper-bound witness (the k-level
     # Mycielski construction, order 2k^2+k+1).  Refuting 3-colourability of
-    # the 56-vertex witness is not desk scale; there the witness shape alone
-    # is checked and colourability is left to the acceptance suite's cells.
+    # the 56-vertex witness takes seconds, not desk scale; there the witness
+    # shape alone is checked, and the slow test suite refutes the colouring.
     checks = []
     if hi <= 64:
         g = generalized_mycielski(k)

@@ -7,7 +7,9 @@ l <= k <= (3l+i-3)/2 with 2k = i (mod 3).
 
 from fractions import Fraction
 
-from oddhom import odd_girth, odd_k4
+import pytest
+
+from oddhom import complete, find_homomorphism, generalized_mycielski, odd_girth, odd_k4
 from oddhom.cli import EXIT_OK, main
 from oddhom.table import REFERENCE_TABLE, classify, designated_odd_k4
 
@@ -59,3 +61,13 @@ def test_table1_matches(capsys):
     out = capsys.readouterr().out
     assert "MISMATCH" not in out
     assert len(out.splitlines()) == 1 + len(CELLS)
+
+
+@pytest.mark.slow
+def test_eta_5_1_witness_has_no_map_to_k3():
+    # table1 checks only this witness's shape: the refutation takes seconds,
+    # and every table1 run would pay for it.
+    assert REFERENCE_TABLE[(5, 1)][1] == 56
+    g = generalized_mycielski(5)
+    assert g.order == 56 and odd_girth(g) == 11
+    assert find_homomorphism(g, complete(3)) is None
