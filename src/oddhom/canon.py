@@ -159,6 +159,33 @@ def _union(root, v, w):
         root[max(a, b)] = min(a, b)
 
 
+def _walk(rows, root, leaf, transpositions, cells, on_first):
+    """``canonical_search``'s walk below ``cells``, with its union-find
+    ``root`` and its leaf and transposition handlers; True sends the walk
+    back to the first path."""
+    for i, c in enumerate(cells):
+        if c & (c - 1):
+            if _homogeneous(rows, cells):
+                transpositions(cells)
+                return leaf(cells)
+            child_on_first = on_first
+            m = c
+            while m:
+                b = m & -m
+                m ^= b
+                v = b.bit_length() - 1
+                if on_first and _find(root, v) != v:
+                    continue
+                # cells is equitable, so counts towards c ^ b follow
+                # from those towards c and towards b.
+                below = refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:], [b])
+                if _walk(rows, root, leaf, transpositions, below, child_on_first) and not on_first:
+                    return True
+                child_on_first = False
+            return False
+    return leaf(cells)
+
+
 def canonical_search(rows, n, cells):
     """Least adjacency bytes below an equitable ordered partition ``cells``.
 
@@ -230,31 +257,7 @@ def canonical_search(rows, n, cells):
                     g[a], g[b] = b, a
                     add(tuple(g))
 
-    def rec(cells, on_first):
-        """Walk below ``cells``; True sends the walk back to the first path."""
-        for i, c in enumerate(cells):
-            if c & (c - 1):
-                if _homogeneous(rows, cells):
-                    transpositions(cells)
-                    return leaf(cells)
-                child_on_first = on_first
-                m = c
-                while m:
-                    b = m & -m
-                    m ^= b
-                    v = b.bit_length() - 1
-                    if on_first and _find(root, v) != v:
-                        continue
-                    # cells is equitable, so counts towards c ^ b follow
-                    # from those towards c and towards b.
-                    below = refine_partition(rows, cells[:i] + [b, c ^ b] + cells[i + 1:], [b])
-                    if rec(below, child_on_first) and not on_first:
-                        return True
-                    child_on_first = False
-                return False
-        return leaf(cells)
-
-    rec(cells, True)
+    _walk(rows, root, leaf, transpositions, cells, True)
     return best[0], best[1], [_find(root, v) for v in range(n)], gens
 
 

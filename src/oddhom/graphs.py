@@ -138,22 +138,6 @@ def is_connected(g: Graph) -> bool:
     return seen == full
 
 
-def bfs_distances(g: Graph, v):
-    """Distances from ``v``; unreachable vertices get ``INFINITE``."""
-    dist = [INFINITE] * g.order
-    dist[v] = 0
-    seen = 1 << v
-    frontier = 1 << v
-    d = 0
-    while frontier:
-        d += 1
-        frontier = _neighbors_of_set(g.rows, frontier) & ~seen
-        seen |= frontier
-        for u in _bits(frontier):
-            dist[u] = d
-    return dist
-
-
 def odd_reach_within(rows, u, limit):
     """Mask of vertices reachable from ``u`` by an odd walk of length <= limit.
 
@@ -262,11 +246,11 @@ class DistancePartition:
 def distance_partition(g: Graph, v) -> DistancePartition:
     if not 0 <= v < g.order:
         raise ValueError(f"vertex {v} out of range for order {g.order}")
-    dist = bfs_distances(g, v)
-    n1 = frozenset(u for u in range(g.order) if dist[u] == 1)
-    n2 = frozenset(u for u in range(g.order) if dist[u] == 2)
-    n3 = frozenset(u for u in range(g.order) if u != v and dist[u] >= 3)
-    return DistancePartition(v, n1, n2, n3)
+    n1 = g.rows[v]
+    near = n1 | 1 << v
+    n2 = _neighbors_of_set(g.rows, n1) & ~near
+    n3 = (1 << g.order) - 1 & ~(near | n2)
+    return DistancePartition(v, frozenset(_bits(n1)), frozenset(_bits(n2)), frozenset(_bits(n3)))
 
 
 def has_walk_of_length(g: Graph, u, v, length) -> bool:
@@ -343,18 +327,13 @@ def max_thread_length(g: Graph) -> int:
     return max((len(p) - 1 for p in list_threads(g)), default=0)
 
 
-def induced_subgraph(g: Graph, keep) -> Graph:
-    """Induced subgraph on the given vertices, relabelled in sorted order."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("induced subgraph needs at least one vertex")
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = [(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos]
-    return Graph.from_edges(len(keep), edges)
-
-
 def delete_vertex(g: Graph, v) -> Graph:
-    return induced_subgraph(g, [u for u in range(g.order) if u != v])
+    """g - v, with every vertex above v moved down by one."""
+    if g.order == 1:
+        raise ValueError("cannot delete the only vertex")
+    low = (1 << v) - 1
+    return Graph([(r & low) | (r >> 1 & ~low) for u, r in enumerate(g.rows) if u != v],
+                 _validate=False)
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -26,10 +26,12 @@ root domains only: any solution can be rotated so the first vertex goes to
 solution whatever order the search then branches in, and the decision
 stays exact.
 
-Cores use the source's own symmetry the same way.  If an automorphism maps v
-to w, then g - v and g - w are isomorphic, so g maps to one exactly when it
-maps to the other; one canonical search gives the vertex orbits, and only
-one vertex per orbit is ever refuted.
+Cores use the source's own symmetry the same way.  Both ``is_core`` and
+``compute_core`` run one scan, ``_retract``, for a vertex v with g -> g - v.
+If an automorphism maps v to w, then g - v and g - w are isomorphic, so g
+maps to one exactly when it maps to the other; the scan takes the vertex
+orbits from one canonical search at its first failure, and refutes only one
+vertex per orbit.
 
 Chromatic number is the least k with a map to K_k; circular chromatic
 number scans reduced fractions p/q upward (p bounded by the order, where the
@@ -52,7 +54,8 @@ from itertools import product
 
 from .canon import search_graph
 from .constructions import circular_clique, complete, cycle
-from .graphs import Graph, _bits, _neighbors_of_set, delete_vertex, distance_partition, odd_girth
+from .graphs import (INFINITE, Graph, _bits, _neighbors_of_set, delete_vertex, distance_partition,
+                     odd_girth)
 
 
 @dataclass(frozen=True)
@@ -171,57 +174,55 @@ def has_homomorphism(g: Graph, h: Graph) -> bool:
     return find_homomorphism(g, h) is not None
 
 
+def _retract(g: Graph) -> Graph | None:
+    """g - v for the highest v with g -> g - v, or None when g is a core.
+
+    Candidates are tried in decreasing index.  Once the highest vertex of an
+    orbit fails, the rest of its orbit would fail too (their deletions are
+    isomorphic), so they are skipped, and the vertex found is the one a scan
+    of every vertex would find.  The orbits are computed only at the first
+    failure, so a graph whose highest vertex retracts costs no canonical
+    search.
+    """
+    orbit = None
+    failed = set()
+    for v in range(g.order - 1, -1, -1):
+        if orbit is not None and orbit[v] in failed:
+            continue
+        smaller = delete_vertex(g, v)
+        if find_homomorphism(g, smaller) is not None:
+            return smaller
+        orbit = orbit or search_graph(g)[2]
+        failed.add(orbit[v])
+    return None
+
+
 def is_core(g: Graph) -> bool:
     """True iff g has no homomorphism to any proper subgraph.
 
     Any homomorphism into a proper subgraph misses some vertex, so it
-    suffices to test the vertex-deleted subgraphs.  An automorphism taking
-    v to w makes g - v and g - w isomorphic, so one vertex per orbit is
-    tested: the least, as ``canonical_search`` reports the orbits.
+    suffices that no vertex-deleted subgraph is a retract (``_retract``).
     """
-    if g.order == 1:
-        return True
-    orbit = search_graph(g)[2]
-    return all(find_homomorphism(g, delete_vertex(g, v)) is None
-               for v in range(g.order) if orbit[v] == v)
+    return g.order == 1 or _retract(g) is None
 
 
 def compute_core(g: Graph) -> Graph:
     """A minimal retract of g (unique up to isomorphism).
 
     Deleting a vertex v with g -> g-v keeps the homomorphism equivalence
-    class, so repeating until no vertex is deletable lands on the core.
-    Deletion candidates are tried in decreasing index.  Once the highest
-    vertex of an orbit of the current graph fails, the rest of its orbit
-    would fail too (their deletions are isomorphic), so they are skipped;
-    the vertex deleted in each round, and so the result, is the one a scan
-    of every vertex would find.  The orbits are computed only once a round's
-    first candidate fails, so a round that deletes its highest vertex costs
-    no canonical search.
+    class, so repeating ``_retract`` until it finds nothing lands on the
+    core; each round deletes the highest such vertex.
     """
-    cur = g
-    while cur.order > 1:
-        orbit = None
-        failed = set()
-        for v in range(cur.order - 1, -1, -1):
-            if orbit is not None and orbit[v] in failed:
-                continue
-            smaller = delete_vertex(cur, v)
-            if find_homomorphism(cur, smaller) is not None:
-                cur = smaller
-                break
-            orbit = orbit or search_graph(cur)[2]
-            failed.add(orbit[v])
-        else:
-            break
-    return cur
+    while g.order > 1 and (smaller := _retract(g)) is not None:
+        g = smaller
+    return g
 
 
 def chromatic_number(g: Graph) -> int:
     """Least k such that g maps to K_k."""
     if g.edge_count() == 0:
         return 1
-    if odd_girth(g) == float("inf"):
+    if odd_girth(g) == INFINITE:
         return 2
     k = 3
     while k < g.order and find_homomorphism(g, complete(k)) is None:
@@ -239,7 +240,7 @@ def circular_chromatic_number(g: Graph) -> Fraction:
     """
     if g.edge_count() == 0:
         raise ValueError("circular chromatic number needs at least one edge")
-    if odd_girth(g) == float("inf"):
+    if odd_girth(g) == INFINITE:
         return Fraction(2, 1)
     from math import gcd
 

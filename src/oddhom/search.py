@@ -50,9 +50,12 @@ ones prune during growth (no 4-cycle: no common neighbour in S; no 6-cycle:
 no length-4 path inside S; degree/second-neighbourhood caps, checked on each
 child), so the stream does not depend on n_max, and the rest (minimum degree
 2, thread bound, 5-walks, core) are consulted only when a completed graph is
-tested as a witness.  Each claim rule carries its scope, for which the paper
-proves it of a minimal counterexample: (k, l) = (3, 2) with n_max <= 14, or
-<= 15 for ORDER15_VALID_RULES; SearchConfig rejects runs outside it.
+tested as a witness.  A rule that prunes through a conflict is checked
+through it too: a graph passes iff no vertex has two neighbours that
+conflict once it is deleted, the test growth makes of each added vertex.
+Each claim rule carries its scope, for which the paper proves it of a
+minimal counterexample: (k, l) = (3, 2) with n_max <= 14, or <= 15 for
+ORDER15_VALID_RULES; SearchConfig rejects runs outside it.
 
 eta(k, l) itself is the smallest order of a graph of odd-girth exactly 2k+1
 with no homomorphism to C_{2l+1}; the driver enumerates, tests candidates,
@@ -116,33 +119,6 @@ RULE_FIVE_WALK = "FIVE_WALK"
 
 # -- structural predicates -------------------------------------------------------
 
-def _no_4_cycle(g: Graph) -> bool:
-    for u in range(g.order):
-        ru = g.rows[u]
-        for w in range(u + 1, g.order):
-            if (ru & g.rows[w]).bit_count() >= 2:
-                return False
-    return True
-
-
-def _no_6_cycle(g: Graph) -> bool:
-    n, rows = g.order, g.rows
-    # A 6-cycle exists iff some edge (u, w) closes a 5-path; scan paths of
-    # length 5 from each vertex with the start fixed as the cycle minimum.
-    for s in range(n):
-        allowed = ~((1 << s) - 1)
-        stack = [(s, 1 << s, 1)]
-        while stack:
-            cur, used, ln = stack.pop()
-            if ln == 6:
-                if rows[cur] >> s & 1:
-                    return False
-                continue
-            for w in _bits(rows[cur] & allowed & ~used):
-                stack.append((w, used | 1 << w, ln + 1))
-    return True
-
-
 def _second_neighbourhood_ok(g: Graph) -> bool:
     for v, row in enumerate(g.rows):
         d = row.bit_count()
@@ -185,15 +161,28 @@ class Rule:
     ``stage`` is "scheme" (guaranteed by the generation), "growth" (hereditary,
     enforced by ``conflict``, the vertices ``u`` may not share a new neighbour
     with, or else by ``check`` on each child) or "final" (checked on witness
-    candidates).  ``scope`` is (k, l, largest n_max) for which a minimal
+    candidates).  A rule with a ``conflict`` has no ``check`` of its own:
+    ``holds`` applies the conflict to every vertex as growth applies it to
+    the added one.  ``scope`` is (k, l, largest n_max) for which a minimal
     counterexample provably satisfies the rule; None means every search.
     """
 
     name: str
-    check: Callable[[Graph], bool]
+    check: Callable[[Graph], bool] | None
     stage: str
     scope: tuple | None = None
     conflict: Callable | None = None
+
+    def holds(self, g: Graph) -> bool:
+        """True iff ``g`` satisfies the rule.  Through a ``conflict``: for
+        every vertex v, no two neighbours of v conflict in g - v."""
+        if self.conflict is None:
+            return self.check(g)
+        for v, row in enumerate(g.rows):
+            rest = [0 if u == v else r & ~(1 << v) for u, r in enumerate(g.rows)]
+            if any(self.conflict(rest, a) & row & ~(1 << a) for a in _bits(row)):
+                return False
+        return True
 
 
 _UP_TO_14 = (3, 2, 14)
@@ -206,8 +195,8 @@ RULES = (
     Rule(RULE_MIN_DEGREE_2, lambda g: all(d >= 2 for d in g.degrees()), "final", _UP_TO_15),
     Rule(RULE_MAX_DEGREE_3_SECONDNBHD, _second_neighbourhood_ok, "growth", _UP_TO_14),
     Rule(RULE_NO_THREAD_GE_4, lambda g: max_thread_length(g) <= 3, "final", _UP_TO_15),
-    Rule(RULE_NO_4_CYCLE, _no_4_cycle, "growth", _UP_TO_14, _common_neighbour_partners),
-    Rule(RULE_NO_6_CYCLE, _no_6_cycle, "growth", _UP_TO_14, _path4_targets),
+    Rule(RULE_NO_4_CYCLE, None, "growth", _UP_TO_14, _common_neighbour_partners),
+    Rule(RULE_NO_6_CYCLE, None, "growth", _UP_TO_14, _path4_targets),
     Rule(RULE_FIVE_WALK, _five_walks, "final", _UP_TO_15),
     Rule(RULE_CORE_ONLY, lambda g: is_core(g), "final", _UP_TO_15),
 )
@@ -239,7 +228,7 @@ def claim_filter(g: Graph, rule: str) -> bool:
     """True iff ``g`` satisfies the named structural rule."""
     if rule not in _BY_NAME:
         raise ValueError(f"unknown rule {rule!r}")
-    return _BY_NAME[rule].check(g)
+    return _BY_NAME[rule].holds(g)
 
 
 @dataclass(frozen=True)
@@ -685,26 +674,27 @@ def _cycle_colouring(rows, m):
                         queue.append(u)
             order += queue
     colour = [None] * n
+    return colour if _place_colours(rows, m, order, parent, first_child, colour, 0) else None
 
-    def place(i):
-        if i == n:
-            return True
-        v = order[i]
-        p = parent[v]
-        if p < 0:
-            options = (0,)
-        else:
-            options = (1,) if v in first_child else ((colour[p] + 1) % m, (colour[p] - 1) % m)
-        placed = [colour[u] for u in range(n) if rows[v] >> u & 1 and colour[u] is not None]
-        for c in options:
-            if all((d - c) % m in (1, m - 1) for d in placed):
-                colour[v] = c
-                if place(i + 1):
-                    return True
-        colour[v] = None
-        return False
 
-    return colour if place(0) else None
+def _place_colours(rows, m, order, parent, first_child, colour, i):
+    """Colour ``order[i:]`` as ``_cycle_colouring`` does; True on success."""
+    if i == len(rows):
+        return True
+    v = order[i]
+    p = parent[v]
+    if p < 0:
+        options = (0,)
+    else:
+        options = (1,) if v in first_child else ((colour[p] + 1) % m, (colour[p] - 1) % m)
+    placed = [c for u, c in enumerate(colour) if rows[v] >> u & 1 and c is not None]
+    for c in options:
+        if all((d - c) % m in (1, m - 1) for d in placed):
+            colour[v] = c
+            if _place_colours(rows, m, order, parent, first_child, colour, i + 1):
+                return True
+    colour[v] = None
+    return False
 
 
 def _test_witness(rows, og, colour, cfg: SearchConfig, target):
@@ -721,7 +711,7 @@ def _test_witness(rows, og, colour, cfg: SearchConfig, target):
     if colour is not None or og != 2 * cfg.k + 1:
         return None, colour
     g = Graph(rows, _validate=False)
-    if not all(rule.check(g) for rule in _rules(cfg.prune_rules, "final")):
+    if not all(rule.holds(g) for rule in _rules(cfg.prune_rules, "final")):
         return None, None
     m = find_homomorphism(g, target)
     if m is not None:

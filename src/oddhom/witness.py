@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget
-from .graphs import Graph, _bits, odd_girth
+from .graphs import INFINITE, Graph, _bits, odd_girth
 from .constructions import cycle
 from .hom import find_homomorphism
 
@@ -34,6 +34,9 @@ _K4_FACES = (
     (1, 3, 5),  # slots 1,2,3: a', b', c'
 )
 _SEARCH_ORDER = (0, 2, 5, 3, 4, 1)  # completes faces as early as possible
+# The step of the search order at which each face is complete.
+_FACE_DONE = tuple(max(pos for pos, e in enumerate(_SEARCH_ORDER) if e in face)
+                   for face in _K4_FACES)
 
 # The cycle pairs of an odd-K3^2, in the order its paths are listed.
 _K32_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -159,6 +162,30 @@ def _paths_between(rows, u, v, forbidden, budget):
                     stack.append((w, used | 1 << w, path + (w,)))
 
 
+def _place_threads(rows, quad, paths, step, spoken, budget):
+    """Fill ``paths`` from ``step`` of the search order on with threads
+    between the branch vertices ``quad`` whose interiors avoid ``spoken``;
+    True once all six are placed, backtracking as soon as a face is even."""
+    budget.tick("odd-k4")
+    if step == 6:
+        return True
+    eidx = _SEARCH_ORDER[step]
+    bu, bv = _K4_EDGES[eidx]
+    u, v = quad[bu], quad[bv]
+    forbidden = spoken & ~(1 << u) & ~(1 << v)
+    for p in _paths_between(rows, u, v, forbidden, budget):
+        paths[eidx] = p
+        if all(sum(len(paths[e]) - 1 for e in face) % 2
+               for face, done in zip(_K4_FACES, _FACE_DONE) if done == step):
+            inner = 0
+            for w in p[1:-1]:
+                inner |= 1 << w
+            if _place_threads(rows, quad, paths, step + 1, spoken | inner, budget):
+                return True
+        paths[eidx] = None
+    return False
+
+
 def find_odd_k4(g: Graph, budget: Budget | None = None) -> OddK4Witness | None:
     """Exact search for an odd-K4 subgraph, smallest-thread-first.
 
@@ -175,40 +202,9 @@ def find_odd_k4(g: Graph, budget: Budget | None = None) -> OddK4Witness | None:
         return None
     from itertools import combinations
 
-    face_done = [max(pos for pos, e in enumerate(_SEARCH_ORDER) if e in face) for face in _K4_FACES]
-
     for quad in combinations(cand, 4):
-        branch_mask = 0
-        for b in quad:
-            branch_mask |= 1 << b
         paths = [None] * 6
-
-        def place(step, used_inner):
-            budget.tick("odd-k4")
-            if step == 6:
-                return True
-            eidx = _SEARCH_ORDER[step]
-            bu, bv = _K4_EDGES[eidx]
-            u, v = quad[bu], quad[bv]
-            forbidden = (branch_mask | used_inner) & ~(1 << u) & ~(1 << v)
-            for p in _paths_between(rows, u, v, forbidden, budget):
-                paths[eidx] = p
-                ok = True
-                for fi, face in enumerate(_K4_FACES):
-                    if face_done[fi] == step:
-                        if sum(len(paths[e]) - 1 for e in face) % 2 == 0:
-                            ok = False
-                            break
-                if ok:
-                    inner = 0
-                    for w in p[1:-1]:
-                        inner |= 1 << w
-                    if place(step + 1, used_inner | inner):
-                        return True
-                paths[eidx] = None
-            return False
-
-        if place(0, 0):
+        if _place_threads(rows, quad, paths, 0, sum(1 << b for b in quad), budget):
             w = OddK4Witness(quad, tuple(paths))
             assert w.verify(g)
             return w
@@ -238,6 +234,48 @@ def _odd_cycles(g: Graph, budget: Budget):
     return out
 
 
+def _connect(rows, masks, cyc, chosen, pi, used_paths, budget):
+    """Fill ``chosen`` from pair ``pi`` of ``_K32_PAIRS`` on with paths
+    joining the cycles ``cyc`` (vertex masks ``masks``) and avoiding
+    ``used_paths``; True once all three are placed."""
+    budget.tick("odd-k3^2")
+    if pi == 3:
+        return True
+    a, b = _K32_PAIRS[pi]
+    inter = masks[a] & masks[b]
+    if inter:
+        if inter & used_paths:
+            return False
+        x = inter.bit_length() - 1
+        chosen[pi] = (x,)
+        if _connect(rows, masks, cyc, chosen, pi + 1, used_paths | inter, budget):
+            return True
+        chosen[pi] = None
+        return False
+    third = masks[3 - a - b]
+    all_cyc = masks[0] | masks[1] | masks[2]
+    for u in cyc[a]:
+        if 1 << u & used_paths:
+            continue
+        for v in cyc[b]:
+            if 1 << v & used_paths:
+                continue
+            forbidden = (all_cyc | used_paths) & ~(1 << u) & ~(1 << v)
+            for p in _paths_between(rows, u, v, forbidden, budget):
+                pm = 0
+                for w in p:
+                    pm |= 1 << w
+                # The interior avoids forbidden, so only an endpoint can
+                # lie on the third cycle.
+                if pm & third:
+                    continue
+                chosen[pi] = p
+                if _connect(rows, masks, cyc, chosen, pi + 1, used_paths | pm, budget):
+                    return True
+                chosen[pi] = None
+    return False
+
+
 def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None:
     """Exact search for an odd-K3^2 subgraph.
 
@@ -251,7 +289,6 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
     cycles = _odd_cycles(g, budget)
     if len(cycles) < 3:
         return None
-    rows = g.rows
 
     for i1 in range(len(cycles)):
         m1, c1 = cycles[i1]
@@ -265,49 +302,9 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
                 m3, c3 = cycles[i3]
                 if (m1 & m3).bit_count() > 1 or (m2 & m3).bit_count() > 1:
                     continue
-                masks = (m1, m2, m3)
                 cyc = (c1, c2, c3)
-                all_cyc = m1 | m2 | m3
-
-                def connect(pi, chosen, used_paths):
-                    budget.tick("odd-k3^2")
-                    if pi == 3:
-                        return True
-                    a, b = _K32_PAIRS[pi]
-                    inter = masks[a] & masks[b]
-                    if inter:
-                        if inter & used_paths:
-                            return False
-                        x = inter.bit_length() - 1
-                        chosen[pi] = (x,)
-                        if connect(pi + 1, chosen, used_paths | inter):
-                            return True
-                        chosen[pi] = None
-                        return False
-                    third = masks[3 - a - b]
-                    for u in cyc[a]:
-                        if 1 << u & used_paths:
-                            continue
-                        for v in cyc[b]:
-                            if 1 << v & used_paths:
-                                continue
-                            forbidden = (all_cyc | used_paths) & ~(1 << u) & ~(1 << v)
-                            for p in _paths_between(rows, u, v, forbidden, budget):
-                                pm = 0
-                                for w in p:
-                                    pm |= 1 << w
-                                # The interior avoids forbidden, so only an
-                                # endpoint can lie on the third cycle.
-                                if pm & third:
-                                    continue
-                                chosen[pi] = p
-                                if connect(pi + 1, chosen, used_paths | pm):
-                                    return True
-                                chosen[pi] = None
-                    return False
-
                 chosen = [None] * 3
-                if connect(0, chosen, 0):
+                if _connect(g.rows, (m1, m2, m3), cyc, chosen, 0, 0, budget):
                     w = OddK32Witness(cyc, tuple(chosen))
                     assert w.verify(g)
                     return w
@@ -339,7 +336,7 @@ def gerards_dichotomy_check(g: Graph, budget: Budget | None = None) -> Dichotomy
     happens.  Bipartite input is rejected.
     """
     og = odd_girth(g)
-    if og == float("inf"):
+    if og == INFINITE:
         raise ValueError("dichotomy check needs a non-bipartite graph")
     if find_homomorphism(g, cycle(og)) is not None:
         return DichotomyReport(og, True, "maps", None, None)

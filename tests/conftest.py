@@ -7,6 +7,7 @@ against something with no shared machinery.
 
 import itertools
 import random
+from functools import cache
 
 import pytest
 
@@ -102,6 +103,14 @@ def vertex_transitive_graphs():
     cycles = [(circulant(n, (1,)), 2 * n) for n in range(3, 13)]
     return cycles + [(circulant(9, (1, 3)), None), (circulant(12, (1, 4)), None),
                      (k33, 72), (cube, 48), (petersen, 120)]
+
+
+@cache
+def atlas():
+    """Every graph on 1 to 7 vertices (Read and Wilson's atlas, via networkx)."""
+    nx = pytest.importorskip("networkx")
+    return [Graph.from_edges(a.number_of_nodes(), list(a.edges()))
+            for a in nx.graph_atlas_g() if a.number_of_nodes()]
 
 
 def corpus():

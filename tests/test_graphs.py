@@ -24,8 +24,9 @@ from oddhom import (
     path,
     to_graph6,
 )
+from oddhom.graphs import DistancePartition, delete_vertex
 
-from conftest import random_graph
+from conftest import corpus, random_graph
 
 
 class TestGraphType:
@@ -152,6 +153,36 @@ class TestDistancePartition:
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
             distance_partition(cycle(5), 5)
+
+    def test_matches_networkx_shortest_paths(self, rng):
+        nx = pytest.importorskip("networkx")
+        graphs = corpus() + [random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.5))
+                             for _ in range(200)]
+        assert not all(is_connected(g) for g in graphs)
+        for g in graphs:
+            G = nx.Graph(list(g.edges()))
+            G.add_nodes_from(range(g.order))
+            for v in range(g.order):
+                dist = nx.single_source_shortest_path_length(G, v)
+                layer = {d: frozenset(u for u in dist if dist[u] == d) for d in (1, 2)}
+                far = frozenset(u for u in range(g.order) if dist.get(u, 3) >= 3)
+                assert distance_partition(g, v) == DistancePartition(v, layer[1], layer[2], far)
+
+
+class TestDeleteVertex:
+    def test_matches_edge_list_definition(self, rng):
+        graphs = corpus() + [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(200)]
+        for g in graphs:
+            for v in range(g.order):
+                got = delete_vertex(g, v)
+                assert Graph(got.rows) == got
+                rename = {u: u - (u > v) for u in range(g.order) if u != v}
+                want = [(rename[a], rename[b]) for a, b in g.edges() if v not in (a, b)]
+                assert (got.order, sorted(got.edges())) == (g.order - 1, sorted(want))
+
+    def test_only_vertex(self):
+        with pytest.raises(ValueError):
+            delete_vertex(Graph([0]), 0)
 
 
 class TestWalks:

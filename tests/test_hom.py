@@ -1,6 +1,5 @@
 import gc
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import gcd
 
@@ -34,6 +33,7 @@ from oddhom.hom import _circulant
 from oddhom.search import _cycle_colouring
 
 from conftest import (
+    atlas,
     brute_classes,
     brute_has_hom,
     corpus,
@@ -384,14 +384,6 @@ def plain_compute_core(g):
                 changed = True
                 break
     return cur
-
-
-@cache
-def atlas():
-    """Every graph on 1 to 7 vertices (Read and Wilson's atlas, via networkx)."""
-    nx = pytest.importorskip("networkx")
-    return [Graph.from_edges(a.number_of_nodes(), list(a.edges()))
-            for a in nx.graph_atlas_g() if a.number_of_nodes()]
 
 
 class TestCoreOrbits:

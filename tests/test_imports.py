@@ -1,12 +1,16 @@
 """No module of the package imports a name it never uses, no private
-module-level name outlives its last use, and no function takes a parameter
-it never reads.
+module-level name outlives its last use, no function takes a parameter it
+never reads, and no nested function calls itself by name.
 
 ``__init__.py`` is exempt from the first guard: its imports are the
 re-exported public API.  The second guard reads the whole package: a
 ``_``-prefixed function, class or constant must be referenced somewhere
 outside its own definition.  The third exempts ``self`` and ``cls``, dunder
-methods, and the ``_cmd_*`` handlers, which argparse passes ``args``.
+methods, and the ``_cmd_*`` handlers, which argparse passes ``args``.  The
+fourth is there because a closure that reads its own name holds itself
+through its cell, so every call of its outer function leaves a reference
+cycle for the cyclic collector (``test_gc.py`` checks the searches at run
+time).
 """
 
 import ast
@@ -127,3 +131,32 @@ def test_parameter_checker_flags_an_unread_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def self_calling_closures(source):
+    """Names of the functions nested in a function that read their own name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = set()
+    for outer in ast.walk(ast.parse(source)):
+        if isinstance(outer, functions):
+            for node in ast.walk(outer):
+                if node is not outer and isinstance(node, functions) and any(
+                        isinstance(n, ast.Name) and n.id == node.name
+                        for stmt in node.body for n in ast.walk(stmt)):
+                    out.add(node.name)
+    return sorted(out)
+
+
+def test_closure_checker_flags_a_recursive_closure():
+    source = ("def outer():\n"
+              "    def rec(i):\n        return i and rec(i - 1)\n"
+              "    def helper():\n        return 0\n"
+              "    return rec(3) + helper()\n"
+              "def top(i):\n    return i and top(i - 1)\n"
+              "class C:\n    def m(self, i):\n        return i and self.m(i - 1)\n")
+    assert self_calling_closures(source) == ["rec"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_self_calling_closures(path):
+    assert self_calling_closures(path.read_text()) == []

@@ -54,7 +54,7 @@ from oddhom.search import (
     _set_orbit,
 )
 
-from conftest import brute_classes, random_graph, vertex_transitive_graphs
+from conftest import atlas, brute_classes, random_graph, vertex_transitive_graphs
 
 A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]  # connected graphs
 A024607 = [1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832]  # connected triangle-free graphs
@@ -760,6 +760,29 @@ class TestFourKCells:
 ])
 def test_paper_witnesses_are_critical(name, m):
     assert_critical(generalized_mycielski(2) if name == "grotzsch" else fixture(name), m)
+
+
+class TestConflictRuleChecks:
+    """The 4- and 6-cycle rules, checked through their growth conflicts,
+    against networkx's enumeration of the short cycles."""
+
+    @staticmethod
+    def assert_match(g):
+        nx = pytest.importorskip("networkx")
+        lengths = {len(c) for c in nx.simple_cycles(nx.Graph(list(g.edges())), length_bound=6)}
+        assert claim_filter(g, RULE_NO_4_CYCLE) == (4 not in lengths), g.rows
+        assert claim_filter(g, RULE_NO_6_CYCLE) == (6 not in lengths), g.rows
+
+    def test_atlas(self):
+        for g in atlas():
+            self.assert_match(g)
+
+    def test_random_graphs(self, rng):
+        graphs = [random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5)) for _ in range(300)]
+        assert any(claim_filter(g, RULE_NO_6_CYCLE) and not claim_filter(g, RULE_NO_4_CYCLE)
+                   for g in graphs)
+        for g in graphs:
+            self.assert_match(g)
 
 
 class TestRuleScope:
