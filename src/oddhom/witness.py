@@ -6,12 +6,15 @@ triangle-derived cycles are all odd) or an odd-K3^2 (three odd cycles
 pairwise joined by disjoint paths, a length-0 path meaning the two cycles
 share exactly one vertex).  The searches here are exact backtracking over
 branch vertices and connecting paths, ordered shortest-first so small
-witnesses surface early, and guarded by an explicit budget: running out of
-budget raises instead of returning None, so a "no witness" answer is always
-an exhaustive one.
+witnesses surface early (the path search cuts partial paths that are too far
+from their target to finish at the current length, which leaves that order
+as it is), and guarded by an explicit budget: running out of budget raises
+instead of returning None, so a "no witness" answer is always an exhaustive
+one.
 
 Witnesses carry enough structure to be re-verified edge by edge, and both
-finders do re-verify before returning.
+finders do re-verify before returning, raising AssertionError (also under
+``python -O``) if the check fails.
 """
 
 from __future__ import annotations
@@ -138,27 +141,55 @@ class OddK32Witness:
 
 
 def _paths_between(rows, u, v, forbidden, budget):
-    """Yield simple u-v paths (as tuples) in increasing length.
+    """Yield simple u-v paths (as tuples, u != v) in increasing length.
 
     Interior vertices avoid ``forbidden`` (a bitmask that includes every
     vertex already spoken for).  Iterative deepening keeps the shortest-first
-    order without materialising the whole path set.
+    order without materialising the whole path set: one DFS per length t,
+    each yielding its paths of length exactly t.
+
+    One BFS from ``v`` over the free vertices F (neither forbidden nor u
+    nor v) first gives ``dist[w]``, the length of a shortest w-v path with
+    its interior in F.  Every path the DFS can still complete from w has its
+    interior in F too, so ``dist[w]`` bounds the steps left from below, and
+    a round pushes w only when ``dist[w]`` is at most the steps it has left.
+    Rounds start at ``dist[u]`` and end at |F reachable from v| + 1, the
+    longest a simple u-v path can be.  Each cut drops only a subtree that
+    holds no path of the round's length, so the yields, and their order,
+    are those of the uncut deepening; only budget ticks fall.
     """
-    for target in range(1, len(rows)):
+    n = len(rows)
+    free = ~forbidden & ~(1 << u) & ~(1 << v)
+    dist = [n] * n  # n: no such path
+    reach = 0
+    layer = 1 << v
+    d = 0
+    while layer:
+        d += 1
+        nxt = 0
+        for x in _bits(layer):
+            nxt |= rows[x]
+        if nxt >> u & 1 and dist[u] == n:
+            dist[u] = d
+        layer = nxt & free & ~reach
+        reach |= layer
+        for w in _bits(layer):
+            dist[w] = d
+    if dist[u] == n:
+        return
+    for target in range(dist[u], reach.bit_count() + 2):
         stack = [(u, 1 << u, (u,))]
         while stack:
             cur, used, path = stack.pop()
             budget.tick("path search")
-            depth = len(path) - 1
-            if depth == target:
-                continue
+            left = target - len(path)  # steps left after the next vertex
             row = rows[cur]
-            if depth + 1 == target:
+            if not left:
                 if row >> v & 1:
                     yield path + (v,)
                 continue
-            for w in _bits(row & ~used & ~forbidden):
-                if w != v:
+            for w in _bits(row & reach & ~used):
+                if dist[w] <= left:
                     stack.append((w, used | 1 << w, path + (w,)))
 
 
@@ -206,7 +237,8 @@ def find_odd_k4(g: Graph, budget: Budget | None = None) -> OddK4Witness | None:
         paths = [None] * 6
         if _place_threads(rows, quad, paths, 0, sum(1 << b for b in quad), budget):
             w = OddK4Witness(quad, tuple(paths))
-            assert w.verify(g)
+            if not w.verify(g):
+                raise AssertionError(f"odd-K4 witness failed its re-check: {w}")
             return w
     return None
 
@@ -306,7 +338,8 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
                 chosen = [None] * 3
                 if _connect(g.rows, (m1, m2, m3), cyc, chosen, 0, 0, budget):
                     w = OddK32Witness(cyc, tuple(chosen))
-                    assert w.verify(g)
+                    if not w.verify(g):
+                        raise AssertionError(f"odd-K3^2 witness failed its re-check: {w}")
                     return w
     return None
 
