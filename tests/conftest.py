@@ -86,6 +86,11 @@ def random_graph(rng: random.Random, n, p):
     return Graph.from_edges(n, edges)
 
 
+def cube():
+    """The 3-cube: bipartite and cubic."""
+    return Graph.from_edges(8, [(v, v | 1 << i) for v in range(8) for i in range(3) if not v >> i & 1])
+
+
 def vertex_transitive_graphs():
     """(graph, order of its automorphism group or None) for symmetric test graphs.
 
@@ -96,13 +101,12 @@ def vertex_transitive_graphs():
         return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
 
     k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    cube = Graph.from_edges(8, [(v, v | 1 << i) for v in range(8) for i in range(3) if not v >> i & 1])
     petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                                 + [(i, 5 + i) for i in range(5)])
     cycles = [(circulant(n, (1,)), 2 * n) for n in range(3, 13)]
     return cycles + [(circulant(9, (1, 3)), None), (circulant(12, (1, 4)), None),
-                     (k33, 72), (cube, 48), (petersen, 120)]
+                     (k33, 72), (cube(), 48), (petersen, 120)]
 
 
 @cache

@@ -1,8 +1,12 @@
-"""Output of the table-driven CLI subcommands: the one-graph queries and ``build``."""
+"""Output of the table-driven CLI subcommands: the one-graph queries, ``build``
+and ``detect``."""
+
+import json
 
 import pytest
 
 from oddhom import (
+    OddK4Witness,
     circular_clique,
     complete,
     cycle,
@@ -12,7 +16,9 @@ from oddhom import (
     odd_k4,
     to_graph6,
 )
-from oddhom.cli import EXIT_OK, EXIT_USAGE, main
+from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+
+from conftest import cube
 
 
 def run(capsys, argv):
@@ -20,19 +26,21 @@ def run(capsys, argv):
     return code, capsys.readouterr().out.strip()
 
 
+def write_graph(tmp_path, g):
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(g) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("cmd, want", [
     ("odd-girth", "5"), ("girth", "5"), ("core", "Dhc"), ("chi", "3"), ("chi-c", "5/2"),
 ])
 def test_queries_on_c5(tmp_path, capsys, cmd, want):
-    path = tmp_path / "c5.g6"
-    path.write_text(to_graph6(cycle(5)) + "\n")
-    assert run(capsys, [cmd, str(path)]) == (EXIT_OK, want)
+    assert run(capsys, [cmd, write_graph(tmp_path, cycle(5))]) == (EXIT_OK, want)
 
 
 def test_chi_c_of_k3_keeps_the_denominator(tmp_path, capsys):
-    path = tmp_path / "k3.g6"
-    path.write_text(to_graph6(complete(3)) + "\n")
-    assert run(capsys, ["chi-c", str(path)]) == (EXIT_OK, "3/1")
+    assert run(capsys, ["chi-c", write_graph(tmp_path, complete(3))]) == (EXIT_OK, "3/1")
 
 
 @pytest.mark.parametrize("argv, g", [
@@ -52,3 +60,31 @@ def test_build_wrong_arity(capsys):
         main(["build", "cycle", "5", "6"])
     assert exc.value.code == EXIT_USAGE
     assert "expected 1 integer parameter(s), got 2" in capsys.readouterr().err
+
+
+def test_detect_odd_k4(tmp_path, capsys):
+    g = odd_k4(1, 2, 2)
+    code, out = run(capsys, ["detect", "odd-k4", write_graph(tmp_path, g)])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    w = OddK4Witness(tuple(data["branch"]), tuple(tuple(p) for p in data["paths"]))
+    assert w.verify(g)
+    assert data["face_lengths"] == list(w.face_lengths)
+    assert all(f % 2 == 1 for f in w.face_lengths)
+
+
+def test_detect_none_on_even_cycle(tmp_path, capsys):
+    assert run(capsys, ["detect", "odd-k32", write_graph(tmp_path, cycle(6))]) \
+        == (EXIT_NEGATIVE, "NONE")
+
+
+# Exhaustive searches of more than 1,024 budget ticks, so the first look
+# at the clock already finds a zero budget spent.
+@pytest.mark.parametrize("kind, g", [("odd-k4", cube()), ("odd-k32", generalized_mycielski(2))])
+def test_detect_zero_budget(tmp_path, capsys, monkeypatch, kind, g):
+    monkeypatch.setenv("ODDHOM_BUDGET_SECONDS", "0")
+    code = main(["detect", kind, write_graph(tmp_path, g)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert "budget exceeded" in captured.err

@@ -7,24 +7,36 @@ property over random non-bipartite graphs.
 """
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oddhom
 from oddhom import (
     INFINITE,
+    Budget,
+    BudgetExceededError,
     Graph,
     complete,
     cycle,
     find_homomorphism,
     find_odd_k4,
     find_odd_k32,
+    generalized_mycielski,
     gerards_dichotomy_check,
     odd_girth,
     odd_k4,
     odd_k32,
+    witness,
 )
+from oddhom.graphs import _bits
+
+from conftest import corpus, cube, random_graph
 
 ODD_K4S = [(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 2, 3), (3, 3, 1)]
 ODD_K32S = [
@@ -80,6 +92,133 @@ class TestFinders:
             g = odd_k32(cycles, paths)
             w = find_odd_k32(g)
             assert w is not None and w.verify(g), paths
+
+
+def reference_paths_between(rows, u, v, forbidden, budget):
+    """``witness._paths_between`` without its distance cut: one DFS per path
+    length over every partial path, the search whose order the finders'
+    witnesses were first fixed by."""
+    for target in range(1, len(rows)):
+        stack = [(u, 1 << u, (u,))]
+        while stack:
+            cur, used, path = stack.pop()
+            budget.tick("path search")
+            depth = len(path) - 1
+            if depth == target:
+                continue
+            row = rows[cur]
+            if depth + 1 == target:
+                if row >> v & 1:
+                    yield path + (v,)
+                continue
+            for w in _bits(row & ~used & ~forbidden):
+                if w != v:
+                    stack.append((w, used | 1 << w, path + (w,)))
+
+
+def path_graphs():
+    """The query corpus up to order 22, then random graphs of order <= 12.
+
+    Edge probability stays below 1/2: a dense order-12 graph has millions of
+    paths between two vertices.
+    """
+    rng = random.Random(1906)
+    graphs = [g for g in corpus() if g.order <= 22]
+    return graphs + [random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.45))
+                     for _ in range(40)]
+
+
+PATH_GRAPHS = path_graphs()
+
+
+def path_queries(g, seed, unmasked_at_22):
+    """(u, v, forbidden): every ordered pair with a random forbidden mask, and
+    every pair u < v with none.  On order 22 (``generalized_mycielski(3)``,
+    about 19,000 paths a pair) only ``unmasked_at_22`` random pairs go
+    without a mask."""
+    rng = random.Random(seed)
+    n = g.order
+    empty = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if n >= 22:
+        empty = rng.sample(empty, unmasked_at_22)
+    return ([(u, v, rng.getrandbits(n)) for u in range(n) for v in range(n) if u != v]
+            + [(u, v, 0) for u, v in empty])
+
+
+class TestPathsBetween:
+    @pytest.mark.parametrize("index", range(len(PATH_GRAPHS)))
+    def test_same_sequence_as_uncut_deepening(self, index):
+        g = PATH_GRAPHS[index]
+        for u, v, forbidden in path_queries(g, index, 1):
+            cut, uncut = Budget(), Budget()
+            got = list(witness._paths_between(g.rows, u, v, forbidden, cut))
+            assert got == list(reference_paths_between(g.rows, u, v, forbidden, uncut)), \
+                (u, v, forbidden)
+            assert cut.nodes <= uncut.nodes
+
+    @pytest.mark.parametrize("index", range(len(PATH_GRAPHS)))
+    def test_same_paths_as_networkx(self, index):
+        nx = pytest.importorskip("networkx")
+        g = PATH_GRAPHS[index]
+        for u, v, forbidden in path_queries(g, index, 0):
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.order))
+            h.remove_nodes_from([w for w in range(g.order)
+                                 if forbidden >> w & 1 and w not in (u, v)])
+            got = list(witness._paths_between(g.rows, u, v, forbidden, Budget()))
+            assert set(got) == {tuple(p) for p in nx.all_simple_paths(h, u, v)}
+            assert len(set(got)) == len(got)
+            assert all(len(p) <= len(q) for p, q in zip(got, got[1:]))
+
+
+class TestWitnessesPinned:
+    """The finders return what they returned over the uncut path search."""
+
+    @pytest.mark.parametrize("finder", [find_odd_k4, find_odd_k32, gerards_dichotomy_check])
+    def test_same_witnesses_as_uncut_search(self, monkeypatch, finder):
+        graphs = [g for g in corpus() if g.order <= 20]
+        got = [finder(g) for g in graphs]
+        assert any(w is not None for w in got)
+        monkeypatch.setattr(witness, "_paths_between", reference_paths_between)
+        assert [finder(g) for g in graphs] == got
+
+
+class TestSelfChecks:
+    def test_failed_recheck_raises_under_optimisation(self):
+        # A bare assert would vanish under -O and let the witness through.
+        script = (
+            "import sys\n"
+            "from oddhom import odd_k4, odd_k32, witness\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not running under -O')\n"
+            "witness.OddK4Witness.verify = lambda self, g: False\n"
+            "witness.OddK32Witness.verify = lambda self, g: False\n"
+            "for finder, g in ((witness.find_odd_k4, odd_k4(1, 2, 2)),\n"
+            "                  (witness.find_odd_k32, odd_k32((3, 3, 3), (1, 1, 1)))):\n"
+            "    try:\n"
+            "        finder(g)\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    sys.exit(finder.__name__ + ' returned a witness that failed its check')\n"
+        )
+        src = os.path.dirname(os.path.dirname(oddhom.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestBudget:
+    # Each search is exhaustive (None) and takes more than the 1,024 ticks
+    # between two looks at the clock, so a zero budget must cut it short.
+    @pytest.mark.parametrize("finder, g", [(find_odd_k4, cube()),
+                                           (find_odd_k32, generalized_mycielski(2))])
+    def test_zero_budget_raises_instead_of_none(self, finder, g):
+        unlimited = Budget()
+        assert finder(g, unlimited) is None and unlimited.nodes > 1024
+        with pytest.raises(BudgetExceededError):
+            finder(g, Budget(seconds=0))
 
 
 @st.composite
