@@ -142,8 +142,8 @@ def odd_reach_within(rows, u, limit):
     """Mask of vertices reachable from ``u`` by an odd walk of length <= limit.
 
     Walks may repeat vertices; this is BFS on the parity double cover,
-    truncated at the given length.  Used both for odd-girth itself and for
-    the search module's "which attachments create a short odd cycle" test.
+    truncated at the given length.  The search module's conflict masks use
+    it to find the attachments that would create a short odd cycle.
     """
     seen = [1 << u, 0]
     frontier = 1 << u

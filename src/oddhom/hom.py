@@ -12,7 +12,9 @@ vertex of least |dom| / weight, compared as d_u * w_v < d_v * w_u, with ties
 going to the earlier vertex of the static order (descending degree, then
 index); so the search turns to the part of the graph that keeps failing.
 The weights live within one call, and the search is plain module functions,
-so a call leaves no reference cycle behind.  When the target's rows are a circulant labelling (row i is row 0 rotated by
+so a call leaves no reference cycle behind.
+
+When the target's rows are a circulant labelling (row i is row 0 rotated by
 i, as in every cycle, complete graph and circular clique built here, and in
 any graph6 copy of one), the rotation v -> v + c is an automorphism of the
 target, so the first vertex of that static order is pinned to target vertex

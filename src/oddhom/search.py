@@ -313,10 +313,10 @@ def _pieces(rows, n):
     return table
 
 
-def _indep_sets(cand, conf, max_size):
-    """All nonempty subsets of ``cand`` that are independent in ``conf``."""
+def _indep_sets(n, conf, max_size):
+    """All nonempty sets of at most ``max_size`` of the ``n`` vertices, independent in ``conf``."""
     out = []
-    stack = [(cand, 0, 0)]
+    stack = [((1 << n) - 1, 0, 0)]
     while stack:
         avail, cur, size = stack.pop()
         while avail:
@@ -329,7 +329,7 @@ def _indep_sets(cand, conf, max_size):
     return out
 
 
-def _attachment_sets(rows, n, cand, conf, max_size, pieces):
+def _attachment_sets(rows, n, conf, pieces):
     """The independent attachment sets that can pass ``_accepted``'s degree stage.
 
     Let m be the least degree of a non-cutvertex of the parent and R the
@@ -346,8 +346,7 @@ def _attachment_sets(rows, n, cand, conf, max_size, pieces):
     noncut = [v for v in range(n) if len(pieces[v]) <= 1]
     m = min(degs[v] for v in noncut)
     R = sum(1 << v for v in noncut if degs[v] == m)
-    return [S for S in _indep_sets(cand, conf, min(max_size, m + 1))
-            if S & R == R or S.bit_count() <= m]
+    return [S for S in _indep_sets(n, conf, m + 1) if S & R == R or S.bit_count() <= m]
 
 
 def _accepted(rows_t, n, S, pieces):
@@ -514,10 +513,6 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     growth = _rules(cfg.prune_rules, "growth")
     child_checks = [rule.check for rule in growth if rule.conflict is None]
     conf = _conflict_masks(rows, n, cfg.k, growth)
-    cand, max_size = (1 << n) - 1, n
-    if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
-        cand = sum(1 << v for v in range(n) if rows[v].bit_count() < 3)
-        max_size = 3
     cells = refine_partition(rows, cells, fresh)
     if gens is None and any(c & (c - 1) for c in cells):
         gens = canonical_search(rows, n, cells)[3]
@@ -529,7 +524,7 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     # Sets that the degree stage of _accepted would reject are never built;
     # the ones left can still fail it when the child turns a parent
     # cutvertex, inside S or outside it, into a non-cutvertex.
-    for S in _attachment_sets(rows, n, cand, conf, max_size, pieces):
+    for S in _attachment_sets(rows, n, conf, pieces):
         budget.tick("enumeration")
         if S in pending:
             pending.remove(S)

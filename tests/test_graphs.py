@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from oddhom import (
     path,
     to_graph6,
 )
-from oddhom.graphs import DistancePartition, delete_vertex
+from oddhom.graphs import DistancePartition, delete_vertex, odd_reach_within
 
-from conftest import corpus, random_graph
+from conftest import atlas, corpus, random_graph
 
 
 class TestGraphType:
@@ -83,6 +84,58 @@ class TestOddGirth:
             g = random_graph(rng, rng.randint(1, 9), rng.random())
             og = odd_girth(g)
             assert og == INFINITE or og % 2 == 1
+
+
+def odd_power_graphs():
+    """Every atlas graph, random graphs (some disconnected) and random
+    bipartite graphs, each with its adjacency matrix."""
+    rng = random.Random(12)
+    graphs = list(atlas())
+    graphs += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.6)) for _ in range(200)]
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        side = rng.randint(1, n - 1)
+        graphs.append(Graph.from_edges(n, [(a, b) for a in range(side) for b in range(side, n)
+                                           if rng.random() < 0.5]))
+    out = []
+    for g in graphs:
+        a = np.zeros((g.order, g.order), dtype=np.int64)
+        for u, v in g.edges():
+            a[u, v] = a[v, u] = 1
+        out.append((g, a))
+    return out
+
+
+class TestOddPowers:
+    """odd_girth and odd_reach_within against odd powers of the adjacency
+    matrix A, which share no code with their double-cover search."""
+
+    def test_odd_girth_is_least_odd_closed_walk(self):
+        # A shortest odd closed walk is a cycle, so the odd girth is the
+        # least odd d <= n with trace(A^d) > 0.
+        kinds = set()
+        for g, a in odd_power_graphs():
+            power, want = a, INFINITE
+            for d in range(1, g.order + 1, 2):
+                if np.trace(power):
+                    want = d
+                    break
+                power = power @ a @ a
+            assert odd_girth(g) == want, g.rows
+            kinds.add((want == INFINITE, is_connected(g)))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_odd_reach_within_matches_odd_powers(self):
+        # u reaches v by an odd walk of length at most t iff
+        # (A + A^3 + ... + A^t)[u, v] > 0.
+        for g, a in odd_power_graphs():
+            power, reach = a, np.zeros_like(a)
+            for limit in (1, 3, 5):
+                reach = reach + power
+                power = power @ a @ a
+                for u in range(g.order):
+                    want = sum(1 << v for v in range(g.order) if reach[u, v])
+                    assert odd_reach_within(g.rows, u, limit) == want, (g.rows, u, limit)
 
 
 class TestGirth:

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
 module-level name outlives its last use, no function takes a parameter it
-never reads, and no nested function calls itself by name.
+never reads, no nested function calls itself by name, and no function of
+search.py names a claim rule.
 
 ``__init__.py`` is exempt from the first guard: its imports are the
 re-exported public API.  The second guard reads the whole package: a
@@ -10,7 +11,9 @@ methods, and the ``_cmd_*`` handlers, which argparse passes ``args``.  The
 fourth is there because a closure that reads its own name holds itself
 through its cell, so every call of its outer function leaves a reference
 cycle for the cyclic collector (``test_gc.py`` checks the searches at run
-time).
+time).  The fifth keeps the growth loop and the witness test generic: they
+read the rule table, and a ``RULE_*`` name appears only where the table,
+the ``SearchConfig`` default and the command line build their rule sets.
 """
 
 import ast
@@ -160,3 +163,27 @@ def test_closure_checker_flags_a_recursive_closure():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_self_calling_closures(path):
     assert self_calling_closures(path.read_text()) == []
+
+
+def rule_names_read_in_functions(source):
+    """(function, line) of each ``RULE_*`` name read inside a function body."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= {(node.name, n.lineno) for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    and n.id.startswith("RULE_")}
+    return sorted(out)
+
+
+def test_rule_checker_flags_a_named_rule():
+    source = ("RULE_A = 'A'\nRULE_B = 'B'\nTABLE = (RULE_A, RULE_B)\n"
+              "class Config:\n    rules = frozenset({RULE_A})\n"
+              "def grow(cfg):\n    if RULE_B in cfg.rules:\n        return TABLE\n"
+              "    return lambda: RULE_A\n")
+    assert rule_names_read_in_functions(source) == [("grow", 7), ("grow", 9)]
+
+
+def test_search_functions_name_no_rule():
+    path = pathlib.Path(oddhom.__file__).parent / "search.py"
+    assert rule_names_read_in_functions(path.read_text()) == []

@@ -149,20 +149,15 @@ class TestDegreeBound:
     @staticmethod
     def dropped_sets_rejected(cfg):
         # The bound may only drop attachment sets whose child the canonical
-        # test rejects anyway.  cand and max_size are built as in
-        # _descendants, so the degree-3 cap meets the m + 1 cap here too.
+        # test rejects anyway.
         growth = _rules(cfg.prune_rules, "growth")
         dropped = 0
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
             conf = _conflict_masks(rows, n, cfg.k, growth)
-            cand, max_size = (1 << n) - 1, n
-            if RULE_MAX_DEGREE_3_SECONDNBHD in cfg.prune_rules:
-                cand = sum(1 << v for v in range(n) if rows[v].bit_count() < 3)
-                max_size = 3
-            every = set(_indep_sets(cand, conf, max_size))
+            every = set(_indep_sets(n, conf, n))
             pieces = _pieces(rows, n)
-            kept = _attachment_sets(rows, n, cand, conf, max_size, pieces)
+            kept = _attachment_sets(rows, n, conf, pieces)
             assert set(kept) <= every
             for S in every - set(kept):
                 child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
@@ -273,9 +268,8 @@ class TestEarlyExit:
             n = len(rows)
             if n == n_max:
                 continue
-            full = (1 << n) - 1
             pieces = _pieces(rows, n)
-            for S in _indep_sets(full, _conflict_masks(rows, n, k, []), n):
+            for S in _indep_sets(n, _conflict_masks(rows, n, k, []), n):
                 child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
                 want = full_refinement_accepted(child, n + 1)
                 work.clear()
@@ -783,6 +777,41 @@ class TestConflictRuleChecks:
                    for g in graphs)
         for g in graphs:
             self.assert_match(g)
+
+
+class TestDegreeCapCheck:
+    """The degree-3 cap, which growth checks on each child, against
+    networkx's distances: no degree above 3, and at most 4 vertices at
+    distance exactly 2 from each vertex of degree 3."""
+
+    @staticmethod
+    def cap_holds(g):
+        nx = pytest.importorskip("networkx")
+        G = nx.Graph(list(g.edges()))
+        G.add_nodes_from(range(g.order))
+        for v in range(g.order):
+            dist = nx.single_source_shortest_path_length(G, v, cutoff=2)
+            d = G.degree(v)
+            if d > 3 or d == 3 and sum(1 for x in dist.values() if x == 2) > 4:
+                return False
+        return True
+
+    @classmethod
+    def assert_match(cls, graphs):
+        outcomes = Counter()
+        for g in graphs:
+            got = claim_filter(g, RULE_MAX_DEGREE_3_SECONDNBHD)
+            assert got == cls.cap_holds(g), g.rows
+            outcomes[got] += 1
+        assert outcomes[True] and outcomes[False], outcomes
+
+    def test_atlas(self):
+        self.assert_match(atlas())
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        self.assert_match([random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5))
+                           for _ in range(300)])
 
 
 class TestRuleScope:
