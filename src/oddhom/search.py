@@ -60,18 +60,19 @@ ORDER15_VALID_RULES; SearchConfig rejects runs outside it.
 eta(k, l) itself is the smallest order of a graph of odd-girth exactly 2k+1
 with no homomorphism to C_{2l+1}; the driver enumerates, tests candidates,
 and re-verifies every witness through a graph6 round trip with fresh solver
-state before reporting it.  Colourings (maps to C_{2l+1}) are carried down
-the augmentation tree: a child extends its parent's colouring when the
-colours of its attachment set leave the new vertex a colour, and such a
-child is no witness.  The solver runs only on a candidate whose colouring
-did not extend, and the map it finds becomes the colouring that child's
-descendants extend.
+state before reporting it.  Every node of the augmentation tree carries a
+colouring: a map to C_{2l+1}, or None exactly when the graph has none.  A
+child extends its parent's map when the colours of its attachment set
+leave the new vertex a colour, and the solver runs only when that fails.
+A child of a graph with no map has none either, since it contains that
+graph, so its descendants are never solved.  Only a graph with no map is a
+candidate: its odd-girth and the final rules are checked there alone.
 
 Every eta run, serial or parallel, grows the tree to one split order,
 min(8, n_max - 1), then grows the subtree below each node of that order
-from its record (rows, odd girth, colouring, cells, fresh cells, gens) as
-the stream yielded it, so no subtree refines, searches or solves again what
-its root already settled.  Frontier nodes stay in memory, or are pickled to
+from its record (rows, colouring, cells, fresh cells, gens) as the stream
+yielded it, so no subtree refines, searches or solves again what its root
+already settled.  Frontier nodes stay in memory, or are pickled to
 workers.  A checkpoint is an append-only log of finished subtrees, their
 roots' rows, counts and witnesses; every run regrows the frontier and
 merges the logged subtrees instead of growing them again.  Every run also
@@ -92,11 +93,9 @@ from .budget import Budget, BudgetExceededError
 from .canon import canonical_search, refine_partition, refine_round
 from .constructions import cycle
 from .graphs import (
-    INFINITE,
     Graph,
     _bits,
     _neighbors_of_set,
-    _odd_walk_back_to,
     from_graph6,
     has_walk_of_length,
     is_connected,
@@ -463,50 +462,35 @@ def _set_orbit(s, gens):
     return out
 
 
-def _extend_colouring(colour, S, m):
-    """A parent's map to C_m extended to a new vertex adjacent to ``S``, or None.
+def _extend_colouring(colour, S, target_rows):
+    """A parent's map to the target extended to a new vertex adjacent to ``S``, or None.
 
-    The new vertex needs a colour adjacent on C_m to every colour of S: S
-    must see one colour a (take a + 1) or two colours two apart (take the
-    one between them).
+    The new vertex may take any target vertex adjacent to the colours of all
+    of S, the intersection of their rows in the target; it takes the least.
     """
-    a = b = None
-    while S:
-        low = S & -S
-        S ^= low
-        c = colour[low.bit_length() - 1]
-        if a is None or c == a:
-            a = c
-        elif b is None or c == b:
-            b = c
-        else:
-            return None
-    if b is None or (b - a) % m == 2:
-        return colour + ((a + 1) % m,)
-    if (a - b) % m == 2:
-        return colour + ((b + 1) % m,)
-    return None
+    free = -1
+    for v in _bits(S):
+        free &= target_rows[colour[v]]
+    return colour + ((free & -free).bit_length() - 1,) if free else None
 
 
 def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     """DFS over accepted descendants of one augmentation node.
 
-    A node is ``(rows, odd girth, colouring, cells, fresh, gens)``, with
-    ``cells``, ``fresh`` and ``gens`` as ``_accepted`` returned them; the
-    node's refinement is finished here, and its canonical search runs only
-    when ``gens`` is None and some cell is not a singleton.  Yields
+    A node is ``(rows, colouring, cells, fresh, gens)``, with ``cells``,
+    ``fresh`` and ``gens`` as ``_accepted`` returned them; the node's
+    refinement is finished here, and its canonical search runs only when
+    ``gens`` is None and some cell is not a singleton.  Yields
     ``(witness, child node)`` for each accepted graph strictly below the
     node.  Graphs of order ``stop`` (at most n_max) are yielded but not
     grown; they form the frontier whose subtrees ``_expand_subtree`` grows.
 
     With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
-    (witness: its graph6, else None) and carries a colouring, a map to the
-    target as a tuple of colours, or None.  A child extends the node's
-    colouring when ``_extend_colouring`` can, and otherwise takes the map
-    the solver found for it, if the solver ran.  Without a target both are
-    None.
+    (witness: its graph6, else None) and carries its colouring, a map to
+    the target as a tuple of colours, or None exactly when it has no map.
+    Without a target both are None.
     """
-    rows, og, colour, cells, fresh, gens = node
+    rows, colour, cells, fresh, gens = node
     n = len(rows)
     if n >= stop:
         return
@@ -542,21 +526,17 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
         state = _accepted(child_t, nc, S, pieces)
         if state is None:
             continue
-        # A shorter odd cycle than the parent's must pass through the new vertex.
-        d = _odd_walk_back_to(child_t, n, og - 1)
-        child_og = og if d is None else d
         witness = child_colour = None
         if target is not None:
-            inherited = None if colour is None else _extend_colouring(colour, S, target.order)
-            witness, child_colour = _test_witness(child_t, child_og, inherited, cfg, target)
-        grown = (child_t, child_og, child_colour, *state)
+            witness, child_colour = _test_witness(child_t, colour, S, cfg, target)
+        grown = (child_t, child_colour, *state)
         yield witness, grown
         yield from _descendants(grown, cfg, budget, stop, target)
 
 
 def _root_stream(cfg: SearchConfig, budget, stop, target=None):
     """The one-vertex root and its descendants, as ``_descendants`` yields them."""
-    root = ((0,), INFINITE, None if target is None else (0,), [1], [], None)
+    root = ((0,), None if target is None else (0,), [1], [], None)
     yield None, root
     yield from _descendants(root, cfg, budget, stop, target)
 
@@ -692,25 +672,31 @@ def _place_colours(rows, m, order, parent, first_child, colour, i):
     return False
 
 
-def _test_witness(rows, og, colour, cfg: SearchConfig, target):
+def _test_witness(rows, parent, S, cfg: SearchConfig, target):
     """(graph6 of a verified witness or None, the graph's colouring or None).
 
-    ``colour`` is the colouring the graph inherited from its parent, if
-    any; such a graph is no witness, and nothing else is run.  Otherwise a
-    witness has odd-girth ``og`` exactly 2k+1, passes the final rules and
-    has no homomorphism to ``target``, C_{2l+1}; a map the solver finds
-    becomes the graph's colouring.  Before a witness is reported, the graph
-    is round tripped through graph6 and re-checked, odd-girth included, by
+    The graph joins a new vertex to the set ``S`` of its parent, whose
+    colouring ``parent`` is a map to ``target``, C_{2l+1}, or None exactly
+    when the parent has none.  A graph containing one with no map has none
+    either, so then the graph has none, and the solver does not run.
+    Otherwise the graph extends the parent's map, or, if that fails, takes
+    the map the solver finds; either is its colouring.  Only a graph with
+    no map is tested further: a witness has odd-girth exactly 2k+1 and
+    passes the final rules.  Before a witness is reported, the graph is
+    round tripped through graph6 and re-checked, odd-girth included, by
     ``_cycle_colouring``, which shares no code with the solver.
     """
-    if colour is not None or og != 2 * cfg.k + 1:
+    colour = None if parent is None else _extend_colouring(parent, S, target.rows)
+    if colour is not None:
         return None, colour
     g = Graph(rows, _validate=False)
-    if not all(rule.holds(g) for rule in _rules(cfg.prune_rules, "final")):
+    if parent is not None:
+        m = find_homomorphism(g, target)
+        if m is not None:
+            return None, m.image
+    if odd_girth(g) != 2 * cfg.k + 1 or not all(
+            rule.holds(g) for rule in _rules(cfg.prune_rules, "final")):
         return None, None
-    m = find_homomorphism(g, target)
-    if m is not None:
-        return None, m.image
     g6 = to_graph6(g)
     fresh = from_graph6(g6)
     if odd_girth(fresh) != 2 * cfg.k + 1 or _cycle_colouring(fresh.rows, target.order) is not None:
@@ -746,7 +732,8 @@ def _expand_subtree(args):
 
     The node is whole as the stream yielded it, so its descendants grow as
     they would in the stream: its refinement is finished from where
-    ``_accepted`` stopped, and nothing is searched or solved again.
+    ``_accepted`` stopped, its colouring (or its lack of one) is extended
+    to its children, and nothing is searched or solved again.
     """
     node, cfg, budget = args
     if budget.expired():
@@ -763,14 +750,14 @@ _LOG_MAGIC = "#oddhom-eta-checkpoint v3"
 def _read_log(path, cfg):
     """The subtrees the checkpoint log ``path`` holds: root rows -> (counts, witnesses).
 
-    A new log gets its header line, the magic and ``cfg.config_hash()``; an
-    existing log must start with that line.  A last line that lacks its
-    newline was cut off mid-write, so it is dropped from the file and its
-    subtree grows again.
+    A new or empty log gets its header line, the magic and
+    ``cfg.config_hash()``; any other log must start with that line.  A last
+    line that lacks its newline was cut off mid-write, so it is dropped
+    from the file and its subtree grows again.
     """
     header = f"{_LOG_MAGIC} {cfg.config_hash()}\n".encode()
-    if not os.path.exists(path):
-        with open(path, "wb") as fh:
+    with open(path, "ab") as fh:
+        if fh.tell() == 0:
             fh.write(header)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -790,8 +777,9 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     """Exhaustive search for the smallest not-C_{2l+1}-colourable graph.
 
     Enumerates one representative per isomorphism class up to ``n_max``,
-    tests every graph of odd-girth exactly 2k+1 against C_{2l+1}, and
-    reports per-order counts plus independently re-verified witnesses.  Every
+    carries a map to C_{2l+1} or its absence down the tree, tests each graph
+    with no map for odd-girth exactly 2k+1 and the final rules, and reports
+    per-order counts plus independently re-verified witnesses.  Every
     run grows the tree to the split order min(8, n_max - 1), and the subtrees
     below its nodes are grown in-process or by ``jobs`` workers; they are
     disjoint, so results merge by plain union.
@@ -802,8 +790,9 @@ def eta_search(config: SearchConfig, jobs: int = 1, checkpoint: str | None = Non
     merged: ``[root rows, [[n, count], ...], [[n, [graph6, ...]], ...]]``.
     Every run regrows the frontier and merges the logged results of the
     roots the log holds instead of growing their subtrees, so a run stopped
-    at any point resumes where it stopped.  A log of another configuration,
-    or any other file, raises ValueError.
+    at any point resumes where it stopped.  An empty file is taken as a new
+    log; a log of another configuration, or any other file, raises
+    ValueError.
 
     The run ticks a budget, a fresh one with no deadline when none is
     given; a deadline truncates the run and flags the report instead of

@@ -16,8 +16,28 @@ checks read that classification.  Sources of the bounds, by kind:
   Mycielski graph of level k, which has odd-girth 2k+1 and no map to K3,
   hence none to any C_{2l+1}.  The lower bound is 4k unless ``_RANGE_LOWER``
   holds a larger published one: eta(3,1) >= eta(3,2) = 15, since a graph
-  with no map to K3 has none to C5; 17 for k = 4 by monotonicity in k; and
-  the quadratic lower bound for 3-colourability for k = 6..8.
+  with no map to K3 has none to C5; 17 for k = 4 by monotonicity in k (the
+  strict step proved below gives eta(4, l) >= 16 on its own); and the
+  quadratic lower bound for 3-colourability for k = 6..8.
+
+Monotonicity in k is strict: eta(k, l) < eta(k+1, l).  Let H have odd-girth
+2k+3, order n and no map to C_{2l+1}.  Take u and w two steps apart, through
+x, on a shortest odd cycle u x w ... u, and identify them into one vertex z;
+this gives H' of order n - 1.  They are not adjacent (that would close a
+triangle), so the identification is a homomorphism H -> H', and a map
+H' -> C_{2l+1} would give one of H: H' has none.  The rest of the cycle,
+from w back to u, has length 2k+1 and closes at z, so H' has odd-girth at
+most 2k+1.  A shortest odd cycle of H' through z lifts to a walk of H of the
+same length between u and w, or from one of them back to itself; adding the
+path w x u in the first case gives an odd closed walk of H, of length at
+least 2k+3, so the cycle has length at least 2k+1.  An odd cycle of H'
+avoiding z is one of H.  So H' has odd-girth exactly 2k+1, and
+eta(k, l) <= n - 1.  A consequence: a witness G of order eta(k, l) is
+vertex-critical.  G - v is bipartite or has odd-girth 2k'+1 with k' >= k,
+and if it had no map it would give eta(k', l) < eta(k, l), against
+monotonicity.  So every G - v maps to C_{2l+1}, and hence G is 2-connected
+(maps of the two sides of a cutvertex rotate to agree on it) and a core (a
+retract lies in some G - v).
 """
 
 from __future__ import annotations

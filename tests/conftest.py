@@ -62,10 +62,10 @@ def brute_iso(g1, g2):
 
 def brute_has_hom(g, h):
     """Homomorphism existence by scanning all target_order^source_order maps."""
-    for img in itertools.product(range(h.order), repeat=g.order):
-        if all(h.has_edge(img[a], img[b]) for a, b in g.edges()):
-            return True
-    return False
+    edges = list(g.edges())
+    arcs = {(a, b) for a in range(h.order) for b in range(h.order) if h.has_edge(a, b)}
+    return any(all((img[a], img[b]) in arcs for a, b in edges)
+               for img in itertools.product(range(h.order), repeat=g.order))
 
 
 def hom_checked(g, h):

@@ -18,6 +18,7 @@ from oddhom import (
     Budget,
     Graph,
     SearchConfig,
+    circular_clique,
     claim_filter,
     complete,
     cycle,
@@ -28,7 +29,6 @@ from oddhom import (
     generalized_mycielski,
     is_connected,
     odd_k4,
-    odd_girth,
     to_graph6,
 )
 from oddhom import canon, search
@@ -54,7 +54,7 @@ from oddhom.search import (
     _set_orbit,
 )
 
-from conftest import atlas, brute_classes, random_graph, vertex_transitive_graphs
+from conftest import atlas, brute_classes, brute_has_hom, random_graph, vertex_transitive_graphs
 
 A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]  # connected graphs
 A024607 = [1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832]  # connected triangle-free graphs
@@ -432,13 +432,6 @@ class TestAutomorphismOrbits:
                 assert _set_orbit(s, gens) == want
 
 
-class TestIncrementalOddGirth:
-    def test_streamed_value_matches_full_odd_girth(self):
-        cfg = SearchConfig(k=2, l=1, n_max=9)
-        for _, (rows, og, *_) in _root_stream(cfg, Budget(), cfg.n_max):
-            assert og == odd_girth(Graph(rows)), rows
-
-
 def records_of(report):
     return [(r.n, r.enumerated, r.witness_count, r.witnesses) for r in report.records]
 
@@ -491,28 +484,48 @@ class TestColourings:
 
     @pytest.mark.parametrize("k, n_max", [(1, 7), (2, 9), (3, 10)])
     def test_carried_colourings_are_maps(self, k, n_max, monkeypatch):
-        cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
-        target = cycle(2 * cfg.l + 1)
+        # A node's colouring is a map to the target, or None exactly when
+        # the graph has none: brute force decides that up to order 6, the
+        # solver beyond.  A graph containing one with no map has none
+        # either, so a child of such a graph is never solved.
         calls = solver_calls(monkeypatch)
-        coloured = set()
-        for witness, (rows, _, colour, *_) in _root_stream(cfg, Budget(), n_max, target):
-            if colour is not None:
-                assert verify_mapping(Graph(rows), target, VertexMap(len(rows), target.order, colour)), rows
-                assert witness is None
-                coloured.add(rows)
-        mapped = {rows for rows, m in calls if m is not None}
-        assert mapped and mapped <= coloured
+        for l in (1, 2):
+            cfg = SearchConfig(k=k, l=l, n_max=n_max)
+            target = cycle(2 * l + 1)
+            start = len(calls)
+            colouring = {}
+            for witness, (rows, colour, *_) in _root_stream(cfg, Budget(), n_max, target):
+                g = Graph(rows)
+                colouring[rows] = colour
+                if colour is not None:
+                    assert verify_mapping(g, target, VertexMap(len(rows), target.order, colour)), rows
+                    assert witness is None
+                elif g.order <= 6:
+                    assert not brute_has_hom(g, target), rows
+                else:
+                    assert find_homomorphism(g, target) is None, rows
+            for rows, m in calls[start:]:
+                parent = tuple(r & ~(1 << len(rows) - 1) for r in rows[:-1])
+                assert colouring[parent] is not None, rows
+                assert (m is None) == (colouring[rows] is None), rows
+            if (k, l) == (1, 1):
+                # 371 graphs have no 3-colouring, and only those whose
+                # parent has one can reach the solver.
+                assert len(calls) - start < 37
+        assert calls
 
-    @pytest.mark.parametrize("m", [3, 5, 7])
-    def test_extension_finds_a_colour_when_one_exists(self, m):
-        target = cycle(m)
+    # Cycles keep their ids, the order m of C_m.
+    @pytest.mark.parametrize("target", [cycle(3), cycle(5), cycle(7), complete(4), circular_clique(7, 2)],
+                             ids=["3", "5", "7", "K4", "K7/2"])
+    def test_extension_finds_a_colour_when_one_exists(self, target):
+        m = target.order
         for size in (1, 2, 3):
             for colours in itertools.product(range(m), repeat=size):
                 fits = [c for c in range(m) if all(target.has_edge(c, x) for x in colours)]
-                got = _extend_colouring(colours, (1 << size) - 1, m)
+                got = _extend_colouring(colours, (1 << size) - 1, target.rows)
                 assert (got is None) == (not fits), colours
                 if got is not None:
-                    assert got[:size] == colours and got[size] in fits
+                    assert got[:size] == colours and got[size] == fits[0]
 
     def test_solver_calls(self, monkeypatch, tmp_path):
         # Solving every odd-girth-5 class from scratch takes 732 calls.  A
@@ -652,6 +665,23 @@ class TestEtaDriver:
         assert "eta(" not in out.out + out.err
         assert path.read_bytes() == before
 
+    def test_empty_file_is_a_new_checkpoint(self, tmp_path, monkeypatch, capsys):
+        # A file created and left empty, as by mktemp or by a run killed
+        # before its header was written, starts a new log.
+        want = records_of(eta_search(self.CFG))
+        path = tmp_path / "eta.ckpt"
+        path.write_bytes(b"")
+        monkeypatch.delenv("ODDHOM_BUDGET_SECONDS", raising=False)
+        assert main(["search-eta", "--k", "2", "--l", "1", "--max-n", "9",
+                     "--checkpoint", str(path)]) == EXIT_OK
+        assert "eta(2,1) >= 10" in capsys.readouterr().err
+        lines = path.read_bytes().splitlines()
+        assert lines[0].decode() == f"{search._LOG_MAGIC} {self.CFG.config_hash()}"
+        assert len(lines) == 1 + A024607[7]
+        grown = self.grown_roots(monkeypatch)
+        assert records_of(eta_search(self.CFG, checkpoint=str(path))) == want
+        assert grown == []
+
     def test_truncated_report_claims_no_bound(self):
         report = eta_search(SearchConfig(k=2, l=1, n_max=10), budget=Budget(seconds=0))
         assert report.truncated
@@ -699,8 +729,10 @@ class TestEtaDriver:
     def test_minimal_counterexample_search_bound_15(self, monkeypatch):
         calls = solver_calls(monkeypatch)
         report = eta_search(SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES))
-        # The solver runs only after the final rules: two graphs reach it.
-        assert len(calls) <= 2
+        # Every graph of this stream maps to C5, and each carries its map:
+        # the solver runs only on the 40 of its 2,361 graphs whose parent's
+        # map leaves the new vertex no colour.
+        assert len(calls) <= 40
         assert not report.truncated
         assert report.minimal_counterexample_mode
         assert [r.enumerated for r in report.records] == MINIMAL_OG7
