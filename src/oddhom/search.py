@@ -44,12 +44,18 @@ sequences.
 Growth never creates a short odd cycle: attaching a vertex adjacent to S
 creates an odd cycle shorter than 2k+1 iff two members of S are joined by an
 odd walk of length at most 2k-3, so admissible S are exactly the independent
-sets of a per-parent "conflict graph".  The claim rules of minimal-
-counterexample searches are written once, in the table ``RULES``: hereditary
-ones prune during growth (no 4-cycle: no common neighbour in S; no 6-cycle:
-no length-4 path inside S; degree/second-neighbourhood caps, checked on each
-child), so the stream does not depend on n_max, and the rest (minimum degree
-2, thread bound, 5-walks, core) are consulted only when a completed graph is
+sets of a per-parent "conflict graph".  Its edges are symmetric, and a
+vertex's row of them is computed only when the walk over the sets extends
+one from that vertex, or needs that vertex to complete one; under the
+degree bound that is one row or none in most parents.  The claim rules of
+minimal-counterexample searches are written once, in the table ``RULES``:
+hereditary ones prune during growth (no 4-cycle: no common neighbour in S;
+no 6-cycle: no length-4 path inside S, both as conflicts; the
+degree/second-neighbourhood cap, a condition at each vertex that reads its
+neighbours' rows, checked on each child at the new vertex, S and S's
+neighbours, the only vertices whose reading can differ from the parent's),
+so the stream does not depend on n_max, and the rest (minimum degree 2,
+thread bound, 5-walks, core) are consulted only when a completed graph is
 tested as a witness.  A rule that prunes through a conflict is checked
 through it too: a graph passes iff no vertex has two neighbours that
 conflict once it is deleted, the test growth makes of each added vertex.
@@ -118,14 +124,11 @@ RULE_FIVE_WALK = "FIVE_WALK"
 
 # -- structural predicates -------------------------------------------------------
 
-def _second_neighbourhood_ok(g: Graph) -> bool:
-    for v, row in enumerate(g.rows):
-        d = row.bit_count()
-        if d >= 4:
-            return False
-        if d == 3 and (_neighbors_of_set(g.rows, row) & ~row & ~(1 << v)).bit_count() >= 5:
-            return False
-    return True
+def _second_neighbourhood_ok(rows, v) -> bool:
+    """True iff ``v`` has degree at most 3 and, at degree 3, at most 4 vertices at distance 2."""
+    row = rows[v]
+    d = row.bit_count()
+    return d < 3 or d == 3 and (_neighbors_of_set(rows, row) & ~row & ~(1 << v)).bit_count() < 5
 
 
 def _five_walks(g: Graph) -> bool:
@@ -157,25 +160,40 @@ def _path4_targets(rows, u):
 class Rule:
     """One structural rule: its predicate ``check``, where it acts, its scope.
 
-    ``stage`` is "scheme" (guaranteed by the generation), "growth" (hereditary,
-    enforced by ``conflict``, the vertices ``u`` may not share a new neighbour
-    with, or else by ``check`` on each child) or "final" (checked on witness
-    candidates).  A rule with a ``conflict`` has no ``check`` of its own:
-    ``holds`` applies the conflict to every vertex as growth applies it to
-    the added one.  ``scope`` is (k, l, largest n_max) for which a minimal
-    counterexample provably satisfies the rule; None means every search.
+    ``stage`` is "scheme" (guaranteed by the generation), "growth"
+    (hereditary, checked on each child) or "final" (checked on witness
+    candidates); a scheme or final ``check`` takes the graph.  A growth rule
+    takes one of two forms:
+
+    - ``conflict(rows, u)``, the mask of vertices that may not share a new
+      neighbour with ``u``.  It must be symmetric: for u != v, v is in
+      ``conflict(rows, u)`` iff u is in ``conflict(rows, v)``, so that
+      ``_attachment_sets`` may read the independence of two vertices from
+      either one's mask.  Such a rule has no ``check`` of its own: ``holds``
+      applies the conflict to every vertex as growth applies it to the
+      added one.
+    - ``check(rows, v)``, a vertex condition that reads only ``rows[v]`` and
+      the rows of v's neighbours.  ``holds`` applies it to every vertex;
+      growth applies it only where a child's rows differ from its parent's
+      (``_holds_near``).
+
+    ``scope`` is (k, l, largest n_max) for which a minimal counterexample
+    provably satisfies the rule; None means every search.
     """
 
     name: str
-    check: Callable[[Graph], bool] | None
+    check: Callable | None
     stage: str
     scope: tuple | None = None
     conflict: Callable | None = None
 
     def holds(self, g: Graph) -> bool:
         """True iff ``g`` satisfies the rule.  Through a ``conflict``: for
-        every vertex v, no two neighbours of v conflict in g - v."""
+        every vertex v, no two neighbours of v conflict in g - v.  A growth
+        ``check`` holds at every vertex."""
         if self.conflict is None:
+            if self.stage == "growth":
+                return all(self.check(g.rows, v) for v in range(g.order))
             return self.check(g)
         for v, row in enumerate(g.rows):
             rest = [0 if u == v else r & ~(1 << v) for u, r in enumerate(g.rows)]
@@ -273,17 +291,17 @@ class SearchConfig:
 
 # -- canonical augmentation -----------------------------------------------------
 
-def _conflict_masks(rows, n, k, growth):
-    """conflict[u] = attachment partners that would create a forbidden cycle."""
-    limit = 2 * k - 3
-    conf = [0] * n
-    for u in range(n):
-        m = odd_reach_within(rows, u, limit) if limit >= 1 else 0
-        for rule in growth:
-            if rule.conflict is not None:
-                m |= rule.conflict(rows, u)
-        conf[u] = m & ~(1 << u)
-    return conf
+def _conflict_mask(rows, u, limit, conflicts):
+    """The attachment partners of ``u`` that would close a forbidden cycle.
+
+    They are the vertices an odd walk of length at most ``limit`` joins to
+    ``u`` (an odd cycle shorter than 2k+1 for limit 2k-3), and those of the
+    growth rules' ``conflicts``.  Every part is symmetric, so the mask is.
+    """
+    m = odd_reach_within(rows, u, limit) if limit >= 1 else 0
+    for conflict in conflicts:
+        m |= conflict(rows, u)
+    return m & ~(1 << u)
 
 
 def _pieces(rows, n):
@@ -312,23 +330,7 @@ def _pieces(rows, n):
     return table
 
 
-def _indep_sets(n, conf, max_size):
-    """All nonempty sets of at most ``max_size`` of the ``n`` vertices, independent in ``conf``."""
-    out = []
-    stack = [((1 << n) - 1, 0, 0)]
-    while stack:
-        avail, cur, size = stack.pop()
-        while avail:
-            b = avail & -avail
-            avail ^= b
-            s = cur | b
-            out.append(s)
-            if size + 1 < max_size:
-                stack.append((avail & ~conf[b.bit_length() - 1], s, size + 1))
-    return out
-
-
-def _attachment_sets(rows, n, conf, pieces):
+def _attachment_sets(rows, n, pieces, limit, conflicts):
     """The independent attachment sets that can pass ``_accepted``'s degree stage.
 
     Let m be the least degree of a non-cutvertex of the parent and R the
@@ -340,12 +342,50 @@ def _attachment_sets(rows, n, conf, pieces):
     stage rejects every S with |S| > m + 1, and every S with |S| = m + 1
     that misses a member of R.  R is invariant under the parent's
     automorphisms, so whole orbits of sets drop together.
+
+    The sets are independent in the conflict graph whose masks
+    ``_conflict_mask`` computes from ``limit`` and ``conflicts``.  A
+    depth-first walk lists them: a set extends only by vertices above its
+    last one, b, that conflict with none of its members, so it reads b's
+    mask, computed when first needed.  A set of size m extends to size
+    m + 1 only if it holds R, or misses one member r of R and takes r; then
+    r's mask, by symmetry, tells whether r and b conflict.  In most parents
+    m is 1, and the walk reads one mask at most.  The list is that of every
+    independent set up to size m + 1, in the walk's order, without those
+    the bound drops.
     """
     degs = [r.bit_count() for r in rows]
     noncut = [v for v in range(n) if len(pieces[v]) <= 1]
     m = min(degs[v] for v in noncut)
     R = sum(1 << v for v in noncut if degs[v] == m)
-    return [S for S in _indep_sets(n, conf, m + 1) if S & R == R or S.bit_count() <= m]
+    conf = [None] * n
+
+    def conflict(v):
+        if conf[v] is None:
+            conf[v] = _conflict_mask(rows, v, limit, conflicts)
+        return conf[v]
+
+    out = []
+    # A frame is (vertices that may extend ``cur``, ``cur``, the size of
+    # its extensions).  m is 0 only in the one-vertex graph, whose one set
+    # {0} is R; so only extensions of size m + 1 need R.
+    stack = [((1 << n) - 1, 0, 1)]
+    while stack:
+        avail, cur, size = stack.pop()
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            s = cur | b
+            out.append(s)
+            if size > m:
+                continue
+            missing = R & ~s
+            if size < m or not missing:
+                stack.append((avail & ~conflict(b.bit_length() - 1), s, size + 1))
+            elif missing & avail and not missing & (missing - 1) and not (
+                    conflict(missing.bit_length() - 1) & b):
+                stack.append((missing, s, size + 1))
+    return out
 
 
 def _accepted(rows_t, n, S, pieces):
@@ -443,6 +483,18 @@ def _accepted(rows_t, n, S, pieces):
     return cells, [], gens
 
 
+def _holds_near(checks, rows, S):
+    """True iff each vertex check holds at S and its neighbours in ``rows``.
+
+    ``rows`` joins a new vertex to the set S of a parent that passes the
+    checks.  A check at v reads only v's row and its neighbours' rows (see
+    ``Rule``), and only the new vertex and S have new rows.  The new vertex
+    is a neighbour of S, and at any vertex neither in S nor adjacent to it,
+    every check reads what it read in the parent.
+    """
+    return all(check(rows, v) for v in _bits(S | _neighbors_of_set(rows, S)) for check in checks)
+
+
 def _set_orbit(s, gens):
     """Orbit of the vertex set ``s`` (a bitmask) under the group ``gens``."""
     out = {s}
@@ -485,6 +537,13 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     node.  Graphs of order ``stop`` (at most n_max) are yielded but not
     grown; they form the frontier whose subtrees ``_expand_subtree`` grows.
 
+    The config's growth rules act in two ways.  Their conflicts, with the
+    odd-walk limit 2k - 3, shape the attachment sets ``_attachment_sets``
+    lists, which computes the masks it reads as it needs them.  Their vertex
+    checks run on each child by ``_holds_near``, at the new vertex, S and
+    S's neighbours only: every other vertex reads what it read in this
+    node, which passed them.
+
     With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
     (witness: its graph6, else None) and carries its colouring, a map to
     the target as a tuple of colours, or None exactly when it has no map.
@@ -495,8 +554,8 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     if n >= stop:
         return
     growth = _rules(cfg.prune_rules, "growth")
-    child_checks = [rule.check for rule in growth if rule.conflict is None]
-    conf = _conflict_masks(rows, n, cfg.k, growth)
+    conflicts = [rule.conflict for rule in growth if rule.conflict is not None]
+    checks = [rule.check for rule in growth if rule.conflict is None]
     cells = refine_partition(rows, cells, fresh)
     if gens is None and any(c & (c - 1) for c in cells):
         gens = canonical_search(rows, n, cells)[3]
@@ -508,7 +567,7 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     # Sets that the degree stage of _accepted would reject are never built;
     # the ones left can still fail it when the child turns a parent
     # cutvertex, inside S or outside it, into a non-cutvertex.
-    for S in _attachment_sets(rows, n, conf, pieces):
+    for S in _attachment_sets(rows, n, pieces, 2 * cfg.k - 3, conflicts):
         budget.tick("enumeration")
         if S in pending:
             pending.remove(S)
@@ -519,10 +578,8 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
         child = [r | newbit if S >> i & 1 else r for i, r in enumerate(rows)]
         child.append(S)
         child_t = tuple(child)
-        if child_checks:
-            g = Graph(child_t, _validate=False)
-            if not all(check(g) for check in child_checks):
-                continue
+        if checks and not _holds_near(checks, child_t, S):
+            continue
         state = _accepted(child_t, nc, S, pieces)
         if state is None:
             continue

@@ -34,7 +34,7 @@ from oddhom import (
 from oddhom import canon, search
 from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
-from oddhom.graphs import delete_vertex
+from oddhom.graphs import delete_vertex, odd_reach_within
 from oddhom.hom import VertexMap, find_homomorphism, is_core, verify_mapping
 from oddhom.table import designated_odd_k4
 from oddhom.search import (
@@ -42,12 +42,15 @@ from oddhom.search import (
     RULE_MAX_DEGREE_3_SECONDNBHD,
     RULE_NO_4_CYCLE,
     RULE_NO_6_CYCLE,
+    RULES,
     _accepted,
     _attachment_sets,
-    _conflict_masks,
+    _common_neighbour_partners,
+    _conflict_mask,
     _cycle_colouring,
     _extend_colouring,
-    _indep_sets,
+    _holds_near,
+    _path4_targets,
     _pieces,
     _root_stream,
     _rules,
@@ -145,23 +148,54 @@ class TestEnumerationCounts:
         assert stream_counts(SearchConfig(k=3, l=2, n_max=12)) == ODD_GIRTH_7 + [26532, 221032]
 
 
+def indep_sets(n, conf, max_size):
+    """All nonempty sets of at most ``max_size`` of the ``n`` vertices,
+    independent in ``conf``, in the order of the search's walk: every
+    singleton, then the extensions of the highest one first."""
+    out = []
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        avail, cur, size = stack.pop()
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            s = cur | b
+            out.append(s)
+            if size + 1 < max_size:
+                stack.append((avail & ~conf[b.bit_length() - 1], s, size + 1))
+    return out
+
+
+def growth_conflicts(cfg):
+    """(odd-walk limit, conflicts of the growth rules) of a config, as growth reads them."""
+    return 2 * cfg.k - 3, [r.conflict for r in _rules(cfg.prune_rules, "growth") if r.conflict]
+
+
+def every_mask(rows, limit, conflicts):
+    return [_conflict_mask(rows, u, limit, conflicts) for u in range(len(rows))]
+
+
+def child_of(rows, S):
+    """The parent ``rows`` with a new last vertex joined to the set ``S``."""
+    n = len(rows)
+    return tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
+
+
 class TestDegreeBound:
     @staticmethod
     def dropped_sets_rejected(cfg):
         # The bound may only drop attachment sets whose child the canonical
         # test rejects anyway.
-        growth = _rules(cfg.prune_rules, "growth")
+        limit, conflicts = growth_conflicts(cfg)
         dropped = 0
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
-            conf = _conflict_masks(rows, n, cfg.k, growth)
-            every = set(_indep_sets(n, conf, n))
+            every = set(indep_sets(n, every_mask(rows, limit, conflicts), n))
             pieces = _pieces(rows, n)
-            kept = _attachment_sets(rows, n, conf, pieces)
+            kept = _attachment_sets(rows, n, pieces, limit, conflicts)
             assert set(kept) <= every
             for S in every - set(kept):
-                child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
-                assert _accepted(child, n + 1, S, pieces) is None, (rows, S)
+                assert _accepted(child_of(rows, S), n + 1, S, pieces) is None, (rows, S)
                 dropped += 1
         return dropped
 
@@ -173,6 +207,122 @@ class TestDegreeBound:
     def test_dropped_sets_under_degree_3_cap(self):
         cfg = SearchConfig(k=3, l=2, n_max=11, prune_rules=frozenset({RULE_CONNECTED, *HEREDITARY}))
         assert self.dropped_sets_rejected(cfg) > 100
+
+
+def eager_attachment_sets(rows, n, pieces, limit, conflicts):
+    """``_attachment_sets`` with every conflict mask computed up front: every
+    independent set up to size m + 1, filtered by the degree bound."""
+    conf = every_mask(rows, limit, conflicts)
+    degs = [r.bit_count() for r in rows]
+    noncut = [v for v in range(n) if len(pieces[v]) <= 1]
+    m = min(degs[v] for v in noncut)
+    R = sum(1 << v for v in noncut if degs[v] == m)
+    return [S for S in indep_sets(n, conf, m + 1) if S & R == R or S.bit_count() <= m], m
+
+
+class TestAttachmentSetsOnDemand:
+    """``_attachment_sets`` computes a conflict mask only when its walk reads
+    it, and lists the same sets in the same order as the eager reference, so
+    the budget ticks, the orbit skip and the representatives are unchanged."""
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(k=1, l=1, n_max=7),
+        SearchConfig(k=2, l=1, n_max=8),
+        SearchConfig(k=3, l=2, n_max=10),
+        SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES),
+    ], ids=["k1", "k2", "k3", "k3-all-rules"])
+    def test_same_list_as_eager_reference(self, cfg, monkeypatch):
+        limit, conflicts = growth_conflicts(cfg)
+        calls = Counter()
+        computed = eager = 0
+        for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
+            n = len(rows)
+            pieces = _pieces(rows, n)
+            want, m = eager_attachment_sets(rows, n, pieces, limit, conflicts)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "_conflict_mask", counting("_conflict_mask", calls))
+                got = _attachment_sets(rows, n, pieces, limit, conflicts)
+            assert got == want, rows
+            assert calls["_conflict_mask"] <= (1 if m == 1 else n), (rows, m)
+            computed += calls["_conflict_mask"]
+            eager += n
+        assert computed < eager, (computed, eager)
+
+
+class TestConflictSymmetry:
+    """The contract ``_attachment_sets`` relies on (see ``Rule``): v is in
+    conf(u) iff u is in conf(v), for the odd-walk reach and every rule's
+    conflict."""
+
+    CONFLICTS = {
+        "odd-reach-1": lambda rows, u: odd_reach_within(rows, u, 1),
+        "odd-reach-3": lambda rows, u: odd_reach_within(rows, u, 3),
+        "odd-reach-5": lambda rows, u: odd_reach_within(rows, u, 5),
+        "common-neighbour": _common_neighbour_partners,
+        "path-4": _path4_targets,
+    }
+
+    def test_every_rule_conflict_is_covered(self):
+        assert {r.conflict for r in RULES if r.conflict} <= set(self.CONFLICTS.values())
+
+    @staticmethod
+    def assert_symmetric(graphs):
+        checked = Counter()
+        for g in graphs:
+            n = g.order
+            for name, conflict in TestConflictSymmetry.CONFLICTS.items():
+                conf = [conflict(g.rows, u) for u in range(n)]
+                for u, v in itertools.combinations(range(n), 2):
+                    assert conf[u] >> v & 1 == conf[v] >> u & 1, (name, g.rows, u, v)
+                    checked[name] += conf[u] >> v & 1
+        # Every conflict relates some pair.
+        assert min(checked.values()) > 0 and len(checked) == 5, checked
+
+    def test_atlas(self):
+        self.assert_symmetric(atlas())
+
+    def test_random_graphs(self):
+        rng = random.Random(23)
+        self.assert_symmetric([random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5))
+                               for _ in range(300)])
+
+
+class TestLocalCapCheck:
+    """Growth checks the degree-3 cap on a child only at the new vertex, S
+    and S's neighbours (``_holds_near``); on a parent that passes, that must
+    agree with the cap checked at every vertex of the child."""
+
+    CAP = [r.check for r in RULES if r.name == RULE_MAX_DEGREE_3_SECONDNBHD]
+
+    @classmethod
+    def assert_local_equals_full(cls, rows, sets, outcomes):
+        assert claim_filter(Graph(rows), RULE_MAX_DEGREE_3_SECONDNBHD)
+        for S in sets:
+            child = child_of(rows, S)
+            got = _holds_near(cls.CAP, child, S)
+            assert got == claim_filter(Graph(child), RULE_MAX_DEGREE_3_SECONDNBHD), (rows, S)
+            outcomes[got] += 1
+
+    def test_every_child_of_the_hereditary_stream(self):
+        # Every independent set of every parent of order <= 11, including
+        # those the degree bound drops and those whose child is rejected.
+        cfg = SearchConfig(k=3, l=2, n_max=11, prune_rules=frozenset({RULE_CONNECTED, *HEREDITARY}))
+        limit, conflicts = growth_conflicts(cfg)
+        outcomes = Counter()
+        for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
+            sets = indep_sets(len(rows), every_mask(rows, limit, conflicts), len(rows))
+            self.assert_local_equals_full(rows, sets, outcomes)
+        assert outcomes[True] > 1000 and outcomes[False] > 500, outcomes
+
+    def test_every_subset_of_small_graphs(self):
+        # Any S, adjacent members allowed, on every connected graph of order
+        # <= 6 that passes the cap.
+        outcomes = Counter()
+        for g in enumerate_graphs(SearchConfig(k=1, l=1, n_max=6)):
+            if claim_filter(g, RULE_MAX_DEGREE_3_SECONDNBHD):
+                self.assert_local_equals_full(g.rows, range(1, 1 << g.order), outcomes)
+        assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
 
 def full_refinement_accepted(rows_t, n):
@@ -269,8 +419,8 @@ class TestEarlyExit:
             if n == n_max:
                 continue
             pieces = _pieces(rows, n)
-            for S in _indep_sets(n, _conflict_masks(rows, n, k, []), n):
-                child = tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,)
+            for S in indep_sets(n, every_mask(rows, 2 * k - 3, []), n):
+                child = child_of(rows, S)
                 want = full_refinement_accepted(child, n + 1)
                 work.clear()
                 got = _accepted(child, n + 1, S, pieces)
