@@ -43,16 +43,18 @@ that admits a map.
 A v-special colouring is a proper 3-colouring of the vertices at distance 3
 or more from v in which the third colour appears only on vertices isolated
 within that induced subgraph and no distance-2 vertex sees both of the first
-two colours.  For graphs of odd-girth at least 7 such a colouring extends to
-an explicit homomorphism onto the 5-cycle; both the search for one and the
-extension are implemented here.
+two colours.  Isolated far vertices can always take the third colour, so
+one exists iff the graph H on the other far vertices and the distance-2
+vertices, with g's edges inside the former and between the two, is
+bipartite; one BFS 2-colouring of H decides it and builds the colouring.
+For graphs of odd-girth at least 7 such a colouring extends to an explicit
+homomorphism onto the 5-cycle, also implemented here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .canon import search_graph
 from .constructions import circular_clique, complete, cycle
@@ -308,70 +310,39 @@ def _vspecial_violation(g: Graph, col: VSpecialColouring):
 
 
 def exists_v_special(g: Graph, v: int) -> VSpecialColouring | None:
-    """Exhaustive search for a v-special colouring of the distance->=3 ball.
+    """A v-special colouring of the distance->=3 ball, or None if there is none.
 
-    The class-3-only-on-isolated rule forces every non-trivial component of
-    the induced subgraph to be 2-coloured with classes 1 and 2, so the search
-    space is one bipartition flip per component times a free choice of class
-    for each isolated vertex; each candidate is then screened against the
-    distance-2 condition.
+    The decision is one BFS 2-colouring.  A far vertex (distance >= 3)
+    isolated in the far subgraph takes class 3, which no rule counts
+    against anything, so only the other far vertices F need classes 1 and 2.
+    Let H be the graph on F and the distance-2 vertices N2, with g's edges
+    inside F and g's edges between N2 and F.  A v-special colouring exists
+    iff H is bipartite.  A 2-colouring of H restricts to a proper colouring
+    of F, and it gives all F-neighbours of a distance-2 vertex the same
+    class, so no distance-2 vertex sees both classes 1 and 2.  Conversely,
+    given a v-special colouring, put each distance-2 vertex opposite the
+    class its F-neighbours share: that 2-colours H.
     """
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range for order {g.order}")
     part = distance_partition(g, v)
-    far_list = sorted(part.n3plus)
-    far = 0
-    for u in far_list:
-        far |= 1 << u
-
-    # Components of the induced subgraph, with a 2-colouring of each.
-    comps = []
-    isolated = []
-    seen = 0
-    for u in far_list:
-        if seen >> u & 1:
+    rows = g.rows
+    far = sum(1 << u for u in part.n3plus)
+    inner = sum(1 << u for u in part.n3plus if rows[u] & far)
+    n2 = sum(1 << u for u in part.n2)
+    cls = {}
+    for root in _bits(inner):
+        if root in cls:
             continue
-        if not g.rows[u] & far:
-            isolated.append(u)
-            seen |= 1 << u
-            continue
-        side = {u: 0}
-        frontier = [u]
-        seen |= 1 << u
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in _bits(g.rows[a] & far):
-                    if b in side:
-                        if side[b] == side[a]:
-                            return None  # odd component: no proper 2-colouring
-                    else:
-                        side[b] = side[a] ^ 1
-                        seen |= 1 << b
-                        nxt.append(b)
-            frontier = nxt
-        comps.append(side)
-
-    n2_list = sorted(part.n2)
-    for flips in product((0, 1), repeat=len(comps)):
-        base = {}
-        for flip, side in zip(flips, comps):
-            for u, s in side.items():
-                base[u] = C1 if s ^ flip == 0 else C2
-        for iso_classes in product((C1, C2, C3), repeat=len(isolated)):
-            cls = dict(base)
-            cls.update(zip(isolated, iso_classes))
-            ok = True
-            for u in n2_list:
-                seen_cls = 0
-                for w in _bits(g.rows[u] & far):
-                    seen_cls |= 1 << cls[w]
-                if seen_cls & (1 << C1) and seen_cls & (1 << C2):
-                    ok = False
-                    break
-            if ok:
-                return VSpecialColouring(v, cls)
-    return None
+        cls[root] = C1
+        queue = [root]
+        for a in queue:
+            # a's row in H: F for a distance-2 vertex, F and N2 for one of F.
+            for b in _bits(rows[a] & (inner if n2 >> a & 1 else inner | n2)):
+                if b not in cls:
+                    cls[b] = C1 + C2 - cls[a]
+                    queue.append(b)
+                elif cls[b] == cls[a]:
+                    return None
+    return VSpecialColouring(v, {u: cls.get(u, C3) for u in _bits(far)})
 
 
 def extend_v_special(g: Graph, col: VSpecialColouring) -> VertexMap:

@@ -1,5 +1,5 @@
-"""Output of the table-driven CLI subcommands: the one-graph queries, ``build``
-and ``detect``."""
+"""Output of the table-driven CLI subcommands: the one-graph queries, ``build``,
+``detect`` and ``v-special``."""
 
 import json
 
@@ -7,9 +7,11 @@ import pytest
 
 from oddhom import (
     OddK4Witness,
+    VSpecialColouring,
     circular_clique,
     complete,
     cycle,
+    extend_v_special,
     fixture,
     generalized_mycielski,
     odd_k32,
@@ -88,3 +90,25 @@ def test_detect_zero_budget(tmp_path, capsys, monkeypatch, kind, g):
     assert code == EXIT_BUDGET
     assert captured.out == ""
     assert "budget exceeded" in captured.err
+
+
+def test_v_special_on_c7(tmp_path, capsys):
+    g = cycle(7)
+    code, out = run(capsys, ["v-special", write_graph(tmp_path, g), "0"])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    col = VSpecialColouring(data["center"], {int(u): c for u, c in data["classes"].items()})
+    assert col.center == 0
+    assert extend_v_special(g, col).image[0] == 2
+
+
+def test_v_special_none_on_fig2a(tmp_path, capsys):
+    assert run(capsys, ["v-special", write_graph(tmp_path, fixture("fig2a")), "0"]) \
+        == (EXIT_NEGATIVE, "NONE")
+
+
+def test_v_special_vertex_out_of_range(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["v-special", write_graph(tmp_path, cycle(7)), "7"])
+    assert exc.value.code == EXIT_USAGE
+    assert "out of range" in capsys.readouterr().err

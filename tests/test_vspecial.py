@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oddhom import (
@@ -13,6 +15,10 @@ from oddhom import (
     odd_k4,
     verify_mapping,
 )
+from oddhom.graphs import distance_partition
+from oddhom.hom import _vspecial_violation
+
+from conftest import atlas, random_graph
 
 
 def test_c7_has_v_special_everywhere():
@@ -110,12 +116,53 @@ def test_condition_ii_violation_rejected():
 
 
 def test_low_odd_girth_extension_fails_loudly():
-    # C5 itself: the far set is empty... use C3 plus a tail so a valid-shaped
-    # colouring exists but the graph has odd-girth 3 and the extension must
-    # catch the violated precondition somewhere in the corpus sweep instead
-    # of silently producing a non-map.
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
+    # K3 at 0: the far set is empty, so the empty colouring is v-special,
+    # but the edge inside N(0) cannot map to C5 by the fixed extension.
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     col = exists_v_special(g, 0)
-    if col is not None:
-        with pytest.raises(ValueError):
-            extend_v_special(g, col)
+    assert col is not None
+    with pytest.raises(ValueError):
+        extend_v_special(g, col)
+
+
+def brute_force_v_special(g, v):
+    """Every v-special colouring at v: each map of the far set to {1, 2, 3}
+    that ``_vspecial_violation`` accepts.  Maps giving two adjacent far
+    vertices one class are dropped as they are built; the check rejects
+    them all anyway."""
+    maps = [{}]
+    for u in sorted(distance_partition(g, v).n3plus):
+        maps = [{**m, u: c} for m in maps for c in (1, 2, 3)
+                if all(m[w] != c for w in m if g.rows[u] >> w & 1)]
+    return [m for m in maps if _vspecial_violation(g, VSpecialColouring(v, m)) is None]
+
+
+def random_graphs():
+    rng = random.Random(23)
+    return [random_graph(rng, rng.randint(8, 12), rng.uniform(0.25, 0.45)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("graphs", [atlas, random_graphs])
+def test_exists_matches_brute_force(graphs):
+    none = found = 0
+    for g in graphs():
+        for v in range(g.order):
+            valid = brute_force_v_special(g, v)
+            col = exists_v_special(g, v)
+            assert (col is None) == (not valid), (g.rows, v)
+            if col is None:
+                none += 1
+            else:
+                found += 1
+                assert col.center == v
+                assert _vspecial_violation(g, col) is None
+    assert none and found
+
+
+def test_pendants_on_an_odd_cycle_of_h():
+    # v=0 - a=1 - b=2, a far path 3-4-5-6 with b joined to both ends, and
+    # 30 pendants on b: the pendants are isolated far vertices, and b with
+    # the path closes a 5-cycle of H, so no colouring exists.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)]
+    g = Graph.from_edges(37, edges + [(2, p) for p in range(7, 37)])
+    assert exists_v_special(g, 0) is None
