@@ -12,12 +12,18 @@ the new vertex lies in the automorphism orbit of that vertex.  Most degree
 rejections happen before a child is built: an S larger than one plus the
 least degree of a parent non-cutvertex, or of exactly that size but missing
 a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
-the budget ticks only the sets inside this bound.  Whether a vertex is
-a non-cutvertex is read from one component table per parent (the
-components of the parent minus each vertex; in a child, a parent vertex is
-a non-cutvertex iff S meets each of its components).  A remaining child
-with no other non-cutvertex of the new vertex's degree is accepted by the
-degrees alone.  Otherwise the first refinement round's keys of the new
+the budget ticks only the sets inside this bound.  The degree stage reads
+one table per parent (``_parent_table``), never the child: the parent's
+degree classes, and the components of the parent minus each vertex of
+degree at most m + 1, m the least degree of a parent non-cutvertex.  In a
+child, a parent vertex of degree d has degree d + 1 if it lies in S and d
+otherwise, which gives the child's degree partition, and it is a
+non-cutvertex iff S meets each of its components.  No vertex of larger
+degree is needed: the new vertex has degree |S| <= m + 1, only a vertex of
+child degree at most |S| can reject it or tie with it, and no vertex has a
+smaller degree in the child than in the parent.  A remaining child with no
+other non-cutvertex of the new vertex's degree is accepted by the degrees
+alone.  Otherwise the first refinement round's keys of the new
 vertex and of those rivals alone decide most children: a rival with a
 smaller key rejects, and none with an equal key accepts.  Rivals with an
 equal key that are all twins of the new vertex (same neighbours apart from
@@ -93,7 +99,9 @@ import time
 from collections import Counter, defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
+from operator import or_
+from typing import Callable, NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .canon import canonical_search, refine_partition, refine_round
@@ -304,44 +312,85 @@ def _conflict_mask(rows, u, limit, conflicts):
     return m & ~(1 << u)
 
 
-def _pieces(rows, n):
-    """The component table of a connected graph: ``pieces[v]`` lists the
-    vertex masks of the components of the graph minus ``v``.
+class _ParentTable(NamedTuple):
+    """What the children of one parent read from it (``_parent_table``)."""
+
+    degs: list
+    classes: list
+    upto: list
+    m: int
+    R: int
+    pieces: list
+
+
+def _parent_table(rows, n):
+    """The degree classes, degree bound and component table of a connected graph.
+
+    ``degs`` holds the degrees, ``classes[d]`` the mask of the vertices of
+    degree d and ``upto[d]`` that of degree at most d, for d up to the
+    largest degree plus one.  m is the least degree of a non-cutvertex and R
+    the mask of the non-cutvertices of degree m.  ``pieces[v]`` lists the
+    vertex masks of the components of the graph minus ``v``, for the
+    vertices of degree at most m + 1 only, and is None above.
 
     ``v`` is a non-cutvertex iff it has at most one piece (none only in the
-    one-vertex graph).  In a child that joins a new vertex to a set S of the
-    graph's vertices, ``v`` is a non-cutvertex iff S meets every piece of
-    ``v``: the new vertex then ties the pieces together, and a piece that S
-    misses stays cut off.
+    one-vertex graph, whose vertex is one).  In a child that joins a new
+    vertex to a set S of the graph's vertices, ``v`` is a non-cutvertex iff
+    S meets every piece of ``v``: the new vertex then ties the pieces
+    together, and a piece that S misses stays cut off.  Every piece holds a
+    neighbour of ``v``, since the graph is connected, so each walk starts
+    at a neighbour not yet reached, and the last one left needs no walk:
+    its piece is the rest (a leaf's one piece is all but the leaf).
+
+    The table is built in increasing degree; the first class that holds a
+    non-cutvertex has degree m, and after class m + 1 it stops.  That is all
+    the children read: ``_accepted`` asks for the pieces of v only when v's
+    degree in the child is at most |S| <= m + 1, and a vertex's degree in
+    the child is never below its degree here.
     """
+    degs = [r.bit_count() for r in rows]
+    classes = [0] * (max(degs) + 2)
+    for v, d in enumerate(degs):
+        classes[d] |= 1 << v
     full = (1 << n) - 1
-    table = []
-    for v in range(n):
-        rest = full ^ (1 << v)
-        comps = []
-        while rest:
-            seen = frontier = rest & -rest
-            while frontier:
-                frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
-                seen |= frontier
-            comps.append(seen)
-            rest ^= seen
-        table.append(comps)
-    return table
+    pieces = [None] * n
+    m = R = None
+    for d, cls in enumerate(classes):
+        if m is not None and d > m + 1:
+            break
+        for v in _bits(cls):
+            rest = full ^ (1 << v)
+            todo = rows[v]
+            comps = []
+            while todo & (todo - 1):
+                seen = frontier = todo & -todo
+                while frontier:
+                    frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
+                    seen |= frontier
+                comps.append(seen)
+                rest ^= seen
+                todo &= ~seen
+            if todo:
+                comps.append(rest)
+            pieces[v] = comps
+        if m is None:
+            R = sum(1 << v for v in _bits(cls) if len(pieces[v]) <= 1)
+            if R:
+                m = d
+    return _ParentTable(degs, classes, list(accumulate(classes, or_)), m, R, pieces)
 
 
-def _attachment_sets(rows, n, pieces, limit, conflicts):
+def _attachment_sets(rows, n, m, R, limit, conflicts):
     """The independent attachment sets that can pass ``_accepted``'s degree stage.
 
-    Let m be the least degree of a non-cutvertex of the parent and R the
-    non-cutvertices of degree m, both read from the component table
-    ``pieces`` (a non-cutvertex has at most one piece).  Outside S a vertex
-    keeps its degree, and a non-cutvertex stays one; inside S, with
-    |S| >= 2, a parent non-cutvertex stays one.  (A parent cutvertex may
-    become a non-cutvertex; the bound does not use that.)  So the degree
-    stage rejects every S with |S| > m + 1, and every S with |S| = m + 1
-    that misses a member of R.  R is invariant under the parent's
-    automorphisms, so whole orbits of sets drop together.
+    m is the least degree of a non-cutvertex of the parent and R the mask
+    of the non-cutvertices of degree m, as ``_parent_table`` gives them.
+    Outside S a vertex keeps its degree, and a non-cutvertex stays one;
+    inside S, with |S| >= 2, a parent non-cutvertex stays one.  (A parent
+    cutvertex may become a non-cutvertex; the bound does not use that.)  So
+    the degree stage rejects every S with |S| > m + 1, and every S with
+    |S| = m + 1 that misses a member of R.  R is invariant under the
+    parent's automorphisms, so whole orbits of sets drop together.
 
     The sets are independent in the conflict graph whose masks
     ``_conflict_mask`` computes from ``limit`` and ``conflicts``.  A
@@ -354,10 +403,6 @@ def _attachment_sets(rows, n, pieces, limit, conflicts):
     independent set up to size m + 1, in the walk's order, without those
     the bound drops.
     """
-    degs = [r.bit_count() for r in rows]
-    noncut = [v for v in range(n) if len(pieces[v]) <= 1]
-    m = min(degs[v] for v in noncut)
-    R = sum(1 << v for v in noncut if degs[v] == m)
     conf = [None] * n
 
     def conflict(v):
@@ -388,16 +433,26 @@ def _attachment_sets(rows, n, pieces, limit, conflicts):
     return out
 
 
-def _accepted(rows_t, n, S, pieces):
+def _accepted(rows_t, n, S, parent):
     """Canonical-deletion test for a child whose added vertex is n-1.
 
     The child joins the added vertex to the set ``S`` of its parent, whose
-    component table is ``pieces`` (see ``_pieces``).  Returns None when the
-    child is rejected.  Otherwise returns ``(cells, fresh, gens)``: the
-    cells where the test stopped, the fresh cells they are not yet stable
-    towards, and the generators of a canonical search, else None.  Refining
-    on from there reaches the unit partition's fixpoint, whose first round
-    is the degree partition with every cell but the last fresh.
+    ``_parent_table`` is ``parent``.  Returns None when the child is
+    rejected.  Otherwise returns ``(cells, fresh, gens)``: the cells where
+    the test stopped, the fresh cells they are not yet stable towards, and
+    the generators of a canonical search, else None.  Refining on from
+    there reaches the unit partition's fixpoint, whose first round is the
+    degree partition with every cell but the last fresh.
+
+    The degree stage reads the parent's table, not the child's rows.
+    The added vertex has degree |S|; a parent vertex of degree d has degree
+    d + 1 in the child if it lies in S, else d.  So the child's class of
+    degree d is ``classes[d] & ~S | classes[d - 1] & S``, plus the added
+    vertex at d = |S|, and its vertices of degree at most |S| are
+    ``upto[|S|] & ~S | upto[|S| - 1] & S``.  An S larger than m + 1 is
+    rejected at once, as ``_attachment_sets`` shows a member of R to be a
+    non-cutvertex of smaller degree.  The search never builds such a child,
+    and the table holds no pieces above degree m + 1.
 
     The rivals of the added vertex are the other non-cutvertices of its
     degree; a parent vertex is one in the child iff S meets each of its
@@ -422,19 +477,28 @@ def _accepted(rows_t, n, S, pieces):
       fixpoint, a cell whose rivals are all twins of a accepts as above;
     - search: only the remaining ties need the canonical search.
     """
-    added = n - 1
-    degs = [r.bit_count() for r in rows_t]
-    da = degs[added]
+    da = S.bit_count()
+    if da > parent.m + 1:
+        return None
+    degs, classes, upto, pieces = parent.degs, parent.classes, parent.upto, parent.pieces
     rivals = []
-    for v in range(added):
-        if degs[v] <= da and all(S & piece for piece in pieces[v]):
-            if degs[v] < da:
+    candidates = upto[da] & ~S | upto[da - 1] & S
+    while candidates:
+        b = candidates & -candidates
+        candidates ^= b
+        v = b.bit_length() - 1
+        for piece in pieces[v]:
+            if not S & piece:
+                break
+        else:
+            if degs[v] + (S >> v & 1) < da:
                 return None
             rivals.append(v)
-    by_degree = {}
-    for v, d in enumerate(degs):
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
+    added = n - 1
+    bit = 1 << added
+    by_degree = [c & ~S | below & S for below, c in zip((0, *classes), classes)]
+    by_degree[da] |= bit
+    cells = [c for c in by_degree if c]
     fresh = cells[:-1]
     if not rivals:
         return cells, fresh, None
@@ -455,7 +519,6 @@ def _accepted(rows_t, n, S, pieces):
             tied.append(v)
     if not tied:
         return cells, fresh, None
-    bit = 1 << added
     row_a = rows_t[added]
 
     def twins(vs):
@@ -537,6 +600,11 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     node.  Graphs of order ``stop`` (at most n_max) are yielded but not
     grown; they form the frontier whose subtrees ``_expand_subtree`` grows.
 
+    The node's ``_parent_table`` is built once: its m and R bound the
+    attachment sets, and every child's ``_accepted`` reads its degree
+    classes and component table.  A child's rows differ from the node's only
+    at S, whose rows gain the new vertex, and at the new vertex.
+
     The config's growth rules act in two ways.  Their conflicts, with the
     odd-walk limit 2k - 3, shape the attachment sets ``_attachment_sets``
     lists, which computes the masks it reads as it needs them.  Their vertex
@@ -559,7 +627,7 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     cells = refine_partition(rows, cells, fresh)
     if gens is None and any(c & (c - 1) for c in cells):
         gens = canonical_search(rows, n, cells)[3]
-    pieces = _pieces(rows, n)
+    parent = _parent_table(rows, n)
     # Later members of an orbit of attachment sets, waiting to be skipped.
     pending = set()
     nc = n + 1
@@ -567,7 +635,7 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     # Sets that the degree stage of _accepted would reject are never built;
     # the ones left can still fail it when the child turns a parent
     # cutvertex, inside S or outside it, into a non-cutvertex.
-    for S in _attachment_sets(rows, n, pieces, 2 * cfg.k - 3, conflicts):
+    for S in _attachment_sets(rows, n, parent.m, parent.R, 2 * cfg.k - 3, conflicts):
         budget.tick("enumeration")
         if S in pending:
             pending.remove(S)
@@ -575,12 +643,16 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
         if gens:
             pending |= _set_orbit(S, gens)
             pending.remove(S)
-        child = [r | newbit if S >> i & 1 else r for i, r in enumerate(rows)]
-        child.append(S)
+        child = [*rows, S]
+        rest = S
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            child[b.bit_length() - 1] |= newbit
         child_t = tuple(child)
         if checks and not _holds_near(checks, child_t, S):
             continue
-        state = _accepted(child_t, nc, S, pieces)
+        state = _accepted(child_t, nc, S, parent)
         if state is None:
             continue
         witness = child_colour = None

@@ -34,7 +34,7 @@ from oddhom import (
 from oddhom import canon, search
 from oddhom.canon import canonical_bytes, canonical_search, refine_partition
 from oddhom.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
-from oddhom.graphs import delete_vertex, odd_reach_within
+from oddhom.graphs import _bits, _neighbors_of_set, delete_vertex, odd_reach_within
 from oddhom.hom import VertexMap, find_homomorphism, is_core, verify_mapping
 from oddhom.table import designated_odd_k4
 from oddhom.search import (
@@ -50,8 +50,8 @@ from oddhom.search import (
     _cycle_colouring,
     _extend_colouring,
     _holds_near,
+    _parent_table,
     _path4_targets,
-    _pieces,
     _root_stream,
     _rules,
     _set_orbit,
@@ -191,11 +191,11 @@ class TestDegreeBound:
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
             every = set(indep_sets(n, every_mask(rows, limit, conflicts), n))
-            pieces = _pieces(rows, n)
-            kept = _attachment_sets(rows, n, pieces, limit, conflicts)
+            table = _parent_table(rows, n)
+            kept = _attachment_sets(rows, n, table.m, table.R, limit, conflicts)
             assert set(kept) <= every
             for S in every - set(kept):
-                assert _accepted(child_of(rows, S), n + 1, S, pieces) is None, (rows, S)
+                assert _accepted(child_of(rows, S), n + 1, S, table) is None, (rows, S)
                 dropped += 1
         return dropped
 
@@ -209,14 +209,42 @@ class TestDegreeBound:
         assert self.dropped_sets_rejected(cfg) > 100
 
 
-def eager_attachment_sets(rows, n, pieces, limit, conflicts):
+def component_table(rows, n):
+    """The component table of a connected graph, every vertex built: the
+    vertex masks of the components of the graph minus each vertex.
+
+    The eager reference of ``_parent_table``, which builds only the
+    vertices of degree at most m + 1."""
+    full = (1 << n) - 1
+    table = []
+    for v in range(n):
+        rest = full ^ (1 << v)
+        comps = []
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
+                seen |= frontier
+            comps.append(seen)
+            rest ^= seen
+        table.append(comps)
+    return table
+
+
+def degree_bound(rows, n):
+    """(m, R) from the whole component table: the least degree of a
+    non-cutvertex and the mask of the non-cutvertices of that degree."""
+    degs = [r.bit_count() for r in rows]
+    noncut = [v for v, p in enumerate(component_table(rows, n)) if len(p) <= 1]
+    m = min(degs[v] for v in noncut)
+    return m, sum(1 << v for v in noncut if degs[v] == m)
+
+
+def eager_attachment_sets(rows, n, limit, conflicts):
     """``_attachment_sets`` with every conflict mask computed up front: every
     independent set up to size m + 1, filtered by the degree bound."""
     conf = every_mask(rows, limit, conflicts)
-    degs = [r.bit_count() for r in rows]
-    noncut = [v for v in range(n) if len(pieces[v]) <= 1]
-    m = min(degs[v] for v in noncut)
-    R = sum(1 << v for v in noncut if degs[v] == m)
+    m, R = degree_bound(rows, n)
     return [S for S in indep_sets(n, conf, m + 1) if S & R == R or S.bit_count() <= m], m
 
 
@@ -237,12 +265,12 @@ class TestAttachmentSetsOnDemand:
         computed = eager = 0
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
-            pieces = _pieces(rows, n)
-            want, m = eager_attachment_sets(rows, n, pieces, limit, conflicts)
+            table = _parent_table(rows, n)
+            want, m = eager_attachment_sets(rows, n, limit, conflicts)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(search, "_conflict_mask", counting("_conflict_mask", calls))
-                got = _attachment_sets(rows, n, pieces, limit, conflicts)
+                got = _attachment_sets(rows, n, table.m, table.R, limit, conflicts)
             assert got == want, rows
             assert calls["_conflict_mask"] <= (1 if m == 1 else n), (rows, m)
             computed += calls["_conflict_mask"]
@@ -418,12 +446,12 @@ class TestEarlyExit:
             n = len(rows)
             if n == n_max:
                 continue
-            pieces = _pieces(rows, n)
+            table = _parent_table(rows, n)
             for S in indep_sets(n, every_mask(rows, 2 * k - 3, []), n):
                 child = child_of(rows, S)
                 want = full_refinement_accepted(child, n + 1)
                 work.clear()
-                got = _accepted(child, n + 1, S, pieces)
+                got = _accepted(child, n + 1, S, table)
                 assert (got is None) == (want is None), (rows, S)
                 stage = decisive_stage(child, n + 1)
                 if stage != "rounds":
@@ -451,22 +479,158 @@ class TestEarlyExit:
 class TestComponentTable:
     def test_noncut_agrees_with_deletion(self):
         # Every child of order up to 7 of every k = 1 parent (every connected
-        # graph): S meets each piece of v iff the child minus v is connected.
-        children = 0
+        # graph): S meets each piece of v iff the child minus v is connected,
+        # for every piece the eager table holds and every one that
+        # _parent_table builds.
+        children = built = 0
         for _, (rows, *_) in _root_stream(SearchConfig(k=1, l=1, n_max=6), Budget(), 6):
             n = len(rows)
-            pieces = _pieces(rows, n)
+            pieces = component_table(rows, n)
+            table = _parent_table(rows, n).pieces
             if n > 1:
                 parent = Graph(rows)
                 assert [len(p) <= 1 for p in pieces] == [
                     is_connected(delete_vertex(parent, v)) for v in range(n)]
             for S in range(1, 1 << n):
-                child = Graph(tuple(r | 1 << n if S >> i & 1 else r for i, r in enumerate(rows)) + (S,))
+                child = Graph(child_of(rows, S))
                 for v in range(n):
                     want = is_connected(delete_vertex(child, v))
                     assert all(S & p for p in pieces[v]) == want, (rows, S, v)
+                    if table[v] is not None:
+                        assert all(S & p for p in table[v]) == want, (rows, S, v)
+                        built += 1
                 children += 1
-        assert children > 5_000
+        assert children > 5_000 and built > 30_000, (children, built)
+
+
+def reference_accepted(rows_t, n, S, pieces):
+    """``_accepted`` as it was before the parent table: every degree read
+    from the child, the rivals scanned over every parent vertex, and the
+    non-cutvertices read from the whole ``component_table``."""
+    added = n - 1
+    degs = [r.bit_count() for r in rows_t]
+    da = degs[added]
+    rivals = []
+    for v in range(added):
+        if degs[v] <= da and all(S & piece for piece in pieces[v]):
+            if degs[v] < da:
+                return None
+            rivals.append(v)
+    by_degree = {}
+    for v, d in enumerate(degs):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    fresh = cells[:-1]
+    if not rivals:
+        return cells, fresh, None
+
+    def key(v):
+        row, k = rows_t[v], 0
+        for c in fresh:
+            k = k << 6 | (row & c).bit_count()
+        return k
+
+    ka = key(added)
+    tied = []
+    for v in rivals:
+        kv = key(v)
+        if kv < ka:
+            return None
+        if kv == ka:
+            tied.append(v)
+    if not tied:
+        return cells, fresh, None
+    bit = 1 << added
+    row_a = rows_t[added]
+
+    def twins(vs):
+        return all(rows_t[v] & ~bit == row_a & ~(1 << v) for v in vs)
+
+    if twins(tied):
+        return cells, fresh, None
+    tied_bits = sum(1 << v for v in tied)
+    cell = by_degree[da]
+    while fresh:
+        cells, fresh = canon.refine_round(rows_t, cells, fresh)
+        for cell in cells:
+            if cell & bit:
+                break
+            if cell & tied_bits:
+                return None
+        if not cell & tied_bits:
+            return cells, fresh, None
+    tie = [added] + list(_bits(cell & tied_bits))
+    if twins(tie[1:]):
+        return cells, [], None
+    _, perm, orbit, gens = canonical_search(rows_t, n, cells)
+    if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
+        return None
+    return cells, [], gens
+
+
+class TestParentTable:
+    """``_parent_table`` against its eager definitions, and ``_accepted``
+    reading it against ``reference_accepted`` reading the whole component
+    table, on every independent set of every parent, the root included."""
+
+    @staticmethod
+    def assert_matches(rows, sets, outcomes):
+        n = len(rows)
+        table = _parent_table(rows, n)
+        degs = [r.bit_count() for r in rows]
+        assert table.degs == degs
+        assert table.classes == [sum(1 << v for v in range(n) if degs[v] == d)
+                                 for d in range(max(degs) + 2)]
+        assert table.upto == [sum(1 << v for v in range(n) if degs[v] <= d)
+                              for d in range(max(degs) + 2)]
+        assert (table.m, table.R) == degree_bound(rows, n), rows
+        pieces = component_table(rows, n)
+        for v in range(n):
+            if degs[v] <= table.m + 1:
+                assert sorted(table.pieces[v]) == sorted(pieces[v]), (rows, v)
+            else:
+                assert table.pieces[v] is None, (rows, v)
+        for S in sets:
+            child = child_of(rows, S)
+            got = _accepted(child, n + 1, S, table)
+            assert got == reference_accepted(child, n + 1, S, pieces), (rows, S)
+            outcomes["rejected" if got is None else "searched" if got[2] else "accepted"] += 1
+        outcomes["parents"] += 1
+        outcomes["skipped"] += table.pieces.count(None)
+        return table
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(k=1, l=1, n_max=7),
+        SearchConfig(k=2, l=1, n_max=8),
+        SearchConfig(k=3, l=2, n_max=10),
+        SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES),
+    ], ids=["k1", "k2", "k3", "k3-all-rules"])
+    def test_every_parent_of_the_stream(self, cfg):
+        limit, conflicts = growth_conflicts(cfg)
+        outcomes = Counter()
+        for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max - 1):
+            sets = indep_sets(len(rows), every_mask(rows, limit, conflicts), len(rows))
+            self.assert_matches(rows, sets, outcomes)
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_one_vertex_root(self):
+        # The root's vertex has no pieces and is a non-cutvertex of degree 0.
+        table = self.assert_matches((0,), [1], Counter())
+        assert table == ([0], [1, 0], [1, 1], 0, 1, [[]])
+
+    def test_least_degree_class_of_cutvertices(self):
+        # Two K4s joined through a vertex of degree 2: it alone has the least
+        # degree and is a cutvertex, so m = 3 and the class of degree 4 is
+        # built too; and random connected graphs of order 8 to 10, whose
+        # m reaches 3.  Every nonempty S, adjacent members allowed.
+        k4s = Graph.from_edges(9, [*itertools.combinations(range(4), 2),
+                                   *itertools.combinations(range(5, 9), 2), (3, 4), (4, 5)])
+        rng = random.Random(24)
+        graphs = [k4s] + [g for g in (random_graph(rng, rng.randint(8, 10), 0.4) for _ in range(40))
+                          if is_connected(g)]
+        outcomes = Counter()
+        ms = Counter(self.assert_matches(g.rows, range(1, 1 << g.order), outcomes).m for g in graphs)
+        assert ms[3] > 1 and min(outcomes.values()) > 0, (ms, outcomes)
 
 
 def test_accepted_canonical_searches_pinned(monkeypatch):
@@ -486,6 +650,25 @@ def test_accepted_canonical_searches_pinned(monkeypatch):
     monkeypatch.setattr(search, "_accepted", counting_accepted)
     assert stream_counts(SearchConfig(k=3, l=2, n_max=10)) == ODD_GIRTH_7
     assert 0 < calls["accepted"] <= 800, calls
+
+
+def test_component_tables_pinned(monkeypatch):
+    # The serial k = 3, n <= 10 run builds the pieces of 5,467 parent
+    # vertices, those of degree at most m + 1, where a table of every
+    # vertex of every parent held 8,664.
+    built = Counter()
+    real_table = search._parent_table
+
+    def counting_table(rows, n):
+        table = real_table(rows, n)
+        built["vertices"] += n
+        built["pieces"] += n - table.pieces.count(None)
+        return table
+
+    monkeypatch.setattr(search, "_parent_table", counting_table)
+    report = eta_search(SearchConfig(k=3, l=2, n_max=10))
+    assert [r.enumerated for r in report.records] == ODD_GIRTH_7
+    assert built == {"vertices": 8_664, "pieces": 5_467}, built
 
 
 def test_refinement_rounds_pinned(monkeypatch):
