@@ -13,12 +13,17 @@ Refinement runs in rounds, and a round counts neighbours only towards the
 ``fresh`` cells, the ones the previous round split off (in the manner of
 McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
 2014): a partition that is stable towards a cell stays stable towards it,
-so recounting against the other cells could split nothing.  Only the
-neighbours of fresh members are counted, so a round costs about as much as
-the fresh cells have edges, and each vertex's counts are packed into one int
-key.  After a vertex is individualized, the first round's only fresh cell is
-that vertex.  The cells, and their order, are those of recounting against
-every cell.
+so recounting against the other cells could split nothing.  The counts
+towards each fresh cell are bit-sliced: a few ints, bit planes, hold one
+bit of every vertex's count each, and are built by adding the rows of the
+cell's members with a ripple carry.  A cell splits plane by plane, each
+group into the members without the bit and then those with it, which
+orders its sub-cells by their vectors of counts.  So a round costs a few
+int operations per fresh member, and per plane and cell it splits, however
+many vertices it counts.  After a vertex is individualized, the first
+round's only fresh cell is that vertex, one plane: its row.  Refinement
+stops at a fixpoint or at a discrete partition.  The cells, and their
+order, are those of recounting against every cell.
 
 The same walk over the individualization tree yields generators of the
 automorphism group, and uses them to prune the tree as nauty does (McKay
@@ -42,69 +47,106 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _neighbors_of_set
+from .graphs import Graph, _bits
 
 
 def refine_round(rows, cells, fresh):
     """One round of equitable refinement: ``(cells, fresh)`` for the next round.
 
     Every cell is split by the vector of neighbour counts towards the
-    ``fresh`` cells, and its sub-cells are put in its place, ordered by that
-    vector, so the cell order depends only on the isomorphism type (given
-    the order of ``cells``).  Only neighbours of fresh members are counted:
-    the rest of a cell has the all-zero vector, the least, and a cell with
-    no such neighbour is kept whole.  A vector is packed into an int, six
-    bits per count (a count is at most 63 since ``MAX_VERTICES`` is 64), so
-    int order is the vectors' lexicographic order.  The returned ``fresh``
-    cells are the sub-cells of this round's splits, all but the last of
-    each: a partition stable towards a cell stays stable towards it when
-    refined, and counts towards the last sub-cell follow from those towards
-    its parent and its siblings.  An empty ``fresh`` means the partition is
-    equitable.  Since cells only split in place, each round's cell order is
-    a coarsening of the fixpoint's, which lets ``search._accepted`` stop
-    refining a child as soon as the cells settle its fate.
+    ``fresh`` cells, and its sub-cells are put in its place, ordered
+    lexicographically by that vector, so the cell order depends only on the
+    isomorphism type (given the order of ``cells``).
+
+    The counts are bit-sliced: each fresh cell gets a counter of bit planes,
+    where bit v of plane j is bit j of v's count towards the cell.  Adding
+    the rows of the cell's members with a ripple carry builds it; a
+    singleton fresh cell, such as an individualized vertex, is one plane,
+    its row.  A cell with no member in any plane (no neighbour of a fresh
+    member) or with one member is kept whole.  Any other cell is split
+    plane by plane: the planes of ``fresh[0]`` most significant first, then
+    those of ``fresh[1]``, and so on, each group splitting into its members
+    without the bit, then those with it.  Every count towards one fresh cell
+    has that cell's planes as its binary digits, so splitting by them from
+    the top orders the groups by count, as comparing digits from the top
+    does; the next counter only splits groups of equal counts so far.  The
+    sub-cells come out in the lexicographic order of their count vectors,
+    which is also the int order of a vector packed six bits per count (a
+    count is at most 63 since ``MAX_VERTICES`` is 64), the order of the
+    round-one keys that ``search._accepted`` packs.
+
+    The returned ``fresh`` cells are the sub-cells of this round's splits,
+    all but the last of each: a partition stable towards a cell stays
+    stable towards it when refined, and counts towards the last sub-cell
+    follow from those towards its parent and its siblings.  An empty
+    ``fresh`` means the partition is equitable.  Since cells only split in
+    place, each round's cell order is a coarsening of the fixpoint's, which
+    lets ``search._accepted`` stop refining a child as soon as the cells
+    settle its fate.
     """
-    touched = _neighbors_of_set(rows, sum(fresh))
+    planes = []
+    touched = 0
+    for c in fresh:
+        if c & (c - 1):
+            counter = []
+            while c:
+                b = c & -c
+                c ^= b
+                carry = rows[b.bit_length() - 1]
+                touched |= carry
+                j = 0
+                while carry:
+                    if j == len(counter):
+                        counter.append(carry)
+                        break
+                    p = counter[j]
+                    counter[j] = p ^ carry
+                    carry &= p
+                    j += 1
+            planes += reversed(counter)
+        else:
+            p = rows[c.bit_length() - 1]
+            touched |= p
+            planes.append(p)
     new_cells = []
     new_fresh = []
     for cell in cells:
-        hit = cell & touched
-        if not hit or cell & (cell - 1) == 0:
+        if not cell & touched or cell & (cell - 1) == 0:
             new_cells.append(cell)
             continue
-        groups = {0: cell ^ hit} if hit != cell else {}
-        m = hit
-        while m:
-            b = m & -m
-            m ^= b
-            row = rows[b.bit_length() - 1]
-            key = 0
-            for c in fresh:
-                key = key << 6 | (row & c).bit_count()
-            groups[key] = groups.get(key, 0) | b
-        if len(groups) == 1:
-            new_cells.append(cell)
-        else:
-            parts = [groups[key] for key in sorted(groups)]
-            new_cells += parts
-            new_fresh += parts[:-1]
+        groups = [cell]
+        for p in planes:
+            if not cell & p:
+                continue
+            split = []
+            for g in groups:
+                hi = g & p
+                if hi and hi != g:
+                    split += (g ^ hi, hi)
+                else:
+                    split.append(g)
+            groups = split
+        new_cells += groups
+        new_fresh += groups[:-1]
     return new_cells, new_fresh
 
 
 def refine_partition(rows, cells, fresh=None):
     """Equitable refinement of an ordered cell list (cells are bitmasks).
 
-    Runs ``refine_round`` until no cell splits.  Dropping counts that are
-    constant on every cell, or determined by the others, changes neither
-    the split nor the order, so the result is the fixpoint of recounting
-    against every cell.  ``fresh`` defaults to all of ``cells``; a caller
-    may pass fewer when ``cells`` is already stable towards the rest, or
-    towards a union that, with ``fresh``, determines the rest
+    Runs ``refine_round`` until no cell splits, or until every cell is a
+    singleton, where no further round could split one.  Dropping counts
+    that are constant on every cell, or determined by the others, changes
+    neither the split nor the order, so the result is the fixpoint of
+    recounting against every cell.  ``fresh`` defaults to all of ``cells``;
+    a caller may pass fewer when ``cells`` is already stable towards the
+    rest, or towards a union that, with ``fresh``, determines the rest
     (``canonical_search`` passes only the vertex it individualizes).
     """
     if fresh is None:
         fresh = cells
-    while fresh:
+    n = len(rows)
+    while fresh and len(cells) < n:
         cells, fresh = refine_round(rows, cells, fresh)
     return cells
 
@@ -217,31 +259,32 @@ def canonical_search(rows, n, cells):
     swapped = set()
     first = best = None
 
-    def add(g):
-        gens.append(g)
-        for v, w in enumerate(g):
-            if v != w:
-                _union(root, v, w)
-
     def leaf(cells):
         """Record a leaf; True when it equals the first leaf."""
         nonlocal first, best
         perm = [0] * n
-        inv = [0] * n
         pos = 0
         for c in cells:
             while c:
                 b = c & -c
                 c ^= b
-                v = b.bit_length() - 1
-                perm[v] = pos
-                inv[pos] = v
+                perm[b.bit_length() - 1] = pos
                 pos += 1
         b = _adj_bytes(rows, n, perm)
         if first is None:
+            # Only the first leaf's inverse is read: an automorphism maps a
+            # leaf with equal bytes onto it.
+            inv = [0] * n
+            for v, p in enumerate(perm):
+                inv[p] = v
             first = (b, inv)
         elif b == first[0]:
-            add(tuple([first[1][p] for p in perm]))
+            inv = first[1]
+            g = tuple([inv[p] for p in perm])
+            gens.append(g)
+            for v, w in enumerate(g):
+                if v != w:
+                    _union(root, v, w)
             return True
         if best is None or b < best[0]:
             best = (b, tuple(perm))
@@ -255,7 +298,8 @@ def canonical_search(rows, n, cells):
                     swapped.add((a, b))
                     g = list(range(n))
                     g[a], g[b] = b, a
-                    add(tuple(g))
+                    gens.append(tuple(g))
+                    _union(root, a, b)
 
     _walk(rows, root, leaf, transpositions, cells, True)
     return best[0], best[1], [_find(root, v) for v in range(n)], gens

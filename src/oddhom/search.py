@@ -462,9 +462,11 @@ def _accepted(rows_t, n, S, parent):
       accepts;
     - round-one keys: the first round of refinement from the degree
       partition (cells in increasing degree) splits the added vertex's cell
-      by the packed counts towards every cell but the last, and orders the
-      sub-cells by them.  Computed for the added vertex and its rivals
-      only, a smaller rival key rejects and no equal one accepts;
+      by the counts towards every cell but the last, and orders the
+      sub-cells by them lexicographically.  Packed six bits a count into
+      one int, they order the same way (see ``refine_round``).  Computed for
+      the added vertex and its rivals only, a smaller rival key rejects and
+      no equal one accepts;
     - twins: a rival v with rows[v] & ~bit_a == rows[a] & ~bit_v, for the
       added vertex a, is a twin of it, so the transposition (a v) is an
       automorphism.  If the rivals tied with a are all twins of it, they
@@ -555,7 +557,15 @@ def _holds_near(checks, rows, S):
     is a neighbour of S, and at any vertex neither in S nor adjacent to it,
     every check reads what it read in the parent.
     """
-    return all(check(rows, v) for v in _bits(S | _neighbors_of_set(rows, S)) for check in checks)
+    near = S | _neighbors_of_set(rows, S)
+    while near:
+        b = near & -near
+        near ^= b
+        v = b.bit_length() - 1
+        for check in checks:
+            if not check(rows, v):
+                return False
+    return True
 
 
 def _set_orbit(s, gens):

@@ -1,9 +1,14 @@
 import random
+from collections import Counter
 
-from oddhom import Graph, are_isomorphic, canonical_bytes, canonical_form, cycle, odd_k4
-from oddhom.canon import _adj_bytes, _homogeneous, canonical_search, refine_partition, refine_round
+from oddhom import (ALL_RULES, Graph, SearchConfig, are_isomorphic, canonical_bytes, canonical_form,
+                    cycle, enumerate_graphs, is_core, odd_k4)
+from oddhom import canon, search
+from oddhom.canon import (_adj_bytes, _find, _homogeneous, _union, canonical_search, refine_partition,
+                          refine_round)
+from oddhom.graphs import _bits, _neighbors_of_set
 
-from conftest import all_labelled_graphs, brute_iso, random_graph, vertex_transitive_graphs
+from conftest import all_labelled_graphs, brute_iso, corpus, random_graph, vertex_transitive_graphs
 
 
 def relabel(g, perm):
@@ -274,3 +279,186 @@ class TestPrunedTree:
                 p = list(range(g.order))
                 rng.shuffle(p)
                 self.agree(relabel(g, p))
+
+
+# -- the packed-key kernels, kept as references for the bit-plane ones -------
+
+def packed_round(rows, cells, fresh):
+    """One refinement round keyed by packed counts: every neighbour of a fresh
+    member gets its counts towards the fresh cells packed six bits a count
+    into one int, and each cell's sub-cells are sorted by that key."""
+    touched = _neighbors_of_set(rows, sum(fresh))
+    new_cells = []
+    new_fresh = []
+    for cell in cells:
+        hit = cell & touched
+        if not hit or cell & (cell - 1) == 0:
+            new_cells.append(cell)
+            continue
+        groups = {0: cell ^ hit} if hit != cell else {}
+        for v in _bits(hit):
+            key = 0
+            for c in fresh:
+                key = key << 6 | (rows[v] & c).bit_count()
+            groups[key] = groups.get(key, 0) | 1 << v
+        if len(groups) == 1:
+            new_cells.append(cell)
+        else:
+            parts = [groups[key] for key in sorted(groups)]
+            new_cells += parts
+            new_fresh += parts[:-1]
+    return new_cells, new_fresh
+
+
+def packed_refine(rows, cells, fresh):
+    """``packed_round`` until no cell splits, a discrete partition included."""
+    while fresh:
+        cells, fresh = packed_round(rows, cells, fresh)
+    return cells
+
+
+def packed_walk(rows, root, leaf, transpositions, cells, on_first):
+    for i, c in enumerate(cells):
+        if c & (c - 1):
+            if _homogeneous(rows, cells):
+                transpositions(cells)
+                return leaf(cells)
+            child_on_first = on_first
+            for v in _bits(c):
+                if on_first and _find(root, v) != v:
+                    continue
+                b = 1 << v
+                below = packed_refine(rows, cells[:i] + [b, c ^ b] + cells[i + 1:], [b])
+                if packed_walk(rows, root, leaf, transpositions, below, child_on_first) and not on_first:
+                    return True
+                child_on_first = False
+            return False
+    return leaf(cells)
+
+
+def packed_search(rows, n, cells):
+    """The canonical search with the packed-key refinement, building the
+    inverse of every leaf and offering each generator to the union-find
+    point by point."""
+    gens = []
+    root = list(range(n))
+    swapped = set()
+    first = best = None
+
+    def add(g):
+        gens.append(g)
+        for v, w in enumerate(g):
+            if v != w:
+                _union(root, v, w)
+
+    def leaf(cells):
+        nonlocal first, best
+        perm = [0] * n
+        inv = [0] * n
+        pos = 0
+        for c in cells:
+            for v in _bits(c):
+                perm[v] = pos
+                inv[pos] = v
+                pos += 1
+        b = _adj_bytes(rows, n, perm)
+        if first is None:
+            first = (b, inv)
+        elif b == first[0]:
+            add(tuple([first[1][p] for p in perm]))
+            return True
+        if best is None or b < best[0]:
+            best = (b, tuple(perm))
+        return False
+
+    def transpositions(cells):
+        for c in cells:
+            members = list(_bits(c))
+            for a, b in zip(members, members[1:]):
+                if (a, b) not in swapped:
+                    swapped.add((a, b))
+                    g = list(range(n))
+                    g[a], g[b] = b, a
+                    add(tuple(g))
+
+    packed_walk(rows, root, leaf, transpositions, cells, True)
+    return best[0], best[1], [_find(root, v) for v in range(n)], gens
+
+
+def checked(real, reference, calls):
+    """``real``, asserting on every call that ``reference`` returns the same."""
+    def wrapper(*args):
+        out = real(*args)
+        assert out == reference(*args), args
+        calls[real.__name__] += 1
+        return out
+    return wrapper
+
+
+def check_every_call(monkeypatch, name, reference, run):
+    """Run ``run()`` with canon's and search's ``name`` checked against ``reference``."""
+    calls = Counter()
+    wrapper = checked(getattr(canon, name), reference, calls)
+    monkeypatch.setattr(canon, name, wrapper)
+    monkeypatch.setattr(search, name, wrapper)
+    run()
+    return calls[name]
+
+
+def stream(**kwargs):
+    return sum(1 for _ in enumerate_graphs(SearchConfig(**kwargs)))
+
+
+def counts_towards(rows, cells, fresh):
+    return max((rows[v] & c).bit_count() for c in fresh for v in range(len(rows)))
+
+
+class TestAgainstPackedKernels:
+    """The bit-plane round and the leaner search leaf against the kernels
+    they replaced, call by call."""
+
+    def test_every_round_of_the_streams(self, monkeypatch):
+        rounds = check_every_call(monkeypatch, "refine_round", packed_round, lambda: (
+            stream(k=3, l=2, n_max=10), stream(k=3, l=2, n_max=12, prune_rules=ALL_RULES)))
+        assert rounds > 14_000, rounds
+
+    def test_counts_up_to_63(self):
+        # Stars up to K_{1,63}, complete bipartite graphs and dense random
+        # graphs: counts towards one fresh cell from 32 to 63 need all six
+        # planes, and adding 63 rows one by one takes every carry.
+        rng = random.Random(7)
+        graphs = [Graph.from_edges(s + 1, [(0, i) for i in range(1, s + 1)]) for s in (31, 32, 33, 48, 63)]
+        graphs += [Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+                   for a, b in ((1, 40), (3, 33), (5, 59), (20, 44))]
+        graphs += [random_graph(rng, rng.randint(40, 64), rng.uniform(0.6, 0.95)) for _ in range(6)]
+        top = 0
+        for g in graphs:
+            full = [(1 << g.order) - 1]
+            top = max(top, counts_towards(g.rows, full, full))
+            starts = [(full, full)] + list(individualized(packed_refine(g.rows, full, full)))
+            for cells, fresh in starts[:4]:
+                while fresh:
+                    want = packed_round(g.rows, cells, fresh)
+                    cells, fresh = refine_round(g.rows, cells, fresh)
+                    assert (cells, fresh) == want
+        assert top == 63
+
+    def test_every_search_of_the_streams(self, monkeypatch):
+        searches = check_every_call(monkeypatch, "canonical_search", packed_search, lambda: (
+            stream(k=3, l=2, n_max=10), stream(k=2, l=1, n_max=9)))
+        assert searches > 2_000, searches
+
+    def test_query_corpus(self, monkeypatch):
+        # Every search the single-graph queries make on the corpus and on a
+        # relabelled copy of each graph: canonical forms and cores.
+        rng = random.Random(8)
+
+        def queries():
+            for g in corpus():
+                p = list(range(g.order))
+                rng.shuffle(p)
+                for h in (g, relabel(g, p)):
+                    canonical_form(h)
+                    is_core(h)
+
+        assert check_every_call(monkeypatch, "canonical_search", packed_search, queries) > 100

@@ -343,6 +343,23 @@ class TestLocalCapCheck:
             self.assert_local_equals_full(rows, sets, outcomes)
         assert outcomes[True] > 1000 and outcomes[False] > 500, outcomes
 
+    def test_every_child_of_the_minimal_stream(self, monkeypatch):
+        # Every child the ALL_RULES n <= 12 stream builds, those it then
+        # rejects included: the loop form decides as the generator form did.
+        outcomes = Counter()
+        real = search._holds_near
+
+        def checked(checks, rows, S):
+            got = real(checks, rows, S)
+            near = S | _neighbors_of_set(rows, S)
+            assert got == all(check(rows, v) for v in _bits(near) for check in checks), (rows, S)
+            outcomes[got] += 1
+            return got
+
+        monkeypatch.setattr(search, "_holds_near", checked)
+        assert stream_counts(SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES)) == MINIMAL_OG7[:12]
+        assert outcomes[True] > 1000 and outcomes[False] > 400, outcomes
+
     def test_every_subset_of_small_graphs(self):
         # Any S, adjacent members allowed, on every connected graph of order
         # <= 6 that passes the cap.
@@ -673,10 +690,11 @@ def test_component_tables_pinned(monkeypatch):
 
 def test_refinement_rounds_pinned(monkeypatch):
     # A grown node finishes the refinement _accepted began instead of
-    # refining again from the unit partition: the serial k = 3, n <= 10 run
-    # makes at most 8,869 rounds inside refine_partition (9,735 when every
-    # node was refined from the unit partition) and the same 1,499
-    # canonical searches.
+    # refining again from the unit partition, and refine_partition stops at
+    # a discrete partition: the serial k = 3, n <= 10 run makes 7,577 rounds
+    # inside refine_partition (8,869 when a discrete partition took one more
+    # round, 9,735 when every node was refined from the unit partition) and
+    # the same 1,499 canonical searches.
     calls = Counter()
     real_round = canon.refine_round
 
@@ -688,7 +706,7 @@ def test_refinement_rounds_pinned(monkeypatch):
     monkeypatch.setattr(search, "canonical_search", counting("canonical_search", calls))
     report = eta_search(SearchConfig(k=3, l=2, n_max=10))
     assert [r.enumerated for r in report.records] == ODD_GIRTH_7
-    assert calls["rounds"] <= 8_869, calls
+    assert calls["rounds"] == 7_577, calls
     assert calls["canonical_search"] == 1_499, calls
 
 
