@@ -409,7 +409,8 @@ def stream(**kwargs):
     return sum(1 for _ in enumerate_graphs(SearchConfig(**kwargs)))
 
 
-def counts_towards(rows, cells, fresh):
+def top_count(rows, fresh):
+    """The largest count of neighbours any vertex has in one fresh cell."""
     return max((rows[v] & c).bit_count() for c in fresh for v in range(len(rows)))
 
 
@@ -434,7 +435,7 @@ class TestAgainstPackedKernels:
         top = 0
         for g in graphs:
             full = [(1 << g.order) - 1]
-            top = max(top, counts_towards(g.rows, full, full))
+            top = max(top, top_count(g.rows, full))
             starts = [(full, full)] + list(individualized(packed_refine(g.rows, full, full)))
             for cells, fresh in starts[:4]:
                 while fresh:
