@@ -41,6 +41,8 @@ the unpruned walk, and the search also returns the vertex orbits of that
 group and the generators.  The enumeration module uses all three for
 canonical augmentation: the canonical position picks the deletion vertex,
 the orbits decide acceptance, and the generators drop isomorphic siblings.
+It searches only the children whose acceptance needs it; every other
+child takes its generators from its parent's (see ``search``).
 """
 
 from __future__ import annotations

@@ -32,9 +32,23 @@ the remaining children are refined round by round from the degree
 partition, until the cells place a rival before the new vertex (reject) or
 none beside it, or only twins (accept).  One canonical search of the
 child, which also yields its automorphism generators and orbits, settles
-the rest; an accepted child keeps its partition, refined further only when
-it is grown.  Among siblings, S is tried only if it is the first-enumerated
+the rest.  Among siblings, S is tried only if it is the first-enumerated
 member of its orbit under the parent's automorphism group.
+
+A node's group comes from its parent's, unless a search decided its
+acceptance.  A child accepted before the search knows the orbit of its
+added vertex a: a alone, or a and the rivals tied with it, all twins of
+a.  By the orbit-stabiliser theorem the child's group is generated by the
+stabiliser of a and one element taking a to each member of that orbit;
+the transpositions (a t) do, and since twins of a are twins of each
+other, so does one of them together with the stabiliser.  An automorphism
+fixing a maps its neighbourhood S onto itself, so the stabiliser of a is
+the stabiliser of S in the parent's group, extended by a to a.
+Schreier's lemma gives generators of that from the orbit of S, which the
+sibling skip walks anyway: for a transversal u_T taking S to each member
+T and a generator g, the element u_{g(T)}^-1 g u_T.  Only when those
+would number as many as the child's vertices is the child searched
+instead, which keeps the lists that orbits walk short.
 
 Why this gives one representative per isomorphism class: every connected
 graph has a non-cutvertex, so it has a canonical parent, and the properties
@@ -82,13 +96,13 @@ candidate: its odd-girth and the final rules are checked there alone.
 
 Every eta run, serial or parallel, grows the tree to one split order,
 min(8, n_max - 1), then grows the subtree below each node of that order
-from its record (rows, colouring, cells, fresh cells, gens) as the stream
-yielded it, so no subtree refines, searches or solves again what its root
-already settled.  Frontier nodes stay in memory, or are pickled to
-workers.  A checkpoint is an append-only log of finished subtrees, their
-roots' rows, counts and witnesses; every run regrows the frontier and
-merges the logged subtrees instead of growing them again.  Every run also
-ticks one budget, one with no deadline unless the caller passes one.
+from its record (rows, colouring, gens) as the stream yielded it, so no
+subtree searches or solves again what its root already settled.  Frontier
+nodes stay in memory, or are pickled to workers.  A checkpoint is an
+append-only log of finished subtrees, their roots' rows, counts and
+witnesses; every run regrows the frontier and merges the logged subtrees
+instead of growing them again.  Every run also ticks one budget, one with
+no deadline unless the caller passes one.
 """
 
 from __future__ import annotations
@@ -104,7 +118,7 @@ from operator import or_
 from typing import Callable, NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .canon import canonical_search, refine_partition, refine_round
+from .canon import canonical_search, refine_round, search_graph
 from .constructions import cycle
 from .graphs import (
     Graph,
@@ -438,11 +452,10 @@ def _accepted(rows_t, n, S, parent):
 
     The child joins the added vertex to the set ``S`` of its parent, whose
     ``_parent_table`` is ``parent``.  Returns None when the child is
-    rejected.  Otherwise returns ``(cells, fresh, gens)``: the cells where
-    the test stopped, the fresh cells they are not yet stable towards, and
-    the generators of a canonical search, else None.  Refining on from
-    there reaches the unit partition's fixpoint, whose first round is the
-    degree partition with every cell but the last fresh.
+    rejected.  Otherwise returns ``(gens, twins)``: the generators of the
+    child's automorphism group if a canonical search decided, else None,
+    and, when no search ran, the orbit of the added vertex minus that
+    vertex, every member a twin of it (empty when no rival ties it).
 
     The degree stage reads the parent's table, not the child's rows.
     The added vertex has degree |S|; a parent vertex of degree d has degree
@@ -456,7 +469,8 @@ def _accepted(rows_t, n, S, parent):
 
     The rivals of the added vertex are the other non-cutvertices of its
     degree; a parent vertex is one in the child iff S meets each of its
-    pieces.  The first stage that decides is taken:
+    pieces.  Only a rival can share the added vertex's orbit.  The first
+    stage that decides is taken:
 
     - degrees: a non-cutvertex of smaller degree rejects, and no rival
       accepts;
@@ -478,6 +492,10 @@ def _accepted(rows_t, n, S, parent):
       added vertex's (reject) or none lies in its cell (accept).  At the
       fixpoint, a cell whose rivals are all twins of a accepts as above;
     - search: only the remaining ties need the canonical search.
+
+    Every accept before the search leaves a's orbit known: the rivals tied
+    with it at the deciding stage when they are twins, else a alone, since
+    a rival outside a's cell at some round lies outside its orbit.
     """
     da = S.bit_count()
     if da > parent.m + 1:
@@ -496,14 +514,14 @@ def _accepted(rows_t, n, S, parent):
             if degs[v] + (S >> v & 1) < da:
                 return None
             rivals.append(v)
+    if not rivals:
+        return None, ()
     added = n - 1
     bit = 1 << added
     by_degree = [c & ~S | below & S for below, c in zip((0, *classes), classes)]
     by_degree[da] |= bit
     cells = [c for c in by_degree if c]
     fresh = cells[:-1]
-    if not rivals:
-        return cells, fresh, None
 
     def key(v):
         row, k = rows_t[v], 0
@@ -520,14 +538,14 @@ def _accepted(rows_t, n, S, parent):
         if kv == ka:
             tied.append(v)
     if not tied:
-        return cells, fresh, None
+        return None, ()
     row_a = rows_t[added]
 
     def twins(vs):
         return all(rows_t[v] & ~bit == row_a & ~(1 << v) for v in vs)
 
     if twins(tied):
-        return cells, fresh, None
+        return None, tied
     tied_bits = sum(1 << v for v in tied)
     cell = by_degree[da]
     while fresh:
@@ -538,14 +556,14 @@ def _accepted(rows_t, n, S, parent):
             if cell & tied_bits:
                 return None
         if not cell & tied_bits:
-            return cells, fresh, None
-    tie = [added] + list(_bits(cell & tied_bits))
-    if twins(tie[1:]):
-        return cells, [], None
+            return None, ()
+    tie = list(_bits(cell & tied_bits))
+    if twins(tie):
+        return None, tie
     _, perm, orbit, gens = canonical_search(rows_t, n, cells)
-    if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
+    if orbit[min([added, *tie], key=perm.__getitem__)] != orbit[added]:
         return None
-    return cells, [], gens
+    return gens, ()
 
 
 def _holds_near(checks, rows, S):
@@ -569,8 +587,13 @@ def _holds_near(checks, rows, S):
 
 
 def _set_orbit(s, gens):
-    """Orbit of the vertex set ``s`` (a bitmask) under the group ``gens``."""
-    out = {s}
+    """Orbit of the vertex set ``s`` (a bitmask) under the group ``gens``.
+
+    A dict from each member to the ``(member, generator)`` step that first
+    reached it, and from ``s`` to None: a tree over the orbit, which
+    ``_stabiliser`` reads as a transversal.
+    """
+    out = {s: None}
     todo = [s]
     while todo:
         t = todo.pop()
@@ -582,8 +605,77 @@ def _set_orbit(s, gens):
                 m ^= b
                 img |= 1 << g[b.bit_length() - 1]
             if img not in out:
-                out.add(img)
+                out[img] = t, g
                 todo.append(img)
+    return out
+
+
+def _stabiliser(orbit, gens, n):
+    """Generators of the stabiliser of a vertex set in the group ``gens`` on n points.
+
+    ``orbit`` is the set's ``_set_orbit`` under ``gens``.  Its tree gives
+    each member t a transversal element u_t, the product of the steps from
+    the set to t, so u_t maps the set onto t.  By Schreier's lemma the
+    elements u_{g(t)}^-1 g u_t, over every member t and generator g, fix
+    the set and generate its stabiliser.  The identities among them, such
+    as those of the tree's own steps, and repeats are dropped.
+    """
+    identity = tuple(range(n))
+    u = {}
+    inv = {}
+    for t, step in orbit.items():
+        if step is None:
+            ut = identity
+        else:
+            prev, g = step
+            ut = tuple([g[x] for x in u[prev]])
+        u[t] = ut
+        it = [0] * n
+        for x, y in enumerate(ut):
+            it[y] = x
+        inv[t] = it
+    out = {}
+    for t, ut in u.items():
+        for g in gens:
+            img = 0
+            for x in _bits(t):
+                img |= 1 << g[x]
+            it = inv[img]
+            h = tuple([it[g[x]] for x in ut])
+            if h != identity:
+                out[h] = None
+    return list(out)
+
+
+def _child_gens(rows_t, orbit, gens, twins):
+    """Generators of the automorphism group of a child accepted without a search.
+
+    The child joins an added vertex a, the last, to a set S of its parent,
+    whose group ``gens`` has S's ``_set_orbit`` ``orbit`` (None when the
+    group is trivial), and ``twins`` is a's orbit minus a, as ``_accepted``
+    found it.  By the orbit-stabiliser theorem the group is generated by
+    the stabiliser of a and one element taking a to each member of its
+    orbit, such as the transpositions (a t), t a twin.  One of them is
+    enough: twins of a are twins of each other, all adjacent to a or all
+    not, so the stabiliser holds the transpositions among them.  An
+    automorphism that fixes a maps its neighbourhood S onto itself, so it
+    restricts to a parent automorphism that stabilises S; and each of
+    those, extended by a to a, is an automorphism of the child.  So the
+    stabiliser of a is ``_stabiliser`` of S, each generator extended by a.
+    Should the generators number as many as the child's vertices, a
+    canonical search of the child gives them instead, which keeps the
+    lists that later orbits walk short.
+    """
+    nc = len(rows_t)
+    a = nc - 1
+    out = [] if orbit is None else [(*h, a) for h in _stabiliser(orbit, gens, a)]
+    if twins:
+        g = list(range(nc))
+        t = twins[0]
+        g[a], g[t] = t, a
+        out.append(tuple(g))
+    if len(out) >= nc:
+        return search_graph(Graph(rows_t, _validate=False))[3]
     return out
 
 
@@ -602,18 +694,22 @@ def _extend_colouring(colour, S, target_rows):
 def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     """DFS over accepted descendants of one augmentation node.
 
-    A node is ``(rows, colouring, cells, fresh, gens)``, with ``cells``,
-    ``fresh`` and ``gens`` as ``_accepted`` returned them; the node's
-    refinement is finished here, and its canonical search runs only when
-    ``gens`` is None and some cell is not a singleton.  Yields
+    A node is ``(rows, colouring, gens)``, with ``gens`` generators of the
+    automorphism group of ``rows``: the root's empty list, a canonical
+    search's, or those ``_child_gens`` derives from the parent's, for every
+    node of order below ``cfg.n_max``, the only ones that are grown.  So a
+    node is neither refined nor searched when it is grown; only
+    ``_accepted`` and, rarely, ``_child_gens`` search a child.  Yields
     ``(witness, child node)`` for each accepted graph strictly below the
     node.  Graphs of order ``stop`` (at most n_max) are yielded but not
-    grown; they form the frontier whose subtrees ``_expand_subtree`` grows.
+    grown; they form the frontier whose subtrees ``_expand_subtree`` grows,
+    so they carry their gens too.
 
     The node's ``_parent_table`` is built once: its m and R bound the
     attachment sets, and every child's ``_accepted`` reads its degree
     classes and component table.  A child's rows differ from the node's only
-    at S, whose rows gain the new vertex, and at the new vertex.
+    at S, whose rows gain the new vertex, and at the new vertex.  The orbit
+    of S that skips its later members also gives the child's gens.
 
     The config's growth rules act in two ways.  Their conflicts, with the
     odd-walk limit 2k - 3, shape the attachment sets ``_attachment_sets``
@@ -627,19 +723,17 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     the target as a tuple of colours, or None exactly when it has no map.
     Without a target both are None.
     """
-    rows, colour, cells, fresh, gens = node
+    rows, colour, gens = node
     n = len(rows)
     if n >= stop:
         return
     growth = _rules(cfg.prune_rules, "growth")
     conflicts = [rule.conflict for rule in growth if rule.conflict is not None]
     checks = [rule.check for rule in growth if rule.conflict is None]
-    cells = refine_partition(rows, cells, fresh)
-    if gens is None and any(c & (c - 1) for c in cells):
-        gens = canonical_search(rows, n, cells)[3]
     parent = _parent_table(rows, n)
     # Later members of an orbit of attachment sets, waiting to be skipped.
     pending = set()
+    orbit = None
     nc = n + 1
     newbit = 1 << n
     # Sets that the degree stage of _accepted would reject are never built;
@@ -651,7 +745,8 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
             pending.remove(S)
             continue
         if gens:
-            pending |= _set_orbit(S, gens)
+            orbit = _set_orbit(S, gens)
+            pending.update(orbit)
             pending.remove(S)
         child = [*rows, S]
         rest = S
@@ -665,17 +760,20 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
         state = _accepted(child_t, nc, S, parent)
         if state is None:
             continue
+        child_gens, twins = state
+        if child_gens is None and nc < cfg.n_max:
+            child_gens = _child_gens(child_t, orbit, gens, twins)
         witness = child_colour = None
         if target is not None:
             witness, child_colour = _test_witness(child_t, colour, S, cfg, target)
-        grown = (child_t, child_colour, *state)
+        grown = (child_t, child_colour, child_gens)
         yield witness, grown
         yield from _descendants(grown, cfg, budget, stop, target)
 
 
 def _root_stream(cfg: SearchConfig, budget, stop, target=None):
     """The one-vertex root and its descendants, as ``_descendants`` yields them."""
-    root = ((0,), None if target is None else (0,), [1], [], None)
+    root = ((0,), None if target is None else (0,), [])
     yield None, root
     yield from _descendants(root, cfg, budget, stop, target)
 
@@ -870,9 +968,10 @@ def _expand_subtree(args):
     """Worker: (counts, witnesses, truncated, budget ticks) of one frontier node's descendants.
 
     The node is whole as the stream yielded it, so its descendants grow as
-    they would in the stream: its refinement is finished from where
-    ``_accepted`` stopped, its colouring (or its lack of one) is extended
-    to its children, and nothing is searched or solved again.
+    they would in the stream: its generators, derived or searched for every
+    node below ``cfg.n_max`` whatever the split, skip its children's
+    isomorphic siblings, its colouring (or its lack of one) is extended to
+    its children, and nothing is searched or solved again.
     """
     node, cfg, budget = args
     if budget.expired():

@@ -420,7 +420,8 @@ class TestAgainstPackedKernels:
 
     def test_every_round_of_the_streams(self, monkeypatch):
         rounds = check_every_call(monkeypatch, "refine_round", packed_round, lambda: (
-            stream(k=3, l=2, n_max=10), stream(k=3, l=2, n_max=12, prune_rules=ALL_RULES)))
+            stream(k=3, l=2, n_max=10), stream(k=3, l=2, n_max=12, prune_rules=ALL_RULES),
+            stream(k=2, l=1, n_max=9), stream(k=1, l=1, n_max=7)))
         assert rounds > 14_000, rounds
 
     def test_counts_up_to_63(self):
@@ -446,7 +447,7 @@ class TestAgainstPackedKernels:
 
     def test_every_search_of_the_streams(self, monkeypatch):
         searches = check_every_call(monkeypatch, "canonical_search", packed_search, lambda: (
-            stream(k=3, l=2, n_max=10), stream(k=2, l=1, n_max=9)))
+            stream(k=3, l=2, n_max=10), stream(k=2, l=1, n_max=9), stream(k=1, l=1, n_max=8)))
         assert searches > 2_000, searches
 
     def test_query_corpus(self, monkeypatch):

@@ -55,6 +55,7 @@ from oddhom.search import (
     _root_stream,
     _rules,
     _set_orbit,
+    _stabiliser,
 )
 
 from conftest import atlas, brute_classes, brute_has_hom, random_graph, vertex_transitive_graphs
@@ -447,13 +448,20 @@ def counting(name, calls):
     return wrapper
 
 
+def orbit_mates(rows_t, n, cells, v):
+    """The vertices other than ``v`` in its orbit under the automorphisms
+    preserving the equitable ``cells``, by a canonical search."""
+    orbit = canonical_search(rows_t, n, cells)[2]
+    return [u for u in range(n) if u != v and orbit[u] == orbit[v]]
+
+
 class TestEarlyExit:
     @pytest.mark.parametrize("k, n_max", [(1, 7), (2, 7), (3, 9)])
     def test_same_decision_as_full_refinement(self, k, n_max, monkeypatch):
         # Every independent attachment set of every parent below n_max,
         # including those the degree bound never builds.  A stage before
-        # the rounds may neither refine nor search, and an accept there
-        # hands over the degree partition with all but its last cell fresh.
+        # the rounds may neither refine nor search, and no stage but the
+        # search hands over generators.
         work = Counter()
         for name in ("refine_round", "canonical_search"):
             monkeypatch.setattr(search, name, counting(name, work))
@@ -472,19 +480,22 @@ class TestEarlyExit:
                 assert (got is None) == (want is None), (rows, S)
                 stage = decisive_stage(child, n + 1)
                 if stage != "rounds":
-                    cells = degree_partition(child)
-                    assert not work and got in (None, (cells, cells[:-1], None)), (rows, S, stage)
+                    assert not work and (got is None or got[0] is None), (rows, S, stage)
                     outcomes[stage] += 1
                 else:
                     assert work["canonical_search"] <= 1
                     outcomes["search" if work["canonical_search"] else "rounds"] += 1
                 if got is not None:
-                    # The generators come with the child iff a search ran,
-                    # and its refinement, finished from where _accepted
-                    # stopped, is the unit partition's fixpoint.
-                    cells, fresh, gens = got
+                    # The generators come with the child iff a search ran;
+                    # otherwise the twins are the added vertex's orbit
+                    # minus that vertex, each a twin of it.
+                    gens, twins = got
                     assert (gens is not None) == (work["canonical_search"] == 1), (rows, S)
-                    assert refine_partition(child, cells, fresh) == want, (rows, S)
+                    if gens is None:
+                        assert sorted(twins) == orbit_mates(child, n + 1, want, n), (rows, S)
+                        assert all(child[v] & ~(1 << n) == child[n] & ~(1 << v) for v in twins)
+                    else:
+                        assert not twins, (rows, S)
         # Every stage decides some child.  Adjacent twins of degree 2 or
         # more close a triangle, so for k >= 2 the only closed twins are the
         # two vertices of K2.
@@ -533,13 +544,13 @@ def reference_accepted(rows_t, n, S, pieces):
             if degs[v] < da:
                 return None
             rivals.append(v)
+    if not rivals:
+        return None, ()
     by_degree = {}
     for v, d in enumerate(degs):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
     fresh = cells[:-1]
-    if not rivals:
-        return cells, fresh, None
 
     def key(v):
         row, k = rows_t[v], 0
@@ -556,7 +567,7 @@ def reference_accepted(rows_t, n, S, pieces):
         if kv == ka:
             tied.append(v)
     if not tied:
-        return cells, fresh, None
+        return None, ()
     bit = 1 << added
     row_a = rows_t[added]
 
@@ -564,7 +575,7 @@ def reference_accepted(rows_t, n, S, pieces):
         return all(rows_t[v] & ~bit == row_a & ~(1 << v) for v in vs)
 
     if twins(tied):
-        return cells, fresh, None
+        return None, tied
     tied_bits = sum(1 << v for v in tied)
     cell = by_degree[da]
     while fresh:
@@ -575,14 +586,14 @@ def reference_accepted(rows_t, n, S, pieces):
             if cell & tied_bits:
                 return None
         if not cell & tied_bits:
-            return cells, fresh, None
-    tie = [added] + list(_bits(cell & tied_bits))
-    if twins(tie[1:]):
-        return cells, [], None
+            return None, ()
+    tie = list(_bits(cell & tied_bits))
+    if twins(tie):
+        return None, tie
     _, perm, orbit, gens = canonical_search(rows_t, n, cells)
-    if orbit[min(tie, key=perm.__getitem__)] != orbit[added]:
+    if orbit[min([added] + tie, key=perm.__getitem__)] != orbit[added]:
         return None
-    return cells, [], gens
+    return gens, ()
 
 
 class TestParentTable:
@@ -611,7 +622,8 @@ class TestParentTable:
             child = child_of(rows, S)
             got = _accepted(child, n + 1, S, table)
             assert got == reference_accepted(child, n + 1, S, pieces), (rows, S)
-            outcomes["rejected" if got is None else "searched" if got[2] else "accepted"] += 1
+            outcomes["rejected" if got is None else "searched" if got[0] else
+                     "twins" if got[1] else "accepted"] += 1
         outcomes["parents"] += 1
         outcomes["skipped"] += table.pieces.count(None)
         return table
@@ -689,25 +701,40 @@ def test_component_tables_pinned(monkeypatch):
 
 
 def test_refinement_rounds_pinned(monkeypatch):
-    # A grown node finishes the refinement _accepted began instead of
-    # refining again from the unit partition, and refine_partition stops at
-    # a discrete partition: the serial k = 3, n <= 10 run makes 7,577 rounds
-    # inside refine_partition (8,869 when a discrete partition took one more
-    # round, 9,735 when every node was refined from the unit partition) and
-    # the same 1,499 canonical searches.
+    # No grown node is refined or searched: its generators come from its
+    # parent's, so the serial k = 3, n <= 10 run makes 5,067 rounds inside
+    # refine_partition (7,577 when each grown node finished its
+    # refinement, 9,735 when it was refined from the unit partition) and
+    # 752 canonical searches, where it made 1,499.  All but one are made by
+    # _accepted; the one is _child_gens's fallback, on the one child whose
+    # Schreier generators would reach its order.
     calls = Counter()
     real_round = canon.refine_round
+    real_accepted = search._accepted
+    real_child_gens = search._child_gens
 
     def counting_round(*args):
         calls["rounds"] += 1
         return real_round(*args)
 
+    def inside(name, real):
+        def wrapper(*args):
+            before = calls["canonical_search"]
+            out = real(*args)
+            calls[name] += calls["canonical_search"] - before
+            return out
+        return wrapper
+
     monkeypatch.setattr(canon, "refine_round", counting_round)
-    monkeypatch.setattr(search, "canonical_search", counting("canonical_search", calls))
+    monkeypatch.setattr(canon, "canonical_search", counting("canonical_search", calls))
+    monkeypatch.setattr(search, "canonical_search", canon.canonical_search)
+    monkeypatch.setattr(search, "_accepted", inside("accepted", real_accepted))
+    monkeypatch.setattr(search, "_child_gens", inside("fallback", real_child_gens))
     report = eta_search(SearchConfig(k=3, l=2, n_max=10))
     assert [r.enumerated for r in report.records] == ODD_GIRTH_7
-    assert calls["rounds"] == 7_577, calls
-    assert calls["canonical_search"] == 1_499, calls
+    assert calls["rounds"] == 5_067, calls
+    assert calls["canonical_search"] == 752, calls
+    assert (calls["accepted"], calls["fallback"]) == (751, 1), calls
 
 
 def brute_automorphisms(g):
@@ -780,7 +807,118 @@ class TestAutomorphismOrbits:
             gens = canonical(g)[3]
             for s in range(1, 1 << 5):
                 want = {sum(1 << p[v] for v in range(5) if s >> v & 1) for p in autos}
-                assert _set_orbit(s, gens) == want
+                orbit = _set_orbit(s, gens)
+                assert orbit.keys() == want
+                # Each member is reached by one step from an earlier one.
+                assert orbit[s] is None
+                assert all(image(t, g) == m for m, (t, g) in list(orbit.items())[1:])
+
+
+def image(s, g):
+    """The image of the vertex set ``s`` (a bitmask) under ``g``."""
+    return sum(1 << g[v] for v in _bits(s))
+
+
+class TestDerivedGenerators:
+    """Generators taken from the parent's group, against the group itself."""
+
+    @pytest.mark.parametrize("cfg, counts, fallbacks", [
+        (SearchConfig(k=1, l=1, n_max=7), A001349, {6: 4}),
+        (SearchConfig(k=2, l=1, n_max=8), A024607, {}),
+        (SearchConfig(k=3, l=2, n_max=10), ODD_GIRTH_7, {9: 1}),
+        (SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES), MINIMAL_OG7, {}),
+    ], ids=["k1", "k2", "k3", "k3-all-rules"])
+    def test_every_grown_node(self, cfg, counts, fallbacks, monkeypatch):
+        # Every node below n_max carries generators of its whole group:
+        # the brute-force group up to order 7, beyond it the group of a
+        # canonical search from the refined unit partition.  Nodes of order
+        # n_max are never grown and carry none unless a search made them.
+        searched = Counter()
+        real = search.search_graph
+
+        def fallback(g):
+            searched[g.order] += 1
+            return real(g)
+
+        monkeypatch.setattr(search, "search_graph", fallback)
+        nodes = 0
+        for _, (rows, _, gens) in _root_stream(cfg, Budget(), cfg.n_max):
+            n = len(rows)
+            if n == cfg.n_max:
+                continue
+            g = Graph(rows)
+            edges = set(g.edges())
+            assert isinstance(gens, list), rows
+            for p in gens:
+                assert {(min(p[a], p[b]), max(p[a], p[b])) for a, b in edges} == edges, rows
+            want = brute_automorphisms(g) if n <= 7 else group_closure(n, canonical(g)[3])
+            assert group_closure(n, gens) == want, rows
+            nodes += 1
+        assert nodes == sum(counts[:cfg.n_max - 1]), nodes
+        # The fallback search runs, rarely, on a child whose Schreier
+        # generators would reach its order.
+        assert searched == fallbacks, searched
+
+    def test_frontier_nodes_carry_gens(self):
+        # The split order is below n_max, so a frontier node is grown by
+        # _expand_subtree: it carries the gens the unsplit stream gives it.
+        cfg = SearchConfig(k=3, l=2, n_max=10)
+        unsplit = {rows: gens for _, (rows, _, gens) in _root_stream(cfg, Budget(), 10)
+                   if len(rows) == 8}
+        frontier = [node for _, node in _root_stream(cfg, Budget(), 8) if len(node[0]) == 8]
+        assert len(frontier) == ODD_GIRTH_7[7] == len(unsplit)
+        for rows, _, gens in frontier:
+            assert isinstance(gens, list) and gens == unsplit[rows], rows
+
+
+def random_group(rng, n):
+    """A few generators on ``n`` points: transpositions, shuffles of a
+    random subset, products of disjoint cycles, or none at all."""
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        p = list(range(n))
+        kind = rng.randrange(3)
+        if kind == 0 and n > 1:
+            a, b = rng.sample(range(n), 2)
+            p[a], p[b] = b, a
+        elif kind == 1:
+            sub = rng.sample(range(n), rng.randint(0, n))
+            moved = sub[:]
+            rng.shuffle(moved)
+            for a, b in zip(sub, moved):
+                p[a] = b
+        else:
+            pts = list(range(n))
+            rng.shuffle(pts)
+            while len(pts) > 1:
+                size = rng.randint(1, len(pts))
+                cyc, pts = pts[:size], pts[size:]
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    p[a] = b
+        gens.append(tuple(p))
+    return gens
+
+
+class TestStabiliser:
+    def test_random_groups_and_sets(self):
+        # The closure of the Schreier generators is the set stabiliser in
+        # the closure of the group, with no identity and no repeat.
+        rng = random.Random(26)
+        sizes = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            gens = random_group(rng, n)
+            group = group_closure(n, gens)
+            if len(group) > 5040:
+                continue
+            s = rng.randrange(1 << n)
+            orbit = _set_orbit(s, gens)
+            assert orbit.keys() == {image(s, g) for g in group}
+            stab = _stabiliser(orbit, gens, n)
+            assert tuple(range(n)) not in stab and len(set(stab)) == len(stab)
+            assert group_closure(n, stab) == {g for g in group if image(s, g) == s}, (n, gens, s)
+            sizes[len(orbit) > 1, len(stab) > 0] += 1
+        assert min(sizes.values()) > 10 and len(sizes) == 4, sizes
 
 
 def records_of(report):
