@@ -27,10 +27,17 @@ alone.  Otherwise the first refinement round's keys of the new
 vertex and of those rivals alone decide most children: a rival with a
 smaller key rejects, and none with an equal key accepts.  Rivals with an
 equal key that are all twins of the new vertex (same neighbours apart from
-each other) accept as well, since swapping twins is an automorphism.  Only
-the remaining children are refined round by round from the degree
-partition, until the cells place a rival before the new vertex (reject) or
-none beside it, or only twins (accept).  One canonical search of the
+each other) accept as well, since swapping twins is an automorphism.  A
+new vertex that is a leaf is decided at the second round without building
+it (the first cannot decide, since the tied rivals share the new vertex's
+round-one cell): a leaf counts one neighbour, in its neighbour's round-one
+cell, and sub-cells come in increasing count vector, so of two tied leaves
+the one whose neighbour's cell comes later gets the earlier cell.  A tied
+rival whose neighbour's cell comes later rejects, and none in the same
+cell, or only twins there, accepts.  Only the remaining children are
+refined round by round from the degree partition, until the cells place a
+rival before the new vertex (reject) or none beside it, or only twins
+(accept).  One canonical search of the
 child, which also yields its automorphism generators and orbits, settles
 the rest.  Among siblings, S is tried only if it is the first-enumerated
 member of its orbit under the parent's automorphism group.
@@ -486,6 +493,21 @@ def _accepted(rows_t, n, S, parent):
       automorphism.  If the rivals tied with a are all twins of it, they
       share a's orbit and so a's cell at every round, and whichever of them
       the canonical order picks, the child is accepted;
+    - leaf round two: when a is a leaf and round one counted towards some
+      cell, round two is read from the neighbours.  Round one never
+      decides, since the tied rivals share a's round-one cell: its cells
+      are the (degree, key) classes, in that order, which the label
+      ``deg << 6 * len(fresh) | key`` of a vertex orders as one int.  A
+      leaf's round-two count vector is 1 at its neighbour's round-one cell
+      and 0 elsewhere.  (Round two counts only towards fresh cells; tied
+      leaves have neighbours of one degree, and of that degree class only
+      the last round-one cell is not fresh, so a zero vector means that
+      cell.)  Sub-cells come in increasing count vector, so the leaf whose
+      neighbour has the greater label gets the earlier cell.  A tied rival
+      whose neighbour's label is greater than that of a's neighbour
+      rejects, none with an equal label accepts, and equal ones that are
+      all twins of a accept as under twins.  Otherwise the equal ones
+      stay tied, since the others lie after a's cell from round two on;
     - rounds: otherwise refinement runs one round at a time, and cells split
       in place, so each round's cell order is a coarsening of the
       fixpoint's.  It stops as soon as a rival lies in a cell before the
@@ -546,6 +568,28 @@ def _accepted(rows_t, n, S, parent):
 
     if twins(tied):
         return None, tied
+    if da == 1 and fresh:
+        # A leaf's round-two counts are those of its one neighbour's
+        # round-one cell, labelled by degree, then round-one key.
+        shift = 6 * len(fresh)
+
+        def label(v):
+            u = rows_t[v].bit_length() - 1
+            return rows_t[u].bit_count() << shift | key(u)
+
+        la = label(added)
+        equal = []
+        for v in tied:
+            lv = label(v)
+            if lv > la:
+                return None
+            if lv == la:
+                equal.append(v)
+        if not equal:
+            return None, ()
+        if twins(equal):
+            return None, equal
+        tied = equal
     tied_bits = sum(1 << v for v in tied)
     cell = by_degree[da]
     while fresh:

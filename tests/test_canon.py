@@ -420,7 +420,7 @@ class TestAgainstPackedKernels:
 
     def test_every_round_of_the_streams(self, monkeypatch):
         rounds = check_every_call(monkeypatch, "refine_round", packed_round, lambda: (
-            stream(k=3, l=2, n_max=10), stream(k=3, l=2, n_max=12, prune_rules=ALL_RULES),
+            stream(k=3, l=2, n_max=10), stream(k=3, l=2, n_max=14, prune_rules=ALL_RULES),
             stream(k=2, l=1, n_max=9), stream(k=1, l=1, n_max=7)))
         assert rounds > 14_000, rounds
 

@@ -412,8 +412,13 @@ def decisive_stage(rows_t, n):
     count tuples towards every degree cell but the last.  Returns
     "degree", "round-one reject", "round-one accept", "closed twins" or
     "open twins" (every rival with the added vertex's round-one key is a
-    twin of it, and some, or none, is adjacent to it), or "rounds" when
-    only further refinement or a canonical search decides.
+    twin of it, and some, or none, is adjacent to it), "leaf round-two
+    reject" or "leaf round-two accept" when the added vertex is a leaf and
+    the second round decides, or "rounds" when only further refinement or
+    a canonical search decides.  The second round is computed from its
+    definition: the round-one cells are the (degree, key) classes in
+    increasing order, and each splits by the count tuples towards every
+    round-one cell, in increasing order.
     """
     added = n - 1
     degs = [r.bit_count() for r in rows_t]
@@ -433,8 +438,24 @@ def decisive_stage(rows_t, n):
     if not tied:
         return "round-one accept"
     bit = 1 << added
-    if all(rows_t[v] & ~bit == rows_t[added] & ~(1 << v) for v in tied):
+
+    def twins(vs):
+        return all(rows_t[v] & ~bit == rows_t[added] & ~(1 << v) for v in vs)
+
+    if twins(tied):
         return "closed twins" if any(rows_t[added] >> v & 1 for v in tied) else "open twins"
+    if da == 1 and len(cells) > 1:
+        labels = sorted({(degs[v], key(v)) for v in range(n)})
+        first = [sum(1 << v for v in range(n) if (degs[v], key(v)) == c) for c in labels]
+
+        def key2(v):
+            return tuple((rows_t[v] & c).bit_count() for c in first)
+
+        if any(key2(v) < key2(added) for v in tied):
+            return "leaf round-two reject"
+        mates = [v for v in tied if key2(v) == key2(added)]
+        if twins(mates):
+            return "leaf round-two accept"
     return "rounds"
 
 
@@ -456,23 +477,30 @@ def orbit_mates(rows_t, n, cells, v):
 
 
 class TestEarlyExit:
-    @pytest.mark.parametrize("k, n_max", [(1, 7), (2, 7), (3, 9)])
-    def test_same_decision_as_full_refinement(self, k, n_max, monkeypatch):
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(SearchConfig(k=1, l=1, n_max=7), id="1-7"),
+        pytest.param(SearchConfig(k=2, l=1, n_max=7), id="2-7"),
+        pytest.param(SearchConfig(k=3, l=2, n_max=9), id="3-9"),
+        pytest.param(SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES), id="3-12-all-rules"),
+    ])
+    def test_same_decision_as_full_refinement(self, cfg, monkeypatch):
         # Every independent attachment set of every parent below n_max,
         # including those the degree bound never builds.  A stage before
-        # the rounds may neither refine nor search, and no stage but the
-        # search hands over generators.
+        # the rounds may neither refine nor search, the rounds stage does
+        # one or the other, and no stage but the search hands over
+        # generators.
         work = Counter()
         for name in ("refine_round", "canonical_search"):
             monkeypatch.setattr(search, name, counting(name, work))
-        cfg = SearchConfig(k=k, l=2 if k == 3 else 1, n_max=n_max)
+        n_max = cfg.n_max
+        limit, conflicts = growth_conflicts(cfg)
         outcomes = Counter()
         for _, (rows, *_) in _root_stream(cfg, Budget(), n_max):
             n = len(rows)
             if n == n_max:
                 continue
             table = _parent_table(rows, n)
-            for S in indep_sets(n, every_mask(rows, 2 * k - 3, []), n):
+            for S in indep_sets(n, every_mask(rows, limit, conflicts), n):
                 child = child_of(rows, S)
                 want = full_refinement_accepted(child, n + 1)
                 work.clear()
@@ -483,7 +511,7 @@ class TestEarlyExit:
                     assert not work and (got is None or got[0] is None), (rows, S, stage)
                     outcomes[stage] += 1
                 else:
-                    assert work["canonical_search"] <= 1
+                    assert work and work["canonical_search"] <= 1, (rows, S)
                     outcomes["search" if work["canonical_search"] else "rounds"] += 1
                 if got is not None:
                     # The generators come with the child iff a search ran;
@@ -500,8 +528,9 @@ class TestEarlyExit:
         # more close a triangle, so for k >= 2 the only closed twins are the
         # two vertices of K2.
         assert min(outcomes.values()) > 0, outcomes
-        assert {"round-one reject", "round-one accept", "open twins", "search"} <= set(outcomes)
-        assert (outcomes["closed twins"] > 1) == (k == 1), outcomes
+        assert {"round-one reject", "round-one accept", "open twins", "search",
+                "leaf round-two reject", "leaf round-two accept"} <= set(outcomes), outcomes
+        assert (outcomes["closed twins"] > 1) == (cfg.k == 1), outcomes
 
 
 class TestComponentTable:
@@ -735,6 +764,25 @@ def test_refinement_rounds_pinned(monkeypatch):
     assert calls["rounds"] == 5_067, calls
     assert calls["canonical_search"] == 752, calls
     assert (calls["accepted"], calls["fallback"]) == (751, 1), calls
+
+
+@pytest.mark.parametrize("cfg, counts, rounds, searches", [
+    (SearchConfig(k=3, l=2, n_max=10), ODD_GIRTH_7, 2_199, 752),
+    (SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES), MINIMAL_OG7, 3_933, 383),
+], ids=["k3", "k3-all-rules"])
+def test_accepted_rounds_pinned(cfg, counts, rounds, searches, monkeypatch):
+    # The refinement rounds _accepted makes itself, the only rounds search
+    # makes.  A tied leaf is decided at round two from its neighbour's
+    # round-one cell, so they fell 3,667 -> 2,199 on k = 3, n <= 10 and
+    # 9,928 -> 3,933 on the ALL_RULES run to order 14; the canonical
+    # searches, those of _child_gens's fallback included, are unchanged.
+    calls = Counter()
+    monkeypatch.setattr(search, "refine_round", counting("refine_round", calls))
+    monkeypatch.setattr(canon, "canonical_search", counting("canonical_search", calls))
+    monkeypatch.setattr(search, "canonical_search", canon.canonical_search)
+    report = eta_search(cfg)
+    assert [r.enumerated for r in report.records] == counts
+    assert (calls["refine_round"], calls["canonical_search"]) == (rounds, searches), calls
 
 
 def brute_automorphisms(g):

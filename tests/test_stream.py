@@ -25,6 +25,8 @@ GOLDEN = {
                "741220ce98539f6890caefc4a0ddf077ffbe42cc35b3e20eb890bb53abe62731"),
     "k3-n12-all-rules": (dict(k=3, l=2, n_max=12, prune_rules=ALL_RULES), 456,
                          "0115cce1d4f2ec5e8ee34260708f5b45af9d1a8d0d1b1021036f9f6e0f5fad8d"),
+    "k3-n14-all-rules": (dict(k=3, l=2, n_max=14, prune_rules=ALL_RULES), 2361,
+                         "2c50613e6909188544331b5d5e1962dd8b2ae90359b14ad4718ec72a3483877d"),
 }
 
 
