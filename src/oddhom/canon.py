@@ -62,20 +62,21 @@ def refine_round(rows, cells, fresh):
 
     The counts are bit-sliced: each fresh cell gets a counter of bit planes,
     where bit v of plane j is bit j of v's count towards the cell.  Adding
-    the rows of the cell's members with a ripple carry builds it; a
+    the rows of the cell's members with a ripple carry builds it, so a
     singleton fresh cell, such as an individualized vertex, is one plane,
-    its row.  A cell with no member in any plane (no neighbour of a fresh
-    member) or with one member is kept whole.  Any other cell is split
-    plane by plane: the planes of ``fresh[0]`` most significant first, then
-    those of ``fresh[1]``, and so on, each group splitting into its members
-    without the bit, then those with it.  Every count towards one fresh cell
-    has that cell's planes as its binary digits, so splitting by them from
-    the top orders the groups by count, as comparing digits from the top
-    does; the next counter only splits groups of equal counts so far.  The
-    sub-cells come out in the lexicographic order of their count vectors,
-    which is also the int order of a vector packed six bits per count (a
-    count is at most 63 since ``MAX_VERTICES`` is 64), the order of the
-    round-one keys that ``search._accepted`` packs.
+    its row (none if the row is empty).  A cell with no member in any plane
+    (no neighbour of a fresh member) or with one member is kept whole.  Any
+    other cell is split plane by plane: the planes of ``fresh[0]`` most
+    significant first, then those of ``fresh[1]``, and so on, each group
+    splitting into its members without the bit, then those with it.  Every
+    count towards one fresh cell has that cell's planes as its binary
+    digits, so splitting by them from the top orders the groups by count,
+    as comparing digits from the top does; the next counter only splits
+    groups of equal counts so far.  The sub-cells come out in the
+    lexicographic order of their count vectors, which is also the int order
+    of a vector packed six bits per count (a count is at most 63 since
+    ``MAX_VERTICES`` is 64), the order of the round-one keys that
+    ``search._accepted`` packs.
 
     The returned ``fresh`` cells are the sub-cells of this round's splits,
     all but the last of each: a partition stable towards a cell stays
@@ -89,27 +90,22 @@ def refine_round(rows, cells, fresh):
     planes = []
     touched = 0
     for c in fresh:
-        if c & (c - 1):
-            counter = []
-            while c:
-                b = c & -c
-                c ^= b
-                carry = rows[b.bit_length() - 1]
-                touched |= carry
-                j = 0
-                while carry:
-                    if j == len(counter):
-                        counter.append(carry)
-                        break
-                    p = counter[j]
-                    counter[j] = p ^ carry
-                    carry &= p
-                    j += 1
-            planes += reversed(counter)
-        else:
-            p = rows[c.bit_length() - 1]
-            touched |= p
-            planes.append(p)
+        counter = []
+        while c:
+            b = c & -c
+            c ^= b
+            carry = rows[b.bit_length() - 1]
+            touched |= carry
+            j = 0
+            while carry:
+                if j == len(counter):
+                    counter.append(carry)
+                    break
+                p = counter[j]
+                counter[j] = p ^ carry
+                carry &= p
+                j += 1
+        planes += reversed(counter)
     new_cells = []
     new_fresh = []
     for cell in cells:

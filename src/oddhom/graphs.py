@@ -232,15 +232,16 @@ def girth(g: Graph):
 class DistancePartition:
     """BFS layers around a centre: distance exactly 1, exactly 2, and >= 3.
 
+    ``n1``, ``n2`` and ``n3plus`` are vertex bit masks (bit u for vertex u).
     Unreachable vertices count as distance >= 3.  The four parts
     ``{center}``, ``n1``, ``n2``, ``n3plus`` partition the vertex set, and no
     edge can skip a layer (that would shorten a distance).
     """
 
     center: int
-    n1: frozenset
-    n2: frozenset
-    n3plus: frozenset
+    n1: int
+    n2: int
+    n3plus: int
 
 
 def distance_partition(g: Graph, v) -> DistancePartition:
@@ -250,7 +251,7 @@ def distance_partition(g: Graph, v) -> DistancePartition:
     near = n1 | 1 << v
     n2 = _neighbors_of_set(g.rows, n1) & ~near
     n3 = (1 << g.order) - 1 & ~(near | n2)
-    return DistancePartition(v, frozenset(_bits(n1)), frozenset(_bits(n2)), frozenset(_bits(n3)))
+    return DistancePartition(v, n1, n2, n3)
 
 
 def has_walk_of_length(g: Graph, u, v, length) -> bool:

@@ -288,21 +288,19 @@ def _vspecial_violation(g: Graph, col: VSpecialColouring):
     if not 0 <= v < g.order:
         return "centre out of range"
     part = distance_partition(g, v)
-    if set(col.class_of) != set(part.n3plus):
+    far = part.n3plus
+    if set(col.class_of) != set(_bits(far)):
         return "colouring domain must be exactly the distance->=3 set"
     if any(c not in (C1, C2, C3) for c in col.class_of.values()):
         return "classes must be 1, 2 or 3"
-    far = 0
-    for u in part.n3plus:
-        far |= 1 << u
-    for u in part.n3plus:
+    for u in _bits(far):
         inside = g.rows[u] & far
         if col.class_of[u] == C3 and inside:
             return f"class-3 vertex {u} is not isolated in the induced subgraph"
         for w in _bits(inside):
             if col.class_of[w] == col.class_of[u]:
                 return f"adjacent vertices {u}, {w} share a class"
-    for u in part.n2:
+    for u in _bits(part.n2):
         seen = {col.class_of[w] for w in _bits(g.rows[u] & far)}
         if C1 in seen and C2 in seen:
             return f"distance-2 vertex {u} sees both class 1 and class 2"
@@ -325,9 +323,8 @@ def exists_v_special(g: Graph, v: int) -> VSpecialColouring | None:
     """
     part = distance_partition(g, v)
     rows = g.rows
-    far = sum(1 << u for u in part.n3plus)
-    inner = sum(1 << u for u in part.n3plus if rows[u] & far)
-    n2 = sum(1 << u for u in part.n2)
+    far, n2 = part.n3plus, part.n2
+    inner = sum(1 << u for u in _bits(far) if rows[u] & far)
     cls = {}
     for root in _bits(inner):
         if root in cls:
@@ -360,18 +357,15 @@ def extend_v_special(g: Graph, col: VSpecialColouring) -> VertexMap:
         raise ValueError(f"invalid v-special colouring: {problem}")
     v = col.center
     part = distance_partition(g, v)
-    far = 0
-    for u in part.n3plus:
-        far |= 1 << u
     image = [None] * g.order
     image[v] = 2
-    for u in part.n1:
+    for u in _bits(part.n1):
         image[u] = 3
     class_to_c5 = {C1: 0, C2: 1, C3: 3}
     for u, c in col.class_of.items():
         image[u] = class_to_c5[c]
-    for u in part.n2:
-        has_c1 = any(col.class_of[w] == C1 for w in _bits(g.rows[u] & far))
+    for u in _bits(part.n2):
+        has_c1 = any(col.class_of[w] == C1 for w in _bits(g.rows[u] & part.n3plus))
         image[u] = 4 if has_c1 else 2
     m = VertexMap(g.order, 5, tuple(image))
     if not verify_mapping(g, cycle(5), m):

@@ -13,10 +13,10 @@ rejections happen before a child is built: an S larger than one plus the
 least degree of a parent non-cutvertex, or of exactly that size but missing
 a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
 the budget ticks only the sets inside this bound.  The degree stage reads
-one table per parent (``_parent_table``), never the child: the parent's
-degree classes, and the components of the parent minus each vertex of
-degree at most m + 1, m the least degree of a parent non-cutvertex.  In a
-child, a parent vertex of degree d has degree d + 1 if it lies in S and d
+one table of masks per parent (``_parent_table``): the parent's degree
+classes, and the components of the parent minus each vertex of degree at
+most m + 1, m the least degree of a parent non-cutvertex.  In a child, a
+parent vertex of degree d has degree d + 1 if it lies in S and d
 otherwise, which gives the child's degree partition, and it is a
 non-cutvertex iff S meets each of its components.  No vertex of larger
 degree is needed: the new vertex has degree |S| <= m + 1, only a vertex of
@@ -120,8 +120,6 @@ import time
 from collections import Counter, defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
 from typing import Callable, NamedTuple
 
 from .budget import Budget, BudgetExceededError
@@ -336,9 +334,7 @@ def _conflict_mask(rows, u, limit, conflicts):
 class _ParentTable(NamedTuple):
     """What the children of one parent read from it (``_parent_table``)."""
 
-    degs: list
     classes: list
-    upto: list
     m: int
     R: int
     pieces: list
@@ -347,8 +343,7 @@ class _ParentTable(NamedTuple):
 def _parent_table(rows, n):
     """The degree classes, degree bound and component table of a connected graph.
 
-    ``degs`` holds the degrees, ``classes[d]`` the mask of the vertices of
-    degree d and ``upto[d]`` that of degree at most d, for d up to the
+    ``classes[d]`` is the mask of the vertices of degree d, for d up to the
     largest degree plus one.  m is the least degree of a non-cutvertex and R
     the mask of the non-cutvertices of degree m.  ``pieces[v]`` lists the
     vertex masks of the components of the graph minus ``v``, for the
@@ -398,7 +393,7 @@ def _parent_table(rows, n):
             R = sum(1 << v for v in _bits(cls) if len(pieces[v]) <= 1)
             if R:
                 m = d
-    return _ParentTable(degs, classes, list(accumulate(classes, or_)), m, R, pieces)
+    return _ParentTable(classes, m, R, pieces)
 
 
 def _attachment_sets(rows, n, m, R, limit, conflicts):
@@ -464,15 +459,16 @@ def _accepted(rows_t, n, S, parent):
     and, when no search ran, the orbit of the added vertex minus that
     vertex, every member a twin of it (empty when no rival ties it).
 
-    The degree stage reads the parent's table, not the child's rows.
-    The added vertex has degree |S|; a parent vertex of degree d has degree
-    d + 1 in the child if it lies in S, else d.  So the child's class of
-    degree d is ``classes[d] & ~S | classes[d - 1] & S``, plus the added
-    vertex at d = |S|, and its vertices of degree at most |S| are
-    ``upto[|S|] & ~S | upto[|S| - 1] & S``.  An S larger than m + 1 is
-    rejected at once, as ``_attachment_sets`` shows a member of R to be a
-    non-cutvertex of smaller degree.  The search never builds such a child,
-    and the table holds no pieces above degree m + 1.
+    The degree stage reads the parent's table of masks.  The added vertex
+    has degree |S|; a parent vertex of degree d has degree d + 1 in the
+    child if it lies in S, else d.  So the child's class of degree d is
+    ``classes[d] & ~S | classes[d - 1] & S``, plus the added vertex at
+    d = |S|, and its vertices of degree at most |S| are
+    ``sum(classes[:|S|]) | classes[|S|] & ~S`` (the classes are disjoint).
+    A rival's child degree is the bit count of its row in the child.  An S
+    larger than m + 1 is rejected at once, as ``_attachment_sets`` shows a
+    member of R to be a non-cutvertex of smaller degree.  The search never
+    builds such a child, and the table holds no pieces above degree m + 1.
 
     The rivals of the added vertex are the other non-cutvertices of its
     degree; a parent vertex is one in the child iff S meets each of its
@@ -522,9 +518,9 @@ def _accepted(rows_t, n, S, parent):
     da = S.bit_count()
     if da > parent.m + 1:
         return None
-    degs, classes, upto, pieces = parent.degs, parent.classes, parent.upto, parent.pieces
+    classes, pieces = parent.classes, parent.pieces
     rivals = []
-    candidates = upto[da] & ~S | upto[da - 1] & S
+    candidates = sum(classes[:da]) | classes[da] & ~S
     while candidates:
         b = candidates & -candidates
         candidates ^= b
@@ -533,7 +529,7 @@ def _accepted(rows_t, n, S, parent):
             if not S & piece:
                 break
         else:
-            if degs[v] + (S >> v & 1) < da:
+            if rows_t[v].bit_count() < da:
                 return None
             rivals.append(v)
     if not rivals:

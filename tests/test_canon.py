@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 
+import pytest
+
 from oddhom import (ALL_RULES, Graph, SearchConfig, are_isomorphic, canonical_bytes, canonical_form,
-                    cycle, enumerate_graphs, is_core, odd_k4)
+                    complete, cycle, enumerate_graphs, is_core, odd_k4)
 from oddhom import canon, search
 from oddhom.canon import (_adj_bytes, _find, _homogeneous, _union, canonical_search, refine_partition,
-                          refine_round)
-from oddhom.graphs import _bits, _neighbors_of_set
+                          refine_round, search_graph)
+from oddhom.graphs import MAX_VERTICES, _bits, _neighbors_of_set
 
 from conftest import all_labelled_graphs, brute_iso, corpus, random_graph, vertex_transitive_graphs
 
@@ -46,6 +48,46 @@ class TestCanonicalForm:
         g2 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
         assert sorted(g1.degrees()) == sorted(g2.degrees())
         assert not are_isomorphic(g1, g2)
+
+
+def symmetric_graphs():
+    """Highly symmetric graphs of order up to ``MAX_VERTICES``, by name, each
+    with its orbits as ``canonical_search`` gives them (the least vertex of
+    each orbit)."""
+    n, half = MAX_VERTICES, MAX_VERTICES // 2
+    return {
+        "K64": (complete(n), [0] * n),
+        "empty": (Graph.from_edges(n, []), [0] * n),
+        "star": (Graph.from_edges(n, [(0, v) for v in range(1, n)]), [0] + [1] * (n - 1)),
+        "K32,32": (Graph.from_edges(n, [(a, half + b) for a in range(half) for b in range(half)]),
+                   [0] * n),
+        "21K3": (Graph.from_edges(63, [(3 * t + i, 3 * t + (i + 1) % 3)
+                                       for t in range(21) for i in range(3)]), [0] * 63),
+        "C64": (cycle(n), [0] * n),
+    }
+
+
+class TestSymmetricAtMaxOrder:
+    """Cells stay large in these graphs: refinement counts towards fresh
+    cells of 63 members, and the homogeneous-cell shortcut ends the walk
+    high in the tree."""
+
+    @pytest.mark.parametrize("name", list(symmetric_graphs()))
+    def test_bytes_orbits_and_generators(self, name):
+        g, orbits = symmetric_graphs()[name]
+        n = g.order
+        rng = random.Random(n)
+        base = canonical_bytes(g)
+        for _ in range(3):
+            p = list(range(n))
+            rng.shuffle(p)
+            assert canonical_bytes(relabel(g, p)) == base
+        _, perm, orbit, gens = search_graph(g)
+        assert sorted(perm) == list(range(n))
+        assert orbit == orbits
+        for a in gens:
+            assert sorted(a) == list(range(n))
+            assert all(sum(1 << a[u] for u in _bits(g.rows[v])) == g.rows[a[v]] for v in range(n))
 
 
 class TestAgainstPermutationOracle:

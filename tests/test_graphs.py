@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -175,33 +176,35 @@ class TestGirth:
 
 
 class TestDistancePartition:
+    # The layers are vertex bit masks.
+    @staticmethod
+    def sizes(dp):
+        return dp.n1.bit_count(), dp.n2.bit_count(), dp.n3plus.bit_count()
+
     def test_c7_symmetry(self):
         for v in range(7):
-            dp = distance_partition(cycle(7), v)
-            assert (len(dp.n1), len(dp.n2), len(dp.n3plus)) == (2, 2, 2)
+            assert self.sizes(distance_partition(cycle(7), v)) == (2, 2, 2)
 
     def test_star_center(self):
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
         dp = distance_partition(star, 0)
-        assert (len(dp.n1), len(dp.n2), len(dp.n3plus)) == (4, 0, 0)
+        assert dp == DistancePartition(0, 0b11110, 0, 0)
 
     def test_fig2a_u0(self):
-        dp = distance_partition(fixture("fig2a"), 0)
-        assert (len(dp.n1), len(dp.n2), len(dp.n3plus)) == (3, 5, 6)
+        assert self.sizes(distance_partition(fixture("fig2a"), 0)) == (3, 5, 6)
 
     def test_partitions_and_layer_edges(self, rng):
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 9), rng.random())
             v = rng.randrange(g.order)
             dp = distance_partition(g, v)
-            parts = [{v}, set(dp.n1), set(dp.n2), set(dp.n3plus)]
-            assert set().union(*parts) == set(range(g.order))
-            assert sum(len(p) for p in parts) == g.order
-            for u in dp.n2 | dp.n3plus:
-                assert not g.has_edge(v, u)
-            for u in dp.n1:
-                for w in dp.n3plus:
-                    assert not g.has_edge(u, w)
+            parts = [1 << v, dp.n1, dp.n2, dp.n3plus]
+            assert sum(parts) == (1 << g.order) - 1
+            assert all(a & b == 0 for a, b in itertools.combinations(parts, 2))
+            assert g.rows[v] & (dp.n2 | dp.n3plus) == 0
+            for u in range(g.order):
+                if dp.n1 >> u & 1:
+                    assert g.rows[u] & dp.n3plus == 0
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
@@ -217,8 +220,8 @@ class TestDistancePartition:
             G.add_nodes_from(range(g.order))
             for v in range(g.order):
                 dist = nx.single_source_shortest_path_length(G, v)
-                layer = {d: frozenset(u for u in dist if dist[u] == d) for d in (1, 2)}
-                far = frozenset(u for u in range(g.order) if dist.get(u, 3) >= 3)
+                layer = {d: sum(1 << u for u in dist if dist[u] == d) for d in (1, 2)}
+                far = sum(1 << u for u in range(g.order) if dist.get(u, 3) >= 3)
                 assert distance_partition(g, v) == DistancePartition(v, layer[1], layer[2], far)
 
 

@@ -635,11 +635,8 @@ class TestParentTable:
         n = len(rows)
         table = _parent_table(rows, n)
         degs = [r.bit_count() for r in rows]
-        assert table.degs == degs
         assert table.classes == [sum(1 << v for v in range(n) if degs[v] == d)
                                  for d in range(max(degs) + 2)]
-        assert table.upto == [sum(1 << v for v in range(n) if degs[v] <= d)
-                              for d in range(max(degs) + 2)]
         assert (table.m, table.R) == degree_bound(rows, n), rows
         pieces = component_table(rows, n)
         for v in range(n):
@@ -674,7 +671,7 @@ class TestParentTable:
     def test_one_vertex_root(self):
         # The root's vertex has no pieces and is a non-cutvertex of degree 0.
         table = self.assert_matches((0,), [1], Counter())
-        assert table == ([0], [1, 0], [1, 1], 0, 1, [[]])
+        assert table == ([1, 0], 0, 1, [[]])
 
     def test_least_degree_class_of_cutvertices(self):
         # Two K4s joined through a vertex of degree 2: it alone has the least
@@ -691,56 +688,30 @@ class TestParentTable:
         assert ms[3] > 1 and min(outcomes.values()) > 0, (ms, outcomes)
 
 
-def test_accepted_canonical_searches_pinned(monkeypatch):
-    # The round-one keys and the twin certificate leave few ties for the
-    # canonical search: at most 800 of the searches on k = 3, n <= 10 are
-    # made by _accepted.
+def test_refinement_rounds_pinned(monkeypatch):
+    # Every counter of the serial k = 3, n <= 10 run, in one run:
+    # - the parent tables hold the pieces of 5,467 parent vertices, those of
+    #   degree at most m + 1, where a table of every vertex of every parent
+    #   held 8,664;
+    # - no grown node is refined or searched, since its generators come
+    #   from its parent's, so refine_partition makes 5,067 rounds (7,577
+    #   when each grown node finished its refinement, 9,735 when it was
+    #   refined from the unit partition);
+    # - _accepted makes 2,199 rounds itself, since a tied leaf is decided
+    #   at round two from its neighbour's round-one cell (3,667 before);
+    # - 752 canonical searches, where there were 1,499: 751 made by
+    #   _accepted and one by _child_gens's fallback, on the one child whose
+    #   Schreier generators would reach its order.
+    # enumerate_graphs makes the same calls.
     calls = Counter()
-    real_accepted = search._accepted
-
-    def counting_accepted(*args):
-        before = calls["canonical_search"]
-        out = real_accepted(*args)
-        calls["accepted"] += calls["canonical_search"] - before
-        return out
-
-    monkeypatch.setattr(search, "canonical_search", counting("canonical_search", calls))
-    monkeypatch.setattr(search, "_accepted", counting_accepted)
-    assert stream_counts(SearchConfig(k=3, l=2, n_max=10)) == ODD_GIRTH_7
-    assert 0 < calls["accepted"] <= 800, calls
-
-
-def test_component_tables_pinned(monkeypatch):
-    # The serial k = 3, n <= 10 run builds the pieces of 5,467 parent
-    # vertices, those of degree at most m + 1, where a table of every
-    # vertex of every parent held 8,664.
-    built = Counter()
     real_table = search._parent_table
+    real_round = canon.refine_round
 
     def counting_table(rows, n):
         table = real_table(rows, n)
-        built["vertices"] += n
-        built["pieces"] += n - table.pieces.count(None)
+        calls["vertices"] += n
+        calls["pieces"] += n - table.pieces.count(None)
         return table
-
-    monkeypatch.setattr(search, "_parent_table", counting_table)
-    report = eta_search(SearchConfig(k=3, l=2, n_max=10))
-    assert [r.enumerated for r in report.records] == ODD_GIRTH_7
-    assert built == {"vertices": 8_664, "pieces": 5_467}, built
-
-
-def test_refinement_rounds_pinned(monkeypatch):
-    # No grown node is refined or searched: its generators come from its
-    # parent's, so the serial k = 3, n <= 10 run makes 5,067 rounds inside
-    # refine_partition (7,577 when each grown node finished its
-    # refinement, 9,735 when it was refined from the unit partition) and
-    # 752 canonical searches, where it made 1,499.  All but one are made by
-    # _accepted; the one is _child_gens's fallback, on the one child whose
-    # Schreier generators would reach its order.
-    calls = Counter()
-    real_round = canon.refine_round
-    real_accepted = search._accepted
-    real_child_gens = search._child_gens
 
     def counting_round(*args):
         calls["rounds"] += 1
@@ -754,28 +725,30 @@ def test_refinement_rounds_pinned(monkeypatch):
             return out
         return wrapper
 
+    monkeypatch.setattr(search, "_parent_table", counting_table)
+    monkeypatch.setattr(search, "refine_round", counting("refine_round", calls))
     monkeypatch.setattr(canon, "refine_round", counting_round)
     monkeypatch.setattr(canon, "canonical_search", counting("canonical_search", calls))
     monkeypatch.setattr(search, "canonical_search", canon.canonical_search)
-    monkeypatch.setattr(search, "_accepted", inside("accepted", real_accepted))
-    monkeypatch.setattr(search, "_child_gens", inside("fallback", real_child_gens))
+    monkeypatch.setattr(search, "_accepted", inside("accepted", search._accepted))
+    monkeypatch.setattr(search, "_child_gens", inside("fallback", search._child_gens))
     report = eta_search(SearchConfig(k=3, l=2, n_max=10))
     assert [r.enumerated for r in report.records] == ODD_GIRTH_7
-    assert calls["rounds"] == 5_067, calls
-    assert calls["canonical_search"] == 752, calls
-    assert (calls["accepted"], calls["fallback"]) == (751, 1), calls
+    assert calls == {"vertices": 8_664, "pieces": 5_467, "rounds": 5_067,
+                     "refine_round": 2_199, "canonical_search": 752,
+                     "accepted": 751, "fallback": 1}, calls
 
 
 @pytest.mark.parametrize("cfg, counts, rounds, searches", [
-    (SearchConfig(k=3, l=2, n_max=10), ODD_GIRTH_7, 2_199, 752),
     (SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES), MINIMAL_OG7, 3_933, 383),
-], ids=["k3", "k3-all-rules"])
+], ids=["k3-all-rules"])
 def test_accepted_rounds_pinned(cfg, counts, rounds, searches, monkeypatch):
     # The refinement rounds _accepted makes itself, the only rounds search
     # makes.  A tied leaf is decided at round two from its neighbour's
-    # round-one cell, so they fell 3,667 -> 2,199 on k = 3, n <= 10 and
-    # 9,928 -> 3,933 on the ALL_RULES run to order 14; the canonical
-    # searches, those of _child_gens's fallback included, are unchanged.
+    # round-one cell, so they fell 9,928 -> 3,933 on the ALL_RULES run to
+    # order 14; the canonical searches, those of _child_gens's fallback
+    # included, are unchanged.  (The k = 3, n <= 10 counts are pinned in
+    # test_refinement_rounds_pinned.)
     calls = Counter()
     monkeypatch.setattr(search, "refine_round", counting("refine_round", calls))
     monkeypatch.setattr(canon, "canonical_search", counting("canonical_search", calls))

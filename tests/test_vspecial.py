@@ -131,7 +131,8 @@ def brute_force_v_special(g, v):
     vertices one class are dropped as they are built; the check rejects
     them all anyway."""
     maps = [{}]
-    for u in sorted(distance_partition(g, v).n3plus):
+    far = distance_partition(g, v).n3plus
+    for u in (u for u in range(g.order) if far >> u & 1):
         maps = [{**m, u: c} for m in maps for c in (1, 2, 3)
                 if all(m[w] != c for w in m if g.rows[u] >> w & 1)]
     return [m for m in maps if _vspecial_violation(g, VSpecialColouring(v, m)) is None]
