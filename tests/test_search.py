@@ -688,73 +688,107 @@ class TestParentTable:
         assert ms[3] > 1 and min(outcomes.values()) > 0, (ms, outcomes)
 
 
-def test_refinement_rounds_pinned(monkeypatch):
-    # Every counter of the serial k = 3, n <= 10 run, in one run:
-    # - the parent tables hold the pieces of 5,467 parent vertices, those of
-    #   degree at most m + 1, where a table of every vertex of every parent
-    #   held 8,664;
-    # - no grown node is refined or searched, since its generators come
-    #   from its parent's, so refine_partition makes 5,067 rounds (7,577
-    #   when each grown node finished its refinement, 9,735 when it was
-    #   refined from the unit partition);
-    # - _accepted makes 2,199 rounds itself, since a tied leaf is decided
-    #   at round two from its neighbour's round-one cell (3,667 before);
-    # - 752 canonical searches, where there were 1,499: 751 made by
-    #   _accepted and one by _child_gens's fallback, on the one child whose
-    #   Schreier generators would reach its order.
+K3_N10 = SearchConfig(k=3, l=2, n_max=10)
+
+
+@pytest.fixture(scope="module")
+def counted_run():
+    """``counted_run(cfg)``: the enumerated counts and every counter of one
+    serial ``eta_search(cfg)``, made once per cfg with all the wrappers:
+    - ``vertices`` and ``pieces``: the parent-table vertices, and those of
+      them whose pieces are built;
+    - ``rounds``: every ``canon.refine_round`` call; ``refine_round``: those
+      ``_accepted`` makes itself, the only rounds search makes;
+    - ``canonical_search``: every search, of which ``accepted`` are made
+      inside ``_accepted`` and ``fallback`` inside ``_child_gens``.
+    """
+    runs = {}
+
+    def run(cfg):
+        if cfg in runs:
+            return runs[cfg]
+        calls = Counter()
+        real_table = search._parent_table
+        real_round = canon.refine_round
+
+        def counting_table(rows, n):
+            table = real_table(rows, n)
+            calls["vertices"] += n
+            calls["pieces"] += n - table.pieces.count(None)
+            return table
+
+        def counting_round(*args):
+            calls["rounds"] += 1
+            return real_round(*args)
+
+        def inside(name, real):
+            def wrapper(*args):
+                before = calls["canonical_search"]
+                out = real(*args)
+                calls[name] += calls["canonical_search"] - before
+                return out
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_parent_table", counting_table)
+            mp.setattr(search, "refine_round", counting("refine_round", calls))
+            mp.setattr(canon, "refine_round", counting_round)
+            mp.setattr(canon, "canonical_search", counting("canonical_search", calls))
+            mp.setattr(search, "canonical_search", canon.canonical_search)
+            mp.setattr(search, "_accepted", inside("accepted", search._accepted))
+            mp.setattr(search, "_child_gens", inside("fallback", search._child_gens))
+            report = eta_search(cfg)
+        runs[cfg] = [r.enumerated for r in report.records], calls
+        return runs[cfg]
+    return run
+
+
+def test_accepted_canonical_searches_pinned(counted_run):
+    # The round-one keys and the twin certificate leave few ties for the
+    # canonical search: 751 of the searches on k = 3, n <= 10 are made by
+    # _accepted.
+    counts, calls = counted_run(K3_N10)
+    assert counts == ODD_GIRTH_7
+    assert calls["accepted"] == 751, calls
+
+
+def test_component_tables_pinned(counted_run):
+    # The serial k = 3, n <= 10 run builds the pieces of 5,467 parent
+    # vertices, those of degree at most m + 1, where a table of every
+    # vertex of every parent held 8,664.
+    counts, calls = counted_run(K3_N10)
+    assert counts == ODD_GIRTH_7
+    assert (calls["vertices"], calls["pieces"]) == (8_664, 5_467), calls
+
+
+def test_refinement_rounds_pinned(counted_run):
+    # Every counter of the serial k = 3, n <= 10 run.  No grown node is
+    # refined or searched: its generators come from its parent's, so
+    # refine_partition makes 5,067 rounds (7,577 when each grown node
+    # finished its refinement, 9,735 when it was refined from the unit
+    # partition) and 752 canonical searches, where it made 1,499.  All but
+    # one are made by _accepted; the one is _child_gens's fallback, on the
+    # one child whose Schreier generators would reach its order.
     # enumerate_graphs makes the same calls.
-    calls = Counter()
-    real_table = search._parent_table
-    real_round = canon.refine_round
-
-    def counting_table(rows, n):
-        table = real_table(rows, n)
-        calls["vertices"] += n
-        calls["pieces"] += n - table.pieces.count(None)
-        return table
-
-    def counting_round(*args):
-        calls["rounds"] += 1
-        return real_round(*args)
-
-    def inside(name, real):
-        def wrapper(*args):
-            before = calls["canonical_search"]
-            out = real(*args)
-            calls[name] += calls["canonical_search"] - before
-            return out
-        return wrapper
-
-    monkeypatch.setattr(search, "_parent_table", counting_table)
-    monkeypatch.setattr(search, "refine_round", counting("refine_round", calls))
-    monkeypatch.setattr(canon, "refine_round", counting_round)
-    monkeypatch.setattr(canon, "canonical_search", counting("canonical_search", calls))
-    monkeypatch.setattr(search, "canonical_search", canon.canonical_search)
-    monkeypatch.setattr(search, "_accepted", inside("accepted", search._accepted))
-    monkeypatch.setattr(search, "_child_gens", inside("fallback", search._child_gens))
-    report = eta_search(SearchConfig(k=3, l=2, n_max=10))
-    assert [r.enumerated for r in report.records] == ODD_GIRTH_7
+    counts, calls = counted_run(K3_N10)
+    assert counts == ODD_GIRTH_7
     assert calls == {"vertices": 8_664, "pieces": 5_467, "rounds": 5_067,
                      "refine_round": 2_199, "canonical_search": 752,
                      "accepted": 751, "fallback": 1}, calls
 
 
 @pytest.mark.parametrize("cfg, counts, rounds, searches", [
+    (K3_N10, ODD_GIRTH_7, 2_199, 752),
     (SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES), MINIMAL_OG7, 3_933, 383),
-], ids=["k3-all-rules"])
-def test_accepted_rounds_pinned(cfg, counts, rounds, searches, monkeypatch):
+], ids=["k3", "k3-all-rules"])
+def test_accepted_rounds_pinned(cfg, counts, rounds, searches, counted_run):
     # The refinement rounds _accepted makes itself, the only rounds search
     # makes.  A tied leaf is decided at round two from its neighbour's
-    # round-one cell, so they fell 9,928 -> 3,933 on the ALL_RULES run to
-    # order 14; the canonical searches, those of _child_gens's fallback
-    # included, are unchanged.  (The k = 3, n <= 10 counts are pinned in
-    # test_refinement_rounds_pinned.)
-    calls = Counter()
-    monkeypatch.setattr(search, "refine_round", counting("refine_round", calls))
-    monkeypatch.setattr(canon, "canonical_search", counting("canonical_search", calls))
-    monkeypatch.setattr(search, "canonical_search", canon.canonical_search)
-    report = eta_search(cfg)
-    assert [r.enumerated for r in report.records] == counts
+    # round-one cell, so they fell 3,667 -> 2,199 on k = 3, n <= 10 and
+    # 9,928 -> 3,933 on the ALL_RULES run to order 14; the canonical
+    # searches, those of _child_gens's fallback included, are unchanged.
+    enumerated, calls = counted_run(cfg)
+    assert enumerated == counts
     assert (calls["refine_round"], calls["canonical_search"]) == (rounds, searches), calls
 
 
