@@ -8,20 +8,28 @@ vertex is chosen by isomorphism-invariant keys: first the earliest
 refined-colour cell holding a non-cutvertex, then, within that cell, the
 non-cutvertex with the least position in the canonical labelling.  A child
 built by attaching a new vertex to a subset S of a parent is accepted iff
-the new vertex lies in the automorphism orbit of that vertex.  Most degree
-rejections happen before a child is built: an S larger than one plus the
-least degree of a parent non-cutvertex, or of exactly that size but missing
-a non-cutvertex of that degree, is never tried (``_attachment_sets``), and
-the budget ticks only the sets inside this bound.  The degree stage reads
-one table of masks per parent (``_parent_table``): the parent's degree
-classes, and the components of the parent minus each vertex of degree at
-most m + 1, m the least degree of a parent non-cutvertex.  In a child, a
-parent vertex of degree d has degree d + 1 if it lies in S and d
-otherwise, which gives the child's degree partition, and it is a
-non-cutvertex iff S meets each of its components.  No vertex of larger
-degree is needed: the new vertex has degree |S| <= m + 1, only a vertex of
-child degree at most |S| can reject it or tie with it, and no vertex has a
-smaller degree in the child than in the parent.  A remaining child with no
+the new vertex lies in the automorphism orbit of that vertex.  Two bounds
+drop sets before a child is built (``_attachment_sets``), and the budget
+ticks only the sets inside both.  The degree bound: an S larger than one
+plus the least degree m of a parent non-cutvertex, or of exactly that size
+but missing a non-cutvertex of that degree, is rejected by degrees.  The
+leaf bound: a singleton {u} is rejected at round one (below) when some
+leaf v != u of the parent has a neighbour w of degree at least
+deg(u) + 2, since v stays a leaf and a non-cutvertex, a rival of the new
+leaf, and its one neighbour w lies in a later degree cell of the child than
+u, which gives v the smaller key.  Both read degrees alone, so an orbit of
+sets drops whole.  The degree stage reads one table of masks per parent
+(``_parent_table``): the parent's degree classes, and the components of
+the parent minus each vertex, walked the first time a child reads them.  A
+parent with a leaf has m = 1, its leaves the non-cutvertices of that
+degree, with no walk.  In a child, a parent vertex of degree d has degree
+d + 1 if it lies in S and d otherwise, which gives the child's degree
+partition, and it is a non-cutvertex iff S meets each of its components.
+No vertex of larger degree is read: the new vertex has degree
+|S| <= m + 1, only a vertex of child degree at most |S| can reject it or
+tie with it, and no vertex has a smaller degree in the child than in the
+parent; so a vertex of degree m + 1 has its components walked only for a
+child with |S| = m + 1.  A remaining child with no
 other non-cutvertex of the new vertex's degree is accepted by the degrees
 alone.  Otherwise the first refinement round's keys of the new
 vertex and of those rivals alone decide most children: a rival with a
@@ -40,7 +48,11 @@ rival before the new vertex (reject) or none beside it, or only twins
 (accept).  One canonical search of the
 child, which also yields its automorphism generators and orbits, settles
 the rest.  Among siblings, S is tried only if it is the first-enumerated
-member of its orbit under the parent's automorphism group.
+member of its orbit under the parent's automorphism group.  The tree is
+walked depth first, in pre-order, on one explicit stack of generators,
+each yielding one node's children (``_descendants``), so a graph passes
+through one generator frame whatever its depth, and a graph that is not
+grown starts none.
 
 A node's group comes from its parent's, unless a search decided its
 acceptance.  A child accepted before the search knows the orbit of its
@@ -337,7 +349,43 @@ class _ParentTable(NamedTuple):
     classes: list
     m: int
     R: int
-    pieces: list
+    pieces: dict
+
+
+class _Pieces(dict):
+    """The components of a connected graph minus each vertex, walked when first read.
+
+    ``pieces[v]`` lists the vertex masks of the components of the graph
+    minus ``v``.  Every piece holds a neighbour of ``v``, since the graph is
+    connected, so each walk starts at a neighbour not yet reached, and the
+    last one left needs no walk: its piece is the rest (a leaf's one piece
+    is all but the leaf, and an isolated vertex has none).
+    """
+
+    __slots__ = ("rows", "full")
+
+    def __init__(self, rows, n):
+        super().__init__()
+        self.rows = rows
+        self.full = (1 << n) - 1
+
+    def __missing__(self, v):
+        rows = self.rows
+        rest = self.full ^ (1 << v)
+        todo = rows[v]
+        comps = []
+        while todo & (todo - 1):
+            seen = frontier = todo & -todo
+            while frontier:
+                frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
+                seen |= frontier
+            comps.append(seen)
+            rest ^= seen
+            todo &= ~seen
+        if todo:
+            comps.append(rest)
+        self[v] = comps
+        return comps
 
 
 def _parent_table(rows, n):
@@ -345,68 +393,64 @@ def _parent_table(rows, n):
 
     ``classes[d]`` is the mask of the vertices of degree d, for d up to the
     largest degree plus one.  m is the least degree of a non-cutvertex and R
-    the mask of the non-cutvertices of degree m.  ``pieces[v]`` lists the
-    vertex masks of the components of the graph minus ``v``, for the
-    vertices of degree at most m + 1 only, and is None above.
+    the mask of the non-cutvertices of degree m.  ``pieces`` is a
+    ``_Pieces``: ``pieces[v]`` lists the vertex masks of the components of
+    the graph minus ``v``, walked the first time it is read.
 
     ``v`` is a non-cutvertex iff it has at most one piece (none only in the
     one-vertex graph, whose vertex is one).  In a child that joins a new
     vertex to a set S of the graph's vertices, ``v`` is a non-cutvertex iff
     S meets every piece of ``v``: the new vertex then ties the pieces
-    together, and a piece that S misses stays cut off.  Every piece holds a
-    neighbour of ``v``, since the graph is connected, so each walk starts
-    at a neighbour not yet reached, and the last one left needs no walk:
-    its piece is the rest (a leaf's one piece is all but the leaf).
+    together, and a piece that S misses stays cut off.
 
-    The table is built in increasing degree; the first class that holds a
-    non-cutvertex has degree m, and after class m + 1 it stops.  That is all
-    the children read: ``_accepted`` asks for the pieces of v only when v's
-    degree in the child is at most |S| <= m + 1, and a vertex's degree in
-    the child is never below its degree here.
+    A leaf is never a cutvertex, so a graph with a leaf has m = 1 and R its
+    leaves, read off class 1 with no walk.  Otherwise m and R are read from
+    the pieces of the classes in increasing degree, up to the first that
+    holds a non-cutvertex.  The children read the rest: ``_accepted`` asks
+    for the pieces of v only when v's degree in the child is at most
+    |S| <= m + 1, so the pieces of a vertex of degree m + 1 are walked only
+    for a child with |S| = m + 1.
     """
     degs = [r.bit_count() for r in rows]
     classes = [0] * (max(degs) + 2)
     for v, d in enumerate(degs):
         classes[d] |= 1 << v
-    full = (1 << n) - 1
-    pieces = [None] * n
-    m = R = None
-    for d, cls in enumerate(classes):
-        if m is not None and d > m + 1:
-            break
-        for v in _bits(cls):
-            rest = full ^ (1 << v)
-            todo = rows[v]
-            comps = []
-            while todo & (todo - 1):
-                seen = frontier = todo & -todo
-                while frontier:
-                    frontier = _neighbors_of_set(rows, frontier) & rest & ~seen
-                    seen |= frontier
-                comps.append(seen)
-                rest ^= seen
-                todo &= ~seen
-            if todo:
-                comps.append(rest)
-            pieces[v] = comps
-        if m is None:
-            R = sum(1 << v for v in _bits(cls) if len(pieces[v]) <= 1)
-            if R:
-                m = d
-    return _ParentTable(classes, m, R, pieces)
+    pieces = _Pieces(rows, n)
+    if classes[1]:
+        return _ParentTable(classes, 1, classes[1], pieces)
+    for m, cls in enumerate(classes):
+        R = sum(1 << v for v in _bits(cls) if len(pieces[v]) <= 1)
+        if R:
+            return _ParentTable(classes, m, R, pieces)
 
 
-def _attachment_sets(rows, n, m, R, limit, conflicts):
-    """The independent attachment sets that can pass ``_accepted``'s degree stage.
+def _attachment_sets(rows, n, parent, limit, conflicts):
+    """The independent attachment sets that can pass ``_accepted``'s first stages.
 
-    m is the least degree of a non-cutvertex of the parent and R the mask
-    of the non-cutvertices of degree m, as ``_parent_table`` gives them.
-    Outside S a vertex keeps its degree, and a non-cutvertex stays one;
-    inside S, with |S| >= 2, a parent non-cutvertex stays one.  (A parent
-    cutvertex may become a non-cutvertex; the bound does not use that.)  So
-    the degree stage rejects every S with |S| > m + 1, and every S with
-    |S| = m + 1 that misses a member of R.  R is invariant under the
-    parent's automorphisms, so whole orbits of sets drop together.
+    ``parent`` is the parent's ``_parent_table``: m is the least degree of
+    a non-cutvertex of the parent and R the mask of the non-cutvertices of
+    degree m.  Two bounds drop sets whose child ``_accepted`` rejects.
+
+    The degree bound.  Outside S a vertex keeps its degree, and a
+    non-cutvertex stays one; inside S, with |S| >= 2, a parent non-cutvertex
+    stays one.  (A parent cutvertex may become a non-cutvertex; the bound
+    does not use that.)  So the degree stage rejects every S with
+    |S| > m + 1, and every S with |S| = m + 1 that misses a member of R.
+
+    The leaf bound, on singletons: {u} is dropped when some leaf v != u of
+    the parent has a neighbour w of degree at least deg(u) + 2.  Its child
+    adds a leaf a at u, and v is a rival of a: a leaf of the child, and a
+    non-cutvertex, since its one piece holds u.  A leaf's round-one key is
+    a count of 1 at its neighbour's degree cell of the child (none when
+    that cell is the last, which keys do not count), and an earlier cell
+    weighs more.  w is not u, as their degrees differ, so its child degree
+    is deg(w) > deg(u) + 1, the child degree of u: w's cell comes after
+    u's, so v's key, with no count at u's cell, is smaller than a's, and
+    round one rejects.
+
+    Both bounds read degrees alone, so they are invariant under the
+    parent's automorphisms, and whole orbits of sets drop together.  Each
+    is one mask per parent: R, and the singletons the leaf bound drops.
 
     The sets are independent in the conflict graph whose masks
     ``_conflict_mask`` computes from ``limit`` and ``conflicts``.  A
@@ -414,11 +458,25 @@ def _attachment_sets(rows, n, m, R, limit, conflicts):
     last one, b, that conflict with none of its members, so it reads b's
     mask, computed when first needed.  A set of size m extends to size
     m + 1 only if it holds R, or misses one member r of R and takes r; then
-    r's mask, by symmetry, tells whether r and b conflict.  In most parents
-    m is 1, and the walk reads one mask at most.  The list is that of every
-    independent set up to size m + 1, in the walk's order, without those
-    the bound drops.
+    r's mask, by symmetry, tells whether r and b conflict.  A dropped
+    singleton still extends.  In most parents m is 1, and the walk reads
+    one mask at most.  The list is that of every independent set up to size
+    m + 1, in the walk's order, without those the bounds drop.
     """
+    classes, m, R = parent.classes, parent.m, parent.R
+    leaves = classes[1]
+    # ``high``: the leaves whose neighbour has degree 3 or more, the only
+    # ones that can drop a singleton; ``top``: their neighbours' largest degree.
+    high = top = 0
+    for v in _bits(leaves):
+        d = rows[rows[v].bit_length() - 1].bit_count()
+        if d >= 3:
+            high |= 1 << v
+            top = max(top, d)
+    drop = 0
+    if high:
+        # Every leaf drops if two leaves are high, else every leaf but the high one.
+        drop = sum(classes[2:top - 1]) | (leaves if high & (high - 1) else leaves ^ high)
     conf = [None] * n
 
     def conflict(v):
@@ -437,7 +495,8 @@ def _attachment_sets(rows, n, m, R, limit, conflicts):
             b = avail & -avail
             avail ^= b
             s = cur | b
-            out.append(s)
+            if cur or not b & drop:
+                out.append(s)
             if size > m:
                 continue
             missing = R & ~s
@@ -468,7 +527,8 @@ def _accepted(rows_t, n, S, parent):
     A rival's child degree is the bit count of its row in the child.  An S
     larger than m + 1 is rejected at once, as ``_attachment_sets`` shows a
     member of R to be a non-cutvertex of smaller degree.  The search never
-    builds such a child, and the table holds no pieces above degree m + 1.
+    builds such a child, so the pieces it reads, walked as they are first
+    read, are those of vertices of degree at most m + 1.
 
     The rivals of the added vertex are the other non-cutvertices of its
     degree; a parent vertex is one in the child iff S meets each of its
@@ -731,32 +791,24 @@ def _extend_colouring(colour, S, target_rows):
     return colour + ((free & -free).bit_length() - 1,) if free else None
 
 
-def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
-    """DFS over accepted descendants of one augmentation node.
+def _children(node, cfg: SearchConfig, budget, target, conflicts, checks):
+    """The accepted children of one node, as ``(witness, child node)``, in order.
 
-    A node is ``(rows, colouring, gens)``, with ``gens`` generators of the
-    automorphism group of ``rows``: the root's empty list, a canonical
-    search's, or those ``_child_gens`` derives from the parent's, for every
-    node of order below ``cfg.n_max``, the only ones that are grown.  So a
-    node is neither refined nor searched when it is grown; only
-    ``_accepted`` and, rarely, ``_child_gens`` search a child.  Yields
-    ``(witness, child node)`` for each accepted graph strictly below the
-    node.  Graphs of order ``stop`` (at most n_max) are yielded but not
-    grown; they form the frontier whose subtrees ``_expand_subtree`` grows,
-    so they carry their gens too.
+    A node is ``(rows, colouring, gens)`` (see ``_descendants``), and
+    ``conflicts`` and ``checks`` are the config's growth rules, which the
+    walk reads from the table once.  The node's ``_parent_table`` is built
+    once: its degree classes bound the attachment sets, and every child's
+    ``_accepted`` reads its classes and component table.  A child's rows
+    differ from the node's only at S, whose rows gain the new vertex, and
+    at the new vertex.  The orbit of S that skips its later members also
+    gives the child's gens, for a child of order below ``cfg.n_max``.
 
-    The node's ``_parent_table`` is built once: its m and R bound the
-    attachment sets, and every child's ``_accepted`` reads its degree
-    classes and component table.  A child's rows differ from the node's only
-    at S, whose rows gain the new vertex, and at the new vertex.  The orbit
-    of S that skips its later members also gives the child's gens.
-
-    The config's growth rules act in two ways.  Their conflicts, with the
-    odd-walk limit 2k - 3, shape the attachment sets ``_attachment_sets``
-    lists, which computes the masks it reads as it needs them.  Their vertex
-    checks run on each child by ``_holds_near``, at the new vertex, S and
-    S's neighbours only: every other vertex reads what it read in this
-    node, which passed them.
+    The growth rules act in two ways.  Their conflicts, with the odd-walk
+    limit 2k - 3, shape the attachment sets ``_attachment_sets`` lists,
+    which computes the masks it reads as it needs them.  Their vertex checks
+    run on each child by ``_holds_near``, at the new vertex, S and S's
+    neighbours only: every other vertex reads what it read in this node,
+    which passed them.
 
     With a ``target`` C_{2l+1}, every child is tested by ``_test_witness``
     (witness: its graph6, else None) and carries its colouring, a map to
@@ -765,21 +817,17 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
     """
     rows, colour, gens = node
     n = len(rows)
-    if n >= stop:
-        return
-    growth = _rules(cfg.prune_rules, "growth")
-    conflicts = [rule.conflict for rule in growth if rule.conflict is not None]
-    checks = [rule.check for rule in growth if rule.conflict is None]
     parent = _parent_table(rows, n)
     # Later members of an orbit of attachment sets, waiting to be skipped.
     pending = set()
     orbit = None
     nc = n + 1
     newbit = 1 << n
-    # Sets that the degree stage of _accepted would reject are never built;
-    # the ones left can still fail it when the child turns a parent
-    # cutvertex, inside S or outside it, into a non-cutvertex.
-    for S in _attachment_sets(rows, n, parent.m, parent.R, 2 * cfg.k - 3, conflicts):
+    # Sets that _accepted's degree stage, or its round one at a leaf, would
+    # reject are never built; the ones left can still fail the degree stage
+    # when the child turns a parent cutvertex, inside S or outside it, into
+    # a non-cutvertex.
+    for S in _attachment_sets(rows, n, parent, 2 * cfg.k - 3, conflicts):
         budget.tick("enumeration")
         if S in pending:
             pending.remove(S)
@@ -806,9 +854,46 @@ def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
         witness = child_colour = None
         if target is not None:
             witness, child_colour = _test_witness(child_t, colour, S, cfg, target)
-        grown = (child_t, child_colour, child_gens)
-        yield witness, grown
-        yield from _descendants(grown, cfg, budget, stop, target)
+        yield witness, (child_t, child_colour, child_gens)
+
+
+def _descendants(node, cfg: SearchConfig, budget, stop, target=None):
+    """DFS over accepted descendants of one augmentation node.
+
+    A node is ``(rows, colouring, gens)``, with ``gens`` generators of the
+    automorphism group of ``rows``: the root's empty list, a canonical
+    search's, or those ``_child_gens`` derives from the parent's, for every
+    node of order below ``cfg.n_max``, the only ones that are grown.  So a
+    node is neither refined nor searched when it is grown; only
+    ``_accepted`` and, rarely, ``_child_gens`` search a child.  Yields
+    ``(witness, child node)`` for each accepted graph strictly below the
+    node, in pre-order, as ``_children`` yields them (see there for the
+    witness and the colouring).  Graphs of order ``stop`` (at most n_max)
+    are yielded but not grown; they form the frontier whose subtrees
+    ``_expand_subtree`` grows, so they carry their gens too.
+
+    The walk runs on one explicit stack of ``_children`` generators, one
+    per node on the path from ``node``: a yielded child below ``stop`` is
+    pushed, and an exhausted generator is popped.  So a class passes
+    through no generator frame but its parent's, a child of order ``stop``
+    starts none, and the growth rules are read from the table once per
+    walk.
+    """
+    if len(node[0]) >= stop:
+        return
+    growth = _rules(cfg.prune_rules, "growth")
+    conflicts = [rule.conflict for rule in growth if rule.conflict is not None]
+    checks = [rule.check for rule in growth if rule.conflict is None]
+    stack = [_children(node, cfg, budget, target, conflicts, checks)]
+    while stack:
+        for item in stack[-1]:
+            yield item
+            child = item[1]
+            if len(child[0]) < stop:
+                stack.append(_children(child, cfg, budget, target, conflicts, checks))
+                break
+        else:
+            stack.pop()
 
 
 def _root_stream(cfg: SearchConfig, budget, stop, target=None):

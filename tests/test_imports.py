@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, no private
 module-level name outlives its last use, no function takes a parameter it
-never reads, no nested function calls itself by name, and no function of
-search.py names a claim rule.
+never reads, no nested function calls itself by name, no function of
+search.py names a claim rule, and search.py's augmentation walk is
+iterative.
 
 ``__init__.py`` is exempt from the first guard: its imports are the
 re-exported public API.  The second guard reads the whole package: a
@@ -14,6 +15,9 @@ cycle for the cyclic collector (``test_gc.py`` checks the searches at run
 time).  The fifth keeps the growth loop and the witness test generic: they
 read the rule table, and a ``RULE_*`` name appears only where the table,
 the ``SearchConfig`` default and the command line build their rule sets.
+The sixth keeps the walk on its explicit stack: ``_place_colours`` is the
+only function of search.py that calls itself, and no generator started
+once per node (called inside a loop's body) reads the rule table.
 """
 
 import ast
@@ -187,3 +191,62 @@ def test_rule_checker_flags_a_named_rule():
 def test_search_functions_name_no_rule():
     path = pathlib.Path(oddhom.__file__).parent / "search.py"
     assert rule_names_read_in_functions(path.read_text()) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def called_names(nodes):
+    """Names called as plain names anywhere in the statements ``nodes``."""
+    return {n.func.id for stmt in nodes for n in ast.walk(stmt)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def self_recursive_functions(source):
+    """Names of the functions that call themselves by name."""
+    return sorted({node.name for node in ast.walk(ast.parse(source))
+                   if isinstance(node, FUNCTIONS) and node.name in called_names(node.body)})
+
+
+def per_node_generators(source):
+    """Generator functions called inside the body of a loop: one call per node of a walk.
+
+    A loop's own iterable is not its body, so a stream a loop consumes
+    once is not one of them.
+    """
+    tree = ast.parse(source)
+    generators = {node.name for node in ast.walk(tree) if isinstance(node, FUNCTIONS)
+                  and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))}
+    in_loops = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.While)):
+            in_loops |= called_names(loop.body + loop.orelse)
+    return sorted(generators & in_loops)
+
+
+def per_node_rule_readers(source):
+    """The per-node generators that read the rule table through ``_rules``."""
+    calls = {node.name: called_names(node.body) for node in ast.walk(ast.parse(source))
+             if isinstance(node, FUNCTIONS)}
+    return [name for name in per_node_generators(source) if "_rules" in calls[name]]
+
+
+def test_walk_checkers_flag_a_recursive_walk():
+    source = ("def _rules(names):\n    return names\n"
+              "def walk(node):\n    for child in node:\n"
+              "        yield child\n        yield from walk(child, _rules(child))\n"
+              "def stream(root):\n    for x in walk(root):\n        yield x\n"
+              "def count(root):\n    return sum(1 for _ in stream(root))\n")
+    assert self_recursive_functions(source) == ["walk"]
+    assert per_node_generators(source) == ["walk"]
+    assert per_node_rule_readers(source) == ["walk"]
+
+
+def test_search_walk_is_iterative():
+    # The augmentation walk runs on an explicit stack of one-node child
+    # generators, and reads the rule table once per walk, not per node.
+    # The only recursion left is the witness re-check's backtracking.
+    source = (pathlib.Path(oddhom.__file__).parent / "search.py").read_text()
+    assert self_recursive_functions(source) == ["_place_colours"]
+    assert per_node_generators(source) == ["_children"]
+    assert per_node_rule_readers(source) == []

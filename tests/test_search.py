@@ -193,7 +193,7 @@ class TestDegreeBound:
             n = len(rows)
             every = set(indep_sets(n, every_mask(rows, limit, conflicts), n))
             table = _parent_table(rows, n)
-            kept = _attachment_sets(rows, n, table.m, table.R, limit, conflicts)
+            kept = _attachment_sets(rows, n, table, limit, conflicts)
             assert set(kept) <= every
             for S in every - set(kept):
                 assert _accepted(child_of(rows, S), n + 1, S, table) is None, (rows, S)
@@ -241,18 +241,32 @@ def degree_bound(rows, n):
     return m, sum(1 << v for v in noncut if degs[v] == m)
 
 
+def leaf_bound(rows, n):
+    """The singletons the leaf bound drops, from its definition: {u} such
+    that some leaf v != u has a neighbour of degree at least deg(u) + 2."""
+    degs = [r.bit_count() for r in rows]
+    leaf_neighbour_degree = {v: degs[u] for v in range(n) if degs[v] == 1
+                             for u in range(n) if rows[v] >> u & 1}
+    return {1 << u for u in range(n)
+            if any(v != u and d >= degs[u] + 2 for v, d in leaf_neighbour_degree.items())}
+
+
 def eager_attachment_sets(rows, n, limit, conflicts):
     """``_attachment_sets`` with every conflict mask computed up front: every
-    independent set up to size m + 1, filtered by the degree bound."""
+    independent set up to size m + 1, filtered by the degree bound and the
+    leaf bound."""
     conf = every_mask(rows, limit, conflicts)
     m, R = degree_bound(rows, n)
-    return [S for S in indep_sets(n, conf, m + 1) if S & R == R or S.bit_count() <= m], m
+    dropped = leaf_bound(rows, n)
+    return [S for S in indep_sets(n, conf, m + 1)
+            if (S & R == R or S.bit_count() <= m) and S not in dropped], m
 
 
 class TestAttachmentSetsOnDemand:
     """``_attachment_sets`` computes a conflict mask only when its walk reads
-    it, and lists the same sets in the same order as the eager reference, so
-    the budget ticks, the orbit skip and the representatives are unchanged."""
+    it, and lists the same sets in the same order as the eager reference,
+    both bounds applied, so the budget ticks exactly the sets the bounds
+    keep, and the orbit skip and the representatives are unchanged."""
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(k=1, l=1, n_max=7),
@@ -271,12 +285,36 @@ class TestAttachmentSetsOnDemand:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(search, "_conflict_mask", counting("_conflict_mask", calls))
-                got = _attachment_sets(rows, n, table.m, table.R, limit, conflicts)
+                got = _attachment_sets(rows, n, table, limit, conflicts)
             assert got == want, rows
             assert calls["_conflict_mask"] <= (1 if m == 1 else n), (rows, m)
             computed += calls["_conflict_mask"]
             eager += n
         assert computed < eager, (computed, eager)
+
+
+class TestLeafBound:
+    """Every singleton the leaf bound drops gives a child that ``_accepted``
+    rejects, and the independent oracle ``decisive_stage`` says round one
+    rejects it: the bound's proof, checked on every parent of each stream."""
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(k=1, l=1, n_max=7),
+        SearchConfig(k=2, l=1, n_max=8),
+        SearchConfig(k=3, l=2, n_max=10),
+        SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES),
+    ], ids=["k1", "k2", "k3", "k3-all-rules"])
+    def test_dropped_singletons_are_rejected_at_round_one(self, cfg):
+        dropped = 0
+        for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
+            n = len(rows)
+            table = _parent_table(rows, n)
+            for S in leaf_bound(rows, n):
+                child = child_of(rows, S)
+                assert _accepted(child, n + 1, S, table) is None, (rows, S)
+                assert decisive_stage(child, n + 1) == "round-one reject", (rows, S)
+                dropped += 1
+        assert dropped > 0, cfg
 
 
 class TestConflictSymmetry:
@@ -345,8 +383,10 @@ class TestLocalCapCheck:
         assert outcomes[True] > 1000 and outcomes[False] > 500, outcomes
 
     def test_every_child_of_the_minimal_stream(self, monkeypatch):
-        # Every child the ALL_RULES n <= 12 stream builds, those it then
+        # Every child the ALL_RULES n <= 13 stream builds, those it then
         # rejects included: the loop form decides as the generator form did.
+        # (The leaf bound builds fewer children: at n <= 12 they would give
+        # only 788 true and 425 false outcomes.)
         outcomes = Counter()
         real = search._holds_near
 
@@ -358,7 +398,7 @@ class TestLocalCapCheck:
             return got
 
         monkeypatch.setattr(search, "_holds_near", checked)
-        assert stream_counts(SearchConfig(k=3, l=2, n_max=12, prune_rules=ALL_RULES)) == MINIMAL_OG7[:12]
+        assert stream_counts(SearchConfig(k=3, l=2, n_max=13, prune_rules=ALL_RULES)) == MINIMAL_OG7[:13]
         assert outcomes[True] > 1000 and outcomes[False] > 400, outcomes
 
     def test_every_subset_of_small_graphs(self):
@@ -538,7 +578,7 @@ class TestComponentTable:
         # Every child of order up to 7 of every k = 1 parent (every connected
         # graph): S meets each piece of v iff the child minus v is connected,
         # for every piece the eager table holds and every one that
-        # _parent_table builds.
+        # _parent_table's table walks when it is read.
         children = built = 0
         for _, (rows, *_) in _root_stream(SearchConfig(k=1, l=1, n_max=6), Budget(), 6):
             n = len(rows)
@@ -553,9 +593,8 @@ class TestComponentTable:
                 for v in range(n):
                     want = is_connected(delete_vertex(child, v))
                     assert all(S & p for p in pieces[v]) == want, (rows, S, v)
-                    if table[v] is not None:
-                        assert all(S & p for p in table[v]) == want, (rows, S, v)
-                        built += 1
+                    assert all(S & p for p in table[v]) == want, (rows, S, v)
+                    built += 1
                 children += 1
         assert children > 5_000 and built > 30_000, (children, built)
 
@@ -628,7 +667,10 @@ def reference_accepted(rows_t, n, S, pieces):
 class TestParentTable:
     """``_parent_table`` against its eager definitions, and ``_accepted``
     reading it against ``reference_accepted`` reading the whole component
-    table, on every independent set of every parent, the root included."""
+    table, on every independent set of every parent, the root included.
+    The table's pieces are walked as they are read: once ``_accepted`` has
+    read what it reads, every vertex's are read and compared with the BFS
+    reference ``component_table``."""
 
     @staticmethod
     def assert_matches(rows, sets, outcomes):
@@ -638,20 +680,20 @@ class TestParentTable:
         assert table.classes == [sum(1 << v for v in range(n) if degs[v] == d)
                                  for d in range(max(degs) + 2)]
         assert (table.m, table.R) == degree_bound(rows, n), rows
+        # m and R read no pieces above degree m, and none when a leaf gives them.
+        assert all(degs[v] <= table.m and not table.classes[1] for v in table.pieces), rows
+        outcomes["unwalked"] += n - len(table.pieces)
         pieces = component_table(rows, n)
-        for v in range(n):
-            if degs[v] <= table.m + 1:
-                assert sorted(table.pieces[v]) == sorted(pieces[v]), (rows, v)
-            else:
-                assert table.pieces[v] is None, (rows, v)
         for S in sets:
             child = child_of(rows, S)
             got = _accepted(child, n + 1, S, table)
             assert got == reference_accepted(child, n + 1, S, pieces), (rows, S)
             outcomes["rejected" if got is None else "searched" if got[0] else
                      "twins" if got[1] else "accepted"] += 1
+        for v in range(n):
+            assert sorted(table.pieces[v]) == sorted(pieces[v]), (rows, v)
+        assert sorted(table.pieces) == list(range(n)), rows
         outcomes["parents"] += 1
-        outcomes["skipped"] += table.pieces.count(None)
         return table
 
     @pytest.mark.parametrize("cfg", [
@@ -671,7 +713,7 @@ class TestParentTable:
     def test_one_vertex_root(self):
         # The root's vertex has no pieces and is a non-cutvertex of degree 0.
         table = self.assert_matches((0,), [1], Counter())
-        assert table == ([1, 0], 0, 1, [[]])
+        assert table == ([1, 0], 0, 1, {0: []})
 
     def test_least_degree_class_of_cutvertices(self):
         # Two K4s joined through a vertex of degree 2: it alone has the least
@@ -680,6 +722,8 @@ class TestParentTable:
         # m reaches 3.  Every nonempty S, adjacent members allowed.
         k4s = Graph.from_edges(9, [*itertools.combinations(range(4), 2),
                                    *itertools.combinations(range(5, 9), 2), (3, 4), (4, 5)])
+        # m and R walk the pieces of the classes of degree 2 and 3 only.
+        assert sorted(_parent_table(k4s.rows, 9).pieces) == [0, 1, 2, 4, 6, 7, 8]
         rng = random.Random(24)
         graphs = [k4s] + [g for g in (random_graph(rng, rng.randint(8, 10), 0.4) for _ in range(40))
                           if is_connected(g)]
@@ -696,7 +740,8 @@ def counted_run():
     """``counted_run(cfg)``: the enumerated counts and every counter of one
     serial ``eta_search(cfg)``, made once per cfg with all the wrappers:
     - ``vertices`` and ``pieces``: the parent-table vertices, and those of
-      them whose pieces are built;
+      them whose pieces are walked, ``len(table.pieces)`` after the run;
+    - ``ticks``: the budget's ticks, one per attachment set tried;
     - ``rounds``: every ``canon.refine_round`` call; ``refine_round``: those
       ``_accepted`` makes itself, the only rounds search makes;
     - ``canonical_search``: every search, of which ``accepted`` are made
@@ -708,13 +753,14 @@ def counted_run():
         if cfg in runs:
             return runs[cfg]
         calls = Counter()
+        tables = []
         real_table = search._parent_table
         real_round = canon.refine_round
 
         def counting_table(rows, n):
             table = real_table(rows, n)
             calls["vertices"] += n
-            calls["pieces"] += n - table.pieces.count(None)
+            tables.append(table)
             return table
 
         def counting_round(*args):
@@ -737,7 +783,10 @@ def counted_run():
             mp.setattr(search, "canonical_search", canon.canonical_search)
             mp.setattr(search, "_accepted", inside("accepted", search._accepted))
             mp.setattr(search, "_child_gens", inside("fallback", search._child_gens))
-            report = eta_search(cfg)
+            budget = Budget()
+            report = eta_search(cfg, budget=budget)
+        calls["pieces"] = sum(len(table.pieces) for table in tables)
+        calls["ticks"] = budget.nodes
         runs[cfg] = [r.enumerated for r in report.records], calls
         return runs[cfg]
     return run
@@ -753,12 +802,14 @@ def test_accepted_canonical_searches_pinned(counted_run):
 
 
 def test_component_tables_pinned(counted_run):
-    # The serial k = 3, n <= 10 run builds the pieces of 5,467 parent
-    # vertices, those of degree at most m + 1, where a table of every
-    # vertex of every parent held 8,664.
+    # The serial k = 3, n <= 10 run walks the pieces of 4,297 parent
+    # vertices, where a table of every vertex of every parent held 8,664.
+    # A parent with a leaf reads m and R off its leaves, and the pieces of
+    # a vertex of degree m + 1 are walked only for a child with |S| = m + 1
+    # (5,467 when every vertex of degree at most m + 1 was walked).
     counts, calls = counted_run(K3_N10)
     assert counts == ODD_GIRTH_7
-    assert (calls["vertices"], calls["pieces"]) == (8_664, 5_467), calls
+    assert (calls["vertices"], calls["pieces"]) == (8_664, 4_297), calls
 
 
 def test_refinement_rounds_pinned(counted_run):
@@ -768,28 +819,33 @@ def test_refinement_rounds_pinned(counted_run):
     # finished its refinement, 9,735 when it was refined from the unit
     # partition) and 752 canonical searches, where it made 1,499.  All but
     # one are made by _accepted; the one is _child_gens's fallback, on the
-    # one child whose Schreier generators would reach its order.
+    # one child whose Schreier generators would reach its order.  The
+    # budget ticks 10,982 attachment sets (13,840 before the leaf bound).
     # enumerate_graphs makes the same calls.
     counts, calls = counted_run(K3_N10)
     assert counts == ODD_GIRTH_7
-    assert calls == {"vertices": 8_664, "pieces": 5_467, "rounds": 5_067,
+    assert calls == {"vertices": 8_664, "pieces": 4_297, "ticks": 10_982, "rounds": 5_067,
                      "refine_round": 2_199, "canonical_search": 752,
                      "accepted": 751, "fallback": 1}, calls
 
 
-@pytest.mark.parametrize("cfg, counts, rounds, searches", [
-    (K3_N10, ODD_GIRTH_7, 2_199, 752),
-    (SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES), MINIMAL_OG7, 3_933, 383),
+@pytest.mark.parametrize("cfg, counts, rounds, searches, ticks", [
+    (K3_N10, ODD_GIRTH_7, 2_199, 752, 10_982),
+    (SearchConfig(k=3, l=2, n_max=14, prune_rules=ALL_RULES), MINIMAL_OG7, 3_933, 383, 9_830),
 ], ids=["k3", "k3-all-rules"])
-def test_accepted_rounds_pinned(cfg, counts, rounds, searches, counted_run):
+def test_accepted_rounds_pinned(cfg, counts, rounds, searches, ticks, counted_run):
     # The refinement rounds _accepted makes itself, the only rounds search
     # makes.  A tied leaf is decided at round two from its neighbour's
     # round-one cell, so they fell 3,667 -> 2,199 on k = 3, n <= 10 and
     # 9,928 -> 3,933 on the ALL_RULES run to order 14; the canonical
     # searches, those of _child_gens's fallback included, are unchanged.
+    # The budget ticks one per attachment set tried; the leaf bound drops
+    # singletons that round one rejects, so they fell 13,840 -> 10,982 and
+    # 12,813 -> 9,830, and the rounds and searches are unchanged.
     enumerated, calls = counted_run(cfg)
     assert enumerated == counts
-    assert (calls["refine_round"], calls["canonical_search"]) == (rounds, searches), calls
+    assert (calls["refine_round"], calls["canonical_search"], calls["ticks"]) == (
+        rounds, searches, ticks), calls
 
 
 def brute_automorphisms(g):
