@@ -7,12 +7,15 @@ machine-word operations.  Every graph this package cares about (odd cycles,
 subdivided K4s, generalized Mycielski graphs, search candidates) has at most
 some forty vertices, well under the cap.
 
-Odd-girth is computed by BFS on the parity double cover: the shortest odd
-closed walk through a vertex is found as the distance from (v, even) to
-(v, odd), and the minimum over all v is the shortest odd cycle.  Plain girth
-uses the classic per-root BFS scan over non-tree edges.  Acyclic and
-bipartite answers are reported as ``math.inf`` so that comparisons such as
-``girth(g) <= odd_girth(g)`` hold without special cases.
+Girth and odd-girth share one layered BFS per root (``_shortest_cycle``):
+an edge inside layer d closes an odd walk of length 2d + 1, and, for the
+girth, a vertex of layer d + 1 with two neighbours in layer d closes one of
+length 2d + 2.  A shortest cycle, and a shortest odd cycle, is isometric, so
+from any root on it the layers show its exact length, and the minimum over
+all roots is exact.  ``odd_reach_within`` alone walks the parity double
+cover.  Acyclic and bipartite answers are reported as ``math.inf`` so that
+comparisons such as ``girth(g) <= odd_girth(g)`` hold without special
+cases.
 """
 
 from __future__ import annotations
@@ -162,70 +165,67 @@ def odd_reach_within(rows, u, limit):
     return out
 
 
-def _odd_walk_back_to(rows, u, cap):
-    """Length of the shortest odd closed walk through ``u``, or None past cap."""
-    seen = [1 << u, 0]
-    frontier = 1 << u
-    par = 0
-    d = 0
-    while frontier and d < cap:
-        d += 1
-        nxt = _neighbors_of_set(rows, frontier)
-        par ^= 1
-        nxt &= ~seen[par]
-        if par and nxt >> u & 1:
-            return d
-        seen[par] |= nxt
-        frontier = nxt
-    return None
+def _shortest_cycle(g: Graph, even):
+    """Length of the shortest cycle, or of the shortest odd one unless
+    ``even``; ``INFINITE`` when there is none.
+
+    From each root r the BFS layers are walked as bit masks.  For layer d,
+    ``ones`` is the union of its rows and ``twos`` the vertices with two or
+    more neighbours in it.  An edge inside layer d (``ones & layer``) closes
+    an odd walk of length 2d + 1 through r.  With ``even``, a vertex of
+    layer d + 1 in ``twos`` ends two distinct shortest paths from r, which
+    close a walk of length 2d + 2.  Each such walk contains a cycle no
+    longer than itself, odd when the walk is, so no length found is below
+    the answer.
+
+    The minimum over all roots is exact.  A shortest cycle C, and likewise a
+    shortest odd cycle, is isometric: were two of its vertices joined by a
+    path P shorter than their distance along C, P and the shorter arc would
+    close a walk shorter than C that contains a cycle, and for an odd C, P
+    and one of the two arcs would close a shorter odd walk, since the two
+    walks' lengths sum to 2|P| + |C|, which is odd.  So from a root r on C,
+    the layers are as on C itself: for |C| = 2d + 1, the two vertices of C
+    at distance d from r are adjacent in layer d; for |C| = 2d + 2, the
+    vertex opposite r lies in layer d + 1 and has its two C-neighbours in
+    layer d.  A root's walk stops at the best length found so far, and the
+    scan stops at 3.
+    """
+    rows = g.rows
+    best = INFINITE
+    for r in range(g.order):
+        seen = layer = 1 << r
+        d = 0
+        while layer and 2 * d + 1 < best:
+            ones = twos = 0
+            m = layer
+            while m:
+                b = m & -m
+                row = rows[b.bit_length() - 1]
+                twos |= ones & row
+                ones |= row
+                m ^= b
+            if ones & layer:
+                best = 2 * d + 1
+                break
+            layer = ones & ~seen
+            if even and twos & layer:
+                best = 2 * d + 2
+                break
+            seen |= layer
+            d += 1
+        if best == 3:
+            break
+    return best
 
 
 def odd_girth(g: Graph):
-    """Length of the shortest odd cycle; ``INFINITE`` iff bipartite.
-
-    A shortest odd closed walk is necessarily a cycle (otherwise it splits
-    into two closed walks, one of them odd and shorter), so the minimum over
-    all vertices of the double-cover distance (v, even) -> (v, odd) is exact.
-    """
-    best = None
-    cap = g.order + 1
-    for v in range(g.order):
-        d = _odd_walk_back_to(g.rows, v, best - 1 if best else cap)
-        if d is not None and (best is None or d < best):
-            best = d
-            if best == 3:
-                break
-    return best if best is not None else INFINITE
+    """Length of the shortest odd cycle; ``INFINITE`` iff bipartite."""
+    return _shortest_cycle(g, False)
 
 
 def girth(g: Graph):
     """Length of the shortest cycle of any parity; ``INFINITE`` for forests."""
-    n, rows = g.order, g.rows
-    best = None
-    for r in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[r] = 0
-        queue = [r]
-        while queue:
-            nq = []
-            for a in queue:
-                da = dist[a]
-                if best is not None and 2 * da >= best:
-                    continue
-                for b in _bits(rows[a]):
-                    if dist[b] == -1:
-                        dist[b] = da + 1
-                        parent[b] = a
-                        nq.append(b)
-                    elif parent[a] != b and parent[b] != a:
-                        cand = da + dist[b] + 1
-                        if best is None or cand < best:
-                            best = cand
-            queue = nq
-        if best == 3:
-            break
-    return best if best is not None else INFINITE
+    return _shortest_cycle(g, True)
 
 
 @dataclass(frozen=True)
@@ -285,41 +285,22 @@ def list_threads(g: Graph):
     """
     n, rows = g.order, g.rows
     deg = g.degrees()
-    found = {}
-
-    for s in range(n):
-        if deg[s] == 2:
-            continue
-        for t0 in _bits(rows[s]):
-            path = [s, t0]
-            prev, cur = s, t0
-            while deg[cur] == 2:
-                nxt = next(u for u in _bits(rows[cur]) if u != prev)
-                path.append(nxt)
-                prev, cur = cur, nxt
-            key = frozenset(frozenset(e) for e in zip(path, path[1:]))
-            found.setdefault(key, tuple(path))
-    threads = list(found.values())
-
-    # Cycle components: every vertex of degree 2, no branch vertex to anchor on.
-    visited = 0
-    for s in range(n):
-        if visited >> s & 1 or deg[s] != 2:
-            continue
-        comp = [s]
-        mask = 1 << s
-        prev, cur = s, next(_bits(rows[s]))
-        closed = True
-        while cur != s:
-            if deg[cur] != 2:
-                closed = False
-                break
-            comp.append(cur)
-            mask |= 1 << cur
-            prev, cur = cur, next(u for u in _bits(rows[cur]) if u != prev)
-        if closed:
-            visited |= mask
-            threads.append(tuple(comp) + (s,))
+    # Every edge lies on exactly one thread.  Walking from the branch
+    # vertices first, a degree-2 vertex starts only a whole cycle component.
+    walked = [0] * n
+    threads = []
+    for s in sorted(range(n), key=lambda v: deg[v] == 2):
+        while free := rows[s] & ~walked[s]:
+            path = [s]
+            prev, cur = s, (free & -free).bit_length() - 1
+            while True:
+                walked[prev] |= 1 << cur
+                walked[cur] |= 1 << prev
+                path.append(cur)
+                if deg[cur] != 2 or cur == s:
+                    break
+                prev, cur = cur, (rows[cur] ^ 1 << prev).bit_length() - 1
+            threads.append(tuple(path))
     return threads
 
 

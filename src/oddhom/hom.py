@@ -58,8 +58,7 @@ from fractions import Fraction
 
 from .canon import search_graph
 from .constructions import circular_clique, complete, cycle
-from .graphs import (INFINITE, Graph, _bits, _neighbors_of_set, delete_vertex, distance_partition,
-                     odd_girth)
+from .graphs import Graph, _bits, _neighbors_of_set, delete_vertex, distance_partition
 
 
 @dataclass(frozen=True)
@@ -223,12 +222,12 @@ def compute_core(g: Graph) -> Graph:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Least k such that g maps to K_k."""
-    if g.edge_count() == 0:
-        return 1
-    if odd_girth(g) == INFINITE:
-        return 2
-    k = 3
+    """Least k such that g maps to K_k.
+
+    The scan starts at K_1, so it decides edgeless and bipartite graphs as
+    well; arc consistency settles the maps to K_1 and K_2 almost at once.
+    """
+    k = 1
     while k < g.order and find_homomorphism(g, complete(k)) is None:
         k += 1
     return k
@@ -239,13 +238,12 @@ def circular_chromatic_number(g: Graph) -> Fraction:
 
     The minimum over all circular cliques is attained with p at most the
     order of g, so the scan runs over reduced fractions 2 <= p/q with p <= n
-    in increasing order and stops at the first success.  Rejects edgeless
-    graphs, whose circular chromatic number degenerates.
+    in increasing order and stops at the first success.  The first is
+    C(2, 1) = K_2, which decides bipartite graphs.  Rejects edgeless graphs,
+    whose circular chromatic number degenerates.
     """
     if g.edge_count() == 0:
         raise ValueError("circular chromatic number needs at least one edge")
-    if odd_girth(g) == INFINITE:
-        return Fraction(2, 1)
     from math import gcd
 
     fracs = sorted(
@@ -255,8 +253,6 @@ def circular_chromatic_number(g: Graph) -> Fraction:
         if gcd(p, q) == 1
     )
     for frac, p, q in fracs:
-        if frac == 2:
-            continue  # C(2q', q') targets are bipartite, already excluded
         if find_homomorphism(g, circular_clique(p, q)) is not None:
             return frac
     raise AssertionError("unreachable: K_n always admits the identity colouring")

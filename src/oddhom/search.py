@@ -38,21 +38,22 @@ equal key that are all twins of the new vertex (same neighbours apart from
 each other) accept as well, since swapping twins is an automorphism.  A
 new vertex that is a leaf is decided at the second round without building
 it (the first cannot decide, since the tied rivals share the new vertex's
-round-one cell): a leaf counts one neighbour, in its neighbour's round-one
-cell, and sub-cells come in increasing count vector, so of two tied leaves
-the one whose neighbour's cell comes later gets the earlier cell.  A tied
-rival whose neighbour's cell comes later rejects, and none in the same
-cell, or only twins there, accepts.  Only the remaining children are
-refined round by round from the degree partition, until the cells place a
-rival before the new vertex (reject) or none beside it, or only twins
-(accept).  One canonical search of the
-child, which also yields its automorphism generators and orbits, settles
-the rest.  Among siblings, S is tried only if it is the first-enumerated
-member of its orbit under the parent's automorphism group.  The tree is
-walked depth first, in pre-order, on one explicit stack of generators,
-each yielding one node's children (``_descendants``), so a graph passes
-through one generator frame whatever its depth, and a graph that is not
-grown starts none.
+round-one cell).  A leaf counts one neighbour, in its neighbour's
+round-one cell.  Tied leaves have neighbours of one degree, so the
+neighbours' round-one keys order those cells, and sub-cells come in
+increasing count vector: of two tied leaves, the one whose neighbour's key
+is greater gets the earlier cell.  A tied rival whose neighbour's key is
+greater rejects, and none with an equal one, or only twins there,
+accepts.  Only the remaining children are refined round by round from the
+degree partition, until the cells place a rival before the new vertex
+(reject) or none beside it, or only twins (accept).  One canonical search
+of the child, which also yields its automorphism generators and orbits,
+settles the rest.  Among siblings, S is tried only if it is the
+first-enumerated member of its orbit under the parent's automorphism
+group.  The tree is walked depth first, in pre-order, on one explicit stack
+of generators, each yielding one node's children (``_descendants``), so a
+graph passes through one generator frame whatever its depth, and a graph
+that is not grown starts none.
 
 A node's group comes from its parent's, unless a search decided its
 acceptance.  A child accepted before the search knows the orbit of its
@@ -552,15 +553,16 @@ def _accepted(rows_t, n, S, parent):
     - leaf round two: when a is a leaf and round one counted towards some
       cell, round two is read from the neighbours.  Round one never
       decides, since the tied rivals share a's round-one cell: its cells
-      are the (degree, key) classes, in that order, which the label
-      ``deg << 6 * len(fresh) | key`` of a vertex orders as one int.  A
-      leaf's round-two count vector is 1 at its neighbour's round-one cell
-      and 0 elsewhere.  (Round two counts only towards fresh cells; tied
-      leaves have neighbours of one degree, and of that degree class only
-      the last round-one cell is not fresh, so a zero vector means that
-      cell.)  Sub-cells come in increasing count vector, so the leaf whose
-      neighbour has the greater label gets the earlier cell.  A tied rival
-      whose neighbour's label is greater than that of a's neighbour
+      are the (degree, key) classes, in that order.  A leaf's key counts
+      only its one neighbour's degree cell, so the neighbours of the tied
+      leaves share one degree, and the label of a leaf, its neighbour's
+      round-one key, orders their round-one cells.  A leaf's round-two
+      count vector is 1 at its neighbour's round-one cell and 0 elsewhere.
+      (Round two counts only towards fresh cells, and of that degree class
+      only the last round-one cell is not fresh, so a zero vector means
+      that cell.)  Sub-cells come in increasing count vector, so the leaf
+      whose neighbour has the greater label gets the earlier cell.  A tied
+      rival whose neighbour's label is greater than that of a's neighbour
       rejects, none with an equal label accepts, and equal ones that are
       all twins of a accept as under twins.  Otherwise the equal ones
       stay tied, since the others lie after a's cell from round two on;
@@ -626,12 +628,11 @@ def _accepted(rows_t, n, S, parent):
         return None, tied
     if da == 1 and fresh:
         # A leaf's round-two counts are those of its one neighbour's
-        # round-one cell, labelled by degree, then round-one key.
-        shift = 6 * len(fresh)
+        # round-one cell; the tied leaves' neighbours share one degree, so
+        # their round-one keys order those cells.
 
         def label(v):
-            u = rows_t[v].bit_length() - 1
-            return rows_t[u].bit_count() << shift | key(u)
+            return key(rows_t[v].bit_length() - 1)
 
         la = label(added)
         equal = []

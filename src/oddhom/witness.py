@@ -229,8 +229,6 @@ def find_odd_k4(g: Graph, budget: Budget | None = None) -> OddK4Witness | None:
         budget = Budget()
     n, rows = g.order, g.rows
     cand = [v for v in range(n) if rows[v].bit_count() >= 3]
-    if len(cand) < 4:
-        return None
     from itertools import combinations
 
     for quad in combinations(cand, 4):
@@ -319,9 +317,6 @@ def find_odd_k32(g: Graph, budget: Budget | None = None) -> OddK32Witness | None
     if budget is None:
         budget = Budget()
     cycles = _odd_cycles(g, budget)
-    if len(cycles) < 3:
-        return None
-
     for i1 in range(len(cycles)):
         m1, c1 = cycles[i1]
         for i2 in range(i1 + 1, len(cycles)):
@@ -350,7 +345,7 @@ class DichotomyReport:
 
     odd_girth: int
     maps_to_shortest_odd_cycle: bool
-    branch: str  # "maps", "odd_k4", or "odd_k32"
+    branch: str  # "maps", "odd_k4", "odd_k32", or "none"
     odd_k4: OddK4Witness | None
     odd_k32: OddK32Witness | None
 

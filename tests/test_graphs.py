@@ -109,7 +109,8 @@ def odd_power_graphs():
 
 class TestOddPowers:
     """odd_girth and odd_reach_within against odd powers of the adjacency
-    matrix A, which share no code with their double-cover search."""
+    matrix A, which share no code with their layered and double-cover
+    searches."""
 
     def test_odd_girth_is_least_odd_closed_walk(self):
         # A shortest odd closed walk is a cycle, so the odd girth is the
@@ -170,9 +171,9 @@ class TestGirth:
                 extend(s, s, 1 << s, 1)
             return best
 
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(3, 8), rng.random())
-            assert girth(g) == brute_girth(g)
+        graphs = [random_graph(rng, rng.randint(3, 8), rng.random()) for _ in range(80)]
+        for g in graphs + atlas():
+            assert girth(g) == brute_girth(g), g.rows
 
 
 class TestDistancePartition:
@@ -267,6 +268,54 @@ class TestWalks:
                 power = power @ a
 
 
+def two_pass_threads(g):
+    """The former two-pass ``list_threads``, kept as its reference: a walk
+    from every branch vertex along each of its edges, deduplicated by edge
+    set, then one closed thread per cycle component."""
+    n = g.order
+    deg = g.degrees()
+    found = {}
+    for s in range(n):
+        if deg[s] == 2:
+            continue
+        for t0 in g.neighbors(s):
+            path = [s, t0]
+            prev, cur = s, t0
+            while deg[cur] == 2:
+                nxt = next(u for u in g.neighbors(cur) if u != prev)
+                path.append(nxt)
+                prev, cur = cur, nxt
+            key = frozenset(frozenset(e) for e in zip(path, path[1:]))
+            found.setdefault(key, tuple(path))
+    threads = list(found.values())
+    visited = set()
+    for s in range(n):
+        if s in visited or deg[s] != 2:
+            continue
+        comp = [s]
+        prev, cur = s, g.neighbors(s)[0]
+        closed = True
+        while cur != s:
+            if deg[cur] != 2:
+                closed = False
+                break
+            comp.append(cur)
+            prev, cur = cur, next(u for u in g.neighbors(cur) if u != prev)
+        if closed:
+            visited.update(comp)
+            threads.append(tuple(comp) + (s,))
+    return threads
+
+
+def thread_graphs():
+    """Every atlas graph, 200 random graphs (some disconnected, some with
+    cycle components) and the query corpus."""
+    rng = random.Random(30)
+    graphs = list(atlas())
+    graphs += [random_graph(rng, rng.randint(1, 16), rng.uniform(0.05, 0.4)) for _ in range(200)]
+    return graphs + corpus()
+
+
 class TestThreads:
     def test_odd_k4_223(self):
         assert max_thread_length(odd_k4(2, 2, 3)) == 3
@@ -296,6 +345,29 @@ class TestThreads:
                     assert e not in seen
                     seen.add(e)
             assert len(seen) == g.edge_count()
+
+    def test_threads_are_maximal_degree_two_walks(self):
+        kinds = set()
+        for g in thread_graphs():
+            deg = g.degrees()
+            for p in list_threads(g):
+                assert len(p) >= 2 and all(g.has_edge(a, b) for a, b in zip(p, p[1:])), g.rows
+                inner = p[1:-1]
+                assert all(deg[v] == 2 for v in inner) and len(set(inner)) == len(inner), g.rows
+                assert p[0] not in inner and p[-1] not in inner, g.rows
+                whole_cycle = p[0] == p[-1] and deg[p[0]] == 2
+                if whole_cycle:
+                    # Closed through degree-2 vertices alone: a cycle component.
+                    mask = sum(1 << v for v in set(p))
+                    assert all(g.rows[v] & ~mask == 0 for v in p), g.rows
+                else:
+                    assert deg[p[0]] != 2 and deg[p[-1]] != 2, g.rows
+                kinds.add((whole_cycle, p[0] == p[-1]))
+        assert kinds == {(False, False), (False, True), (True, True)}
+
+    def test_matches_two_pass_reference_in_order(self):
+        for g in thread_graphs():
+            assert list_threads(g) == two_pass_threads(g), g.rows
 
 
 class TestGraph6:

@@ -19,6 +19,7 @@ from oddhom import (
     fixture,
     from_graph6,
     generalized_mycielski,
+    is_connected,
     is_core,
     odd_girth,
     odd_k4,
@@ -473,7 +474,40 @@ class TestCores:
             assert canonical_bytes(compute_core(g)) == canonical_bytes(compute_core(h))
 
 
+def brute_chromatic_number(g):
+    """Least number of independent sets covering the vertices, by dynamic
+    programming over all vertex subsets."""
+    rows = g.rows
+    full = (1 << g.order) - 1
+    independent = [True] * (full + 1)
+    cover = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        independent[s] = independent[s ^ low] and not rows[low.bit_length() - 1] & s
+        # Some colour class holds the lowest vertex of s.
+        rest, best, t = s ^ low, g.order, s ^ low
+        while True:
+            if independent[t | low]:
+                best = min(best, 1 + cover[rest & ~t])
+            if not t:
+                break
+            t = (t - 1) & rest
+        cover[s] = best
+    return cover[full]
+
+
 class TestChromatic:
+    def test_atlas_matches_brute_force(self):
+        kinds = set()
+        for g in atlas():
+            chi = brute_chromatic_number(g)
+            assert chromatic_number(g) == chi, g.rows
+            if chi == 2:
+                assert circular_chromatic_number(g) == 2, g.rows
+            kinds.add((min(chi, 3), is_connected(g)))
+        # Edgeless, bipartite and non-bipartite inputs, each connected and not.
+        assert kinds == {(c, conn) for c in (1, 2, 3) for conn in (False, True)}
+
     def test_grotzsch(self):
         assert chromatic_number(generalized_mycielski(2)) == 4
 
