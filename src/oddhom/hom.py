@@ -224,10 +224,16 @@ def compute_core(g: Graph) -> Graph:
 def chromatic_number(g: Graph) -> int:
     """Least k such that g maps to K_k.
 
-    The scan starts at K_1, so it decides edgeless and bipartite graphs as
-    well; arc consistency settles the maps to K_1 and K_2 almost at once.
+    Edgeless graphs answer 1 at once; for the rest the scan starts at K_2,
+    so it decides bipartite graphs too, and arc consistency settles the map
+    to K_2 almost at once.  That step is a solver call where an
+    ``odd_girth`` test would be one BFS, so on small inputs the scan costs
+    more than a bipartite shortcut; this is meant, and leaves every k >= 2
+    to the solver alone.
     """
-    k = 1
+    if g.edge_count() == 0:
+        return 1
+    k = 2
     while k < g.order and find_homomorphism(g, complete(k)) is None:
         k += 1
     return k
@@ -239,8 +245,9 @@ def circular_chromatic_number(g: Graph) -> Fraction:
     The minimum over all circular cliques is attained with p at most the
     order of g, so the scan runs over reduced fractions 2 <= p/q with p <= n
     in increasing order and stops at the first success.  The first is
-    C(2, 1) = K_2, which decides bipartite graphs.  Rejects edgeless graphs,
-    whose circular chromatic number degenerates.
+    C(2, 1) = K_2, which decides bipartite graphs; on the rest it is one
+    refuted solver call, as in ``chromatic_number``.  Rejects edgeless
+    graphs, whose circular chromatic number degenerates.
     """
     if g.edge_count() == 0:
         raise ValueError("circular chromatic number needs at least one edge")
