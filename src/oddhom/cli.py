@@ -75,6 +75,9 @@ QUERIES = {
               lambda g: "%d/%d" % circular_chromatic_number(g).as_integer_ratio()),
 }
 
+#: Subgraph searches of ``detect``: kind -> finder.
+FINDERS = {"odd-k4": find_odd_k4, "odd-k32": find_odd_k32}
+
 #: Integer-parameter families of ``build``: name -> (builder, number of parameters).
 BUILDERS = {
     "mycielski": (cons.generalized_mycielski, 1),
@@ -110,15 +113,17 @@ def _cmd_table1(args) -> int:
     return EXIT_OK
 
 
-def _cmd_hom(args) -> int:
-    g = _read_graph(args.src)
-    h = _read_graph(args.dst)
-    m = find_homomorphism(g, h)
-    if m is None:
+def _answer(value) -> int:
+    """Print NONE and fail when there is no answer, else print its JSON."""
+    if value is None:
         print("NONE")
         return EXIT_NEGATIVE
-    print(json.dumps(m.to_json()))
+    print(json.dumps(value.to_json()))
     return EXIT_OK
+
+
+def _cmd_hom(args) -> int:
+    return _answer(find_homomorphism(_read_graph(args.src), _read_graph(args.dst)))
 
 
 def _cmd_query(args) -> int:
@@ -141,26 +146,11 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    g = _read_graph(args.graph)
-    budget = _default_budget()
-    finder = find_odd_k4 if args.kind == "odd-k4" else find_odd_k32
-    w = finder(g, budget)
-    if w is None:
-        print("NONE")
-        return EXIT_NEGATIVE
-    print(json.dumps(w.to_json()))
-    return EXIT_OK
+    return _answer(FINDERS[args.kind](_read_graph(args.graph), _default_budget()))
 
 
 def _cmd_v_special(args) -> int:
-    g = _read_graph(args.graph)
-    col = exists_v_special(g, args.vertex)
-    if col is None:
-        print("NONE")
-        return EXIT_NEGATIVE
-    print(json.dumps({"center": col.center,
-                      "classes": {str(v): c for v, c in sorted(col.class_of.items())}}))
-    return EXIT_OK
+    return _answer(exists_v_special(_read_graph(args.graph), args.vertex))
 
 
 def _cmd_search_eta(args) -> int:
@@ -205,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("detect", help="search for an odd-K4 or odd-K3^2 subgraph")
-    p.add_argument("kind", choices=["odd-k4", "odd-k32"])
+    p.add_argument("kind", choices=[*FINDERS])
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_detect)
 
@@ -223,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "they are proved only for --k 3 --l 2 --max-n 14 or less")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", default=None,
-                   help="append-only log of the finished subtrees below the split order "
-                        "min(8, max-n - 1), one line each; a run of the same configuration skips "
-                        "the subtrees it holds, so an interrupted run resumes where it stopped")
+                   help="append-only log of the finished subtrees below the split order, "
+                        "one line each; a run of the same configuration skips the subtrees it "
+                        "holds, so an interrupted run resumes where it stopped")
     p.set_defaults(fn=_cmd_search_eta)
 
     p = sub.add_parser("table1", help="recompute desk-scale evidence for the known-values table")

@@ -188,11 +188,17 @@ def _shortest_cycle(g: Graph, even):
     at distance d from r are adjacent in layer d; for |C| = 2d + 2, the
     vertex opposite r lies in layer d + 1 and has its two C-neighbours in
     layer d.  A root's walk stops at the best length found so far, and the
-    scan stops at 3.
+    scan stops at 3.  A walk that runs out of layers with no find has met
+    no edge inside a layer, so r's component is bipartite, and, with
+    ``even``, no vertex with two parents, so it is a tree; the scan skips
+    the component's other roots, none of which can find a cycle.
     """
     rows = g.rows
     best = INFINITE
+    done = 0
     for r in range(g.order):
+        if done >> r & 1:
+            continue
         seen = layer = 1 << r
         d = 0
         while layer and 2 * d + 1 < best:
@@ -213,6 +219,8 @@ def _shortest_cycle(g: Graph, even):
                 break
             seen |= layer
             d += 1
+        if not layer:  # r's component holds no cycle the walk looks for
+            done |= seen
         if best == 3:
             break
     return best
@@ -325,29 +333,26 @@ def delete_vertex(g: Graph, v) -> Graph:
 # of the adjacency matrix read column by column ((0,1), (0,2), (1,2), ...),
 # packed into 6-bit chunks most significant bit first, zero-padded, each
 # chunk offset by 63 into printable ASCII.
+#
+# Both directions hold the triangle as one integer whose bit k is the k-th
+# pair of that order.  Column j is then the low j bits of row j, shifted by
+# j(j-1)/2, and chunk c is bits 6c to 6c+5 read from the low end, which
+# ``_REV6`` reverses into a chunk's most-significant-first order.  So the
+# padding is every bit of the decoded integer at or above n(n-1)/2.
+
+_REV6 = tuple(int(f"{x:06b}"[::-1], 2) for x in range(64))
 
 
 def to_graph6(g: Graph) -> str:
     n = g.order
     if n <= 62:
-        out = [chr(n + 63)]
+        head = chr(n + 63)
     else:
-        out = ["~", chr((n >> 12) + 63), chr((n >> 6 & 63) + 63), chr((n & 63) + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+        head = "~" + chr((n >> 12) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    tri = 0
+    for j, row in enumerate(g.rows):
+        tri |= (row & (1 << j) - 1) << j * (j - 1) // 2
+    return head + "".join([chr(_REV6[tri >> k & 63] + 63) for k in range(0, n * (n - 1) // 2, 6)])
 
 
 def from_graph6(line: str) -> Graph:
@@ -372,18 +377,15 @@ def from_graph6(line: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) != need:
         raise ValueError(f"graph6 body has {len(data)} chunks, expected {need} for order {n}")
-    bits = []
-    for d in data:
-        for k in range(5, -1, -1):
-            bits.append(d >> k & 1)
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    if any(bits[idx:]):
+    tri = 0
+    for c, d in enumerate(data):
+        tri |= _REV6[d] << 6 * c
+    if tri >> n * (n - 1) // 2:
         raise ValueError("graph6 padding bits must be zero")
+    rows = [0] * n
+    for j in range(1, n):
+        col = tri >> j * (j - 1) // 2 & (1 << j) - 1
+        rows[j] |= col
+        for i in _bits(col):
+            rows[i] |= 1 << j
     return Graph(rows, _validate=False)

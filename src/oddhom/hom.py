@@ -284,6 +284,10 @@ class VSpecialColouring:
     center: int
     class_of: dict
 
+    def to_json(self):
+        return {"center": self.center,
+                "classes": {str(v): c for v, c in sorted(self.class_of.items())}}
+
 
 def _vspecial_violation(g: Graph, col: VSpecialColouring):
     """None if valid, else a short description of the first violation."""

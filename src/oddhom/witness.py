@@ -45,6 +45,21 @@ _FACE_DONE = tuple(max(pos for pos, e in enumerate(_SEARCH_ORDER) if e in face)
 _K32_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def _simple_mask(g: Graph, seq, closed=False):
+    """The vertex mask of ``seq`` when it is a simple path of ``g``, or a
+    cycle of ``g`` when ``closed``, else 0.  One vertex is a path of length
+    0; a cycle has at least three vertices."""
+    if not seq or closed and len(seq) < 3:
+        return 0
+    mask = 0
+    for v in seq:
+        if not 0 <= v < g.order or mask >> v & 1:
+            return 0
+        mask |= 1 << v
+    steps = zip(seq, seq[1:] + seq[:1] if closed else seq[1:])
+    return mask if all(g.has_edge(a, b) for a, b in steps) else 0
+
+
 @dataclass(frozen=True)
 class OddK4Witness:
     """Four branch vertices plus the six threads certifying an odd-K4 subgraph.
@@ -67,21 +82,24 @@ class OddK4Witness:
         return tuple(tl[i] + tl[j] + tl[k] for i, j, k in _K4_FACES)
 
     def verify(self, g: Graph) -> bool:
-        if len(set(self.branch)) != 4:
+        """True iff ``branch`` is four distinct vertices, each ``paths[i]``
+        is a simple path of ``g`` from ``branch[a]`` to ``branch[b]`` for
+        ``(a, b) = _K4_EDGES[i]``, the six interiors are pairwise disjoint
+        and miss ``branch``, and all four faces are odd."""
+        if len(self.branch) != 4 or len(set(self.branch)) != 4 or len(self.paths) != 6:
             return False
-        interiors = set()
-        for idx, p in enumerate(self.paths):
-            u, v = (self.branch[a] for a in _K4_EDGES[idx])
-            if p[0] != u or p[-1] != v or len(set(p)) != len(p):
+        interiors = 0
+        for (a, b), p in zip(_K4_EDGES, self.paths):
+            mask = _simple_mask(g, p)
+            if not mask or p[0] != self.branch[a] or p[-1] != self.branch[b]:
                 return False
-            for a, b in zip(p, p[1:]):
-                if not g.has_edge(a, b):
-                    return False
-            inner = set(p[1:-1])
-            if inner & set(self.branch) or inner & interiors:
+            inner = mask & ~(1 << p[0]) & ~(1 << p[-1])
+            if inner & interiors:
                 return False
             interiors |= inner
-        return all(f % 2 == 1 for f in self.face_lengths)
+        # Every branch vertex ends a path, so each is a vertex of g here.
+        return (not any(interiors >> v & 1 for v in self.branch)
+                and all(f % 2 == 1 for f in self.face_lengths))
 
     def to_json(self):
         return {"branch": list(self.branch), "paths": [list(p) for p in self.paths],
@@ -96,44 +114,29 @@ class OddK32Witness:
     paths: tuple  # in _K32_PAIRS order: (0,1), (0,2), (1,2)
 
     def verify(self, g: Graph) -> bool:
-        masks = []
-        for c in self.cycles:
-            if len(c) % 2 == 0 or len(set(c)) != len(c):
-                return False
-            for a, b in zip(c, c[1:] + c[:1]):
-                if not g.has_edge(a, b):
-                    return False
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
-        pmasks = []
+        """True iff ``cycles`` is three odd cycles of ``g``, the three paths
+        are pairwise disjoint, and the path of each pair (i, j) of
+        ``_K32_PAIRS`` is either one vertex, the only one that cycles i and j
+        share, or, when they share none, a simple path of ``g`` that meets
+        cycle i only in its first vertex, cycle j only in its last, and
+        misses the third cycle.  (So its interior misses all three.)"""
+        masks = [len(c) % 2 and _simple_mask(g, c, closed=True) for c in self.cycles]
+        if len(masks) != 3 or not all(masks) or len(self.paths) != 3:
+            return False
+        used = 0
         for (i, j), p in zip(_K32_PAIRS, self.paths):
-            pm = 0
-            for v in p:
-                pm |= 1 << v
-            if len(set(p)) != len(p):
+            pm = _simple_mask(g, p)
+            if not pm or pm & used:
                 return False
+            used |= pm
+            shared = masks[i] & masks[j]
             if len(p) == 1:
-                # The two cycles share exactly the path's one vertex.
-                if masks[i] & masks[j] != pm:
+                if shared != pm:
                     return False
-            elif masks[i] & masks[j]:
+            elif (shared or pm & masks[i] != 1 << p[0] or pm & masks[j] != 1 << p[-1]
+                  or pm & masks[3 - i - j]):
                 return False
-            else:
-                for a, b in zip(p, p[1:]):
-                    if not g.has_edge(a, b):
-                        return False
-                if not (1 << p[0] & masks[i] and 1 << p[-1] & masks[j]):
-                    return False
-                inner = pm ^ (1 << p[0]) ^ (1 << p[-1])
-                if inner & (masks[0] | masks[1] | masks[2]):
-                    return False
-                third = masks[3 - i - j]
-                if pm & third:
-                    return False
-            pmasks.append(pm)
-        return not (pmasks[0] & pmasks[1] or pmasks[0] & pmasks[2] or pmasks[1] & pmasks[2])
+        return True
 
     def to_json(self):
         return {"cycles": [list(c) for c in self.cycles],
@@ -213,7 +216,6 @@ def _place_threads(rows, quad, paths, step, spoken, budget):
                 inner |= 1 << w
             if _place_threads(rows, quad, paths, step + 1, spoken | inner, budget):
                 return True
-        paths[eidx] = None
     return False
 
 
@@ -276,12 +278,8 @@ def _connect(rows, masks, cyc, chosen, pi, used_paths, budget):
     if inter:
         if inter & used_paths:
             return False
-        x = inter.bit_length() - 1
-        chosen[pi] = (x,)
-        if _connect(rows, masks, cyc, chosen, pi + 1, used_paths | inter, budget):
-            return True
-        chosen[pi] = None
-        return False
+        chosen[pi] = (inter.bit_length() - 1,)
+        return _connect(rows, masks, cyc, chosen, pi + 1, used_paths | inter, budget)
     third = masks[3 - a - b]
     all_cyc = masks[0] | masks[1] | masks[2]
     for u in cyc[a]:
@@ -302,7 +300,6 @@ def _connect(rows, masks, cyc, chosen, pi, used_paths, budget):
                 chosen[pi] = p
                 if _connect(rows, masks, cyc, chosen, pi + 1, used_paths | pm, budget):
                     return True
-                chosen[pi] = None
     return False
 
 

@@ -130,6 +130,8 @@ def corpus():
     return graphs
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator for each test, so that no test's draws change
+    another's inputs, and a test alone sees what it sees in the full run."""
     return random.Random(20240811)

@@ -80,11 +80,45 @@ class TestOddGirth:
     def test_odd_k4(self):
         assert odd_girth(odd_k4(1, 2, 2)) == 5
 
+    @pytest.mark.parametrize("first_bipartite", [True, False])
+    def test_bipartite_component_beside_an_odd_one(self, first_bipartite):
+        # A walk that exhausts a bipartite component skips its other roots;
+        # the odd component must still be searched, before or after it.
+        parts = [hypercube(4), cycle(7)] if first_bipartite else [cycle(7), hypercube(4)]
+        g = disjoint_union(*parts)
+        assert odd_girth(g) == 7
+        assert girth(g) == 4
+
+    def test_tree_beside_an_odd_cycle(self):
+        g = disjoint_union(binary_tree(15), cycle(9))
+        assert odd_girth(g) == 9
+        assert girth(g) == 9
+        assert odd_girth(binary_tree(64)) == girth(binary_tree(64)) == INFINITE
+        assert odd_girth(hypercube(6)) == INFINITE and girth(hypercube(6)) == 4
+
     def test_always_odd_or_infinite(self, rng):
         for _ in range(100):
             g = random_graph(rng, rng.randint(1, 9), rng.random())
             og = odd_girth(g)
             assert og == INFINITE or og % 2 == 1
+
+
+def hypercube(d):
+    return Graph.from_edges(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d)
+                                     if not v >> i & 1])
+
+
+def binary_tree(n):
+    return Graph.from_edges(n, [(v, (v - 1) // 2) for v in range(1, n)])
+
+
+def disjoint_union(*parts):
+    """The parts side by side, relabelled in the order given."""
+    rows, base = [], 0
+    for h in parts:
+        rows += [r << base for r in h.rows]
+        base += h.order
+    return Graph(rows)
 
 
 def odd_power_graphs():
@@ -390,19 +424,41 @@ class TestGraph6:
         assert from_graph6(to_graph6(cycle(64))) == cycle(64)
 
     def test_matches_independent_encoder(self, rng):
+        # Every order up to 64 (from 63 on, the order takes the 4-byte
+        # '~' form), then 40 small orders.
         nx = pytest.importorskip("networkx")
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 12), rng.random())
+        for n in [*range(1, 65), *(rng.randint(1, 12) for _ in range(40))]:
+            g = random_graph(rng, n, rng.random())
             ref = nx.Graph()
             ref.add_nodes_from(range(g.order))
             ref.add_edges_from(g.edges())
             theirs = nx.to_graph6_bytes(ref, header=False).decode().strip()
             assert to_graph6(g) == theirs
+            assert from_graph6(theirs) == g
+
+    MALFORMED = [
+        ("", "empty graph6 line"),
+        ("  \n", "empty graph6 line"),
+        (">>graph6<<", "empty graph6 line"),
+        (chr(1) + "w", "graph6 line contains non-printable characters: '\\x01w'"),
+        # str.strip takes chr(30) for white space, which leaves "w", order 56.
+        (chr(30) + "w", "graph6 body has 0 chunks, expected 257 for order 56"),
+        ("B\x7f", "graph6 line contains non-printable characters: 'B\\x7f'"),
+        ("~??", "truncated graph6 order field"),
+        ("?", "graph6 order 0 outside supported range 1..64"),
+        ("~?A?", "graph6 order 128 outside supported range 1..64"),
+        ("B", "graph6 body has 0 chunks, expected 1 for order 3"),
+        ("Bww", "graph6 body has 2 chunks, expected 1 for order 3"),
+        ("Bx", "graph6 padding bits must be zero"),
+        ("~??~" + "~" * 326, "graph6 padding bits must be zero"),
+        ("@?", "graph6 body has 1 chunks, expected 0 for order 1"),
+    ]
 
     def test_rejects_malformed(self):
-        for bad in ["", "B", "Bww", "~??", chr(30) + "w"]:
-            with pytest.raises(ValueError):
+        for bad, message in self.MALFORMED:
+            with pytest.raises(ValueError) as exc:
                 from_graph6(bad)
+            assert str(exc.value) == message, bad
 
     def test_accepts_optional_header(self):
         assert from_graph6(">>graph6<<Bw") == complete(3)

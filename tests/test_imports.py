@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses, no private
 module-level name outlives its last use, no function takes a parameter it
 never reads, no nested function calls itself by name, no function of
-search.py names a claim rule, and search.py's augmentation walk is
-iterative.
+search.py names a claim rule, search.py's augmentation walk is iterative,
+and the module names the benchmark's trace wraps still hold the functions
+they name.
 
 ``__init__.py`` is exempt from the first guard: its imports are the
 re-exported public API.  The second guard reads the whole package: a
@@ -17,7 +18,11 @@ read the rule table, and a ``RULE_*`` name appears only where the table,
 the ``SearchConfig`` default and the command line build their rule sets.
 The sixth keeps the walk on its explicit stack: ``_place_colours`` is the
 only function of search.py that calls itself, and no generator started
-once per node (called inside a loop's body) reads the rule table.
+once per node (called inside a loop's body) reads the rule table.  The
+seventh is there because the benchmark's trace times a call by replacing
+the name its caller looks up, such as ``search.odd_girth``; a name that
+stops being imported, or is bound to something else, would leave that
+layer untimed without an error.
 """
 
 import ast
@@ -26,6 +31,7 @@ import pathlib
 import pytest
 
 import oddhom
+from oddhom import graphs, hom, search, witness
 
 MODULES = sorted(p for p in pathlib.Path(oddhom.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -250,3 +256,29 @@ def test_search_walk_is_iterative():
     assert self_recursive_functions(source) == ["_place_colours"]
     assert per_node_generators(source) == ["_children"]
     assert per_node_rule_readers(source) == []
+
+
+#: (module, name, defining module) of each call the benchmark's trace wraps
+#: in one module on behalf of another (``perfbench/workloads.py``
+#: ``bindings()``), among the names that exist today.
+TRACED_BINDINGS = [
+    (search, "odd_reach_within", graphs),
+    (search, "odd_girth", graphs),
+    (search, "max_thread_length", graphs),
+    (search, "to_graph6", graphs),
+    (search, "from_graph6", graphs),
+    (search, "find_homomorphism", hom),
+    (search, "is_core", hom),
+    (hom, "find_homomorphism", hom),
+    (witness, "find_homomorphism", hom),
+    (witness, "find_odd_k4", witness),
+    (witness, "find_odd_k32", witness),
+]
+
+
+@pytest.mark.parametrize("owner, name, home", TRACED_BINDINGS,
+                         ids=[f"{o.__name__.split('.')[-1]}.{n}" for o, n, _ in TRACED_BINDINGS])
+def test_traced_bindings_are_the_defining_functions(owner, name, home):
+    fn = getattr(owner, name)
+    assert fn is getattr(home, name)
+    assert fn.__module__ == home.__name__

@@ -10,6 +10,7 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from oddhom import (
@@ -39,6 +40,7 @@ from oddhom.hom import VertexMap, find_homomorphism, is_core, verify_mapping
 from oddhom.table import designated_odd_k4
 from oddhom.search import (
     RULE_CONNECTED,
+    RULE_FIVE_WALK,
     RULE_MAX_DEGREE_3_SECONDNBHD,
     RULE_NO_4_CYCLE,
     RULE_NO_6_CYCLE,
@@ -1444,6 +1446,34 @@ class TestDegreeCapCheck:
         rng = random.Random(11)
         self.assert_match([random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5))
                            for _ in range(300)])
+
+
+class TestFiveWalkCheck:
+    """The 5-walk rule against the fifth power of the adjacency matrix:
+    every two distinct vertices are joined by a walk of length exactly 5
+    iff every off-diagonal entry of A^5 is positive."""
+
+    @staticmethod
+    def assert_match(graphs):
+        outcomes = Counter()
+        for g in graphs:
+            a = np.zeros((g.order, g.order), dtype=np.int64)
+            for u, v in g.edges():
+                a[u, v] = a[v, u] = 1
+            a5 = np.linalg.matrix_power(a, 5)
+            want = bool(np.all(a5[~np.eye(g.order, dtype=bool)] > 0))
+            got = claim_filter(g, RULE_FIVE_WALK)
+            assert got == want, g.rows
+            outcomes[got] += 1
+        assert outcomes[True] and outcomes[False], outcomes
+
+    def test_atlas(self):
+        self.assert_match(atlas())
+
+    def test_random_graphs(self, rng):
+        self.assert_match([random_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.7))
+                           for _ in range(300)]
+                          + [generalized_mycielski(2), fixture("fig2a"), cycle(11)])
 
 
 class TestRuleScope:

@@ -6,11 +6,13 @@ neither obstruction maps to its shortest odd cycle) is checked as a
 property over random non-bipartite graphs.
 """
 
+import dataclasses
 import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -92,6 +94,197 @@ class TestFinders:
             g = odd_k32(cycles, paths)
             w = find_odd_k32(g)
             assert w is not None and w.verify(g), paths
+
+
+def reference_k4_verify(w, g):
+    """``OddK4Witness.verify`` as it was before ``_simple_mask``: each test
+    written out by hand."""
+    if len(set(w.branch)) != 4:
+        return False
+    interiors = set()
+    for idx, p in enumerate(w.paths):
+        u, v = (w.branch[a] for a in witness._K4_EDGES[idx])
+        if p[0] != u or p[-1] != v or len(set(p)) != len(p):
+            return False
+        for a, b in zip(p, p[1:]):
+            if not g.has_edge(a, b):
+                return False
+        inner = set(p[1:-1])
+        if inner & set(w.branch) or inner & interiors:
+            return False
+        interiors |= inner
+    return all(f % 2 == 1 for f in w.face_lengths)
+
+
+def reference_k32_verify(w, g):
+    """``OddK32Witness.verify`` as it was before ``_simple_mask``."""
+    masks = []
+    for c in w.cycles:
+        if len(c) % 2 == 0 or len(set(c)) != len(c):
+            return False
+        for a, b in zip(c, c[1:] + c[:1]):
+            if not g.has_edge(a, b):
+                return False
+        m = 0
+        for v in c:
+            m |= 1 << v
+        masks.append(m)
+    pmasks = []
+    for (i, j), p in zip(witness._K32_PAIRS, w.paths):
+        pm = 0
+        for v in p:
+            pm |= 1 << v
+        if len(set(p)) != len(p):
+            return False
+        if len(p) == 1:
+            if masks[i] & masks[j] != pm:
+                return False
+        elif masks[i] & masks[j]:
+            return False
+        else:
+            for a, b in zip(p, p[1:]):
+                if not g.has_edge(a, b):
+                    return False
+            if not (1 << p[0] & masks[i] and 1 << p[-1] & masks[j]):
+                return False
+            inner = pm ^ (1 << p[0]) ^ (1 << p[-1])
+            if inner & (masks[0] | masks[1] | masks[2]):
+                return False
+            third = masks[3 - i - j]
+            if pm & third:
+                return False
+        pmasks.append(pm)
+    return not (pmasks[0] & pmasks[1] or pmasks[0] & pmasks[2] or pmasks[1] & pmasks[2])
+
+
+def mutations(seq, n, rng):
+    """``seq`` with one vertex dropped, replaced or inserted, a vertex
+    appended, reversed, two vertices swapped, rotated, or emptied."""
+    out = [seq[::-1], ()]
+    others = rng.sample(range(n), min(n, 3))
+    for i in range(len(seq)):
+        out.append(seq[:i] + seq[i + 1:])
+        out += [seq[:i] + (v,) + seq[i + 1:] for v in others]
+        out += [seq[:i] + (v,) + seq[i:] for v in others]
+        out += [seq[:i] + (seq[j],) + seq[i + 1:j] + (seq[i],) + seq[j + 1:]
+                for j in range(i + 1, len(seq))]
+        out.append(seq[i:] + seq[:i])
+    return out + [seq + (v,) for v in others]
+
+
+def mutated_witnesses(w, fields, n, rng):
+    """``w``, then ``w`` with one vertex sequence of ``fields`` mutated."""
+    yield w
+    for field in fields:
+        seqs = getattr(w, field)
+        for k, seq in enumerate(seqs):
+            for m in mutations(seq, n, rng):
+                yield dataclasses.replace(w, **{field: seqs[:k] + (m,) + seqs[k + 1:]})
+
+
+def verifier_graphs():
+    """Graphs on which a finder returns a witness: the query corpus up to
+    order 22, odd-K4s, odd-K3^2s and random graphs of order <= 10."""
+    rng = random.Random(31)
+    graphs = [g for g in corpus() if g.order <= 22]
+    graphs += [odd_k4(a, b, c) for a, b, c in itertools.product(range(1, 4), repeat=3)
+               if (a + b + c) % 2]
+    graphs += [odd_k32(c, p) for c in SWEEP_CYCLES[:4] for p in [(0, 1, 2), (1, 1, 1), (2, 0, 0)]]
+    return graphs + [random_graph(rng, rng.randint(4, 10), rng.uniform(0.2, 0.6))
+                     for _ in range(60)]
+
+
+class TestVerifiers:
+    """Both ``verify`` methods through ``_simple_mask`` give the hand-written
+    tests' answers, and False where those raised."""
+
+    @pytest.mark.parametrize("finder, reference, fields", [
+        (find_odd_k4, reference_k4_verify, ("paths",)),
+        (find_odd_k32, reference_k32_verify, ("cycles", "paths")),
+    ], ids=["odd_k4", "odd_k32"])
+    def test_same_answers_as_hand_written_tests(self, finder, reference, fields):
+        rng = random.Random(32)
+        outcomes = Counter()
+        for g in verifier_graphs():
+            w = finder(g)
+            if w is None:
+                continue
+            for m in mutated_witnesses(w, fields, g.order, rng):
+                got = m.verify(g)
+                try:
+                    want = reference(m, g)
+                except (IndexError, ValueError):
+                    want = "raised"
+                assert got == (want is True), (g.rows, m, want)
+                outcomes[want] += 1
+        assert outcomes[True] and outcomes[False] and outcomes["raised"], outcomes
+
+    def test_simple_mask(self):
+        g = cycle(5)
+        assert witness._simple_mask(g, (2,)) == 1 << 2
+        assert witness._simple_mask(g, (0, 1, 2)) == 0b111
+        assert witness._simple_mask(g, (0, 1, 2, 3, 4), closed=True) == 0b11111
+        assert witness._simple_mask(g, (0, 1, 2, 3, 4)) == 0b11111
+        for bad in [(), (0, 2), (0, 1, 0), (4, 5), (-1, 0), (5,)]:
+            assert witness._simple_mask(g, bad) == 0, bad
+        for bad in [(), (0,), (0, 1), (0, 1, 2, 3), (0, 1, 2, 1, 0)]:
+            assert witness._simple_mask(g, bad, closed=True) == 0, bad
+
+    @pytest.mark.parametrize("w, reference", [
+        # A thread that walks out to a pendant vertex and back: its faces
+        # keep their parity, but it repeats vertex 4.
+        (witness.OddK4Witness((0, 1, 2, 3), ((0, 1), (2, 3), (0, 4, 8, 4, 2), (3, 5, 1),
+                                             (0, 6, 3), (2, 7, 1))),
+         reference_k4_verify),
+        # The paths from cycle 0 to cycles 1 and 2 both start at vertex 0.
+        (witness.OddK32Witness(((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+                               ((0, 9, 3), (0, 10, 6), (4, 11, 7))),
+         reference_k32_verify),
+        # Cycles 0 and 1 share vertex 2, but are joined by a longer path.
+        (witness.OddK32Witness(((0, 1, 2), (2, 3, 4), (5, 6, 7)),
+                               ((0, 8, 3), (1, 9, 5), (4, 10, 6))),
+         reference_k32_verify),
+        # The path from cycle 0 to cycle 1 runs through vertex 6 of cycle 2.
+        (witness.OddK32Witness(((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+                               ((0, 6, 3), (1, 9, 7), (4, 10, 8))),
+         reference_k32_verify),
+    ], ids=["odd_k4_walk", "odd_k32_paths_meet", "odd_k32_long_path_beside_shared_vertex",
+            "odd_k32_path_through_third_cycle"])
+    def test_near_misses(self, w, reference):
+        # Each witness fails one condition, one that no mutation of a
+        # finder's witness above isolates, on the graph of its own edges.
+        cycles = getattr(w, "cycles", ())
+        edges = {frozenset(e) for c in cycles for e in zip(c, c[1:] + c[:1])}
+        edges |= {frozenset(e) for p in w.paths for e in zip(p, p[1:])}
+        g = Graph.from_edges(1 + max(v for e in edges for v in e), [tuple(e) for e in edges])
+        assert not reference(w, g)
+        assert not w.verify(g)
+
+    def test_odd_k4_needs_four_branch_slots(self):
+        # Branch slots 0 and 1 are one vertex, joined by a length-0 thread,
+        # so the six threads span three branch vertices and no odd-K4: the
+        # graph is two triangles and a 4-cycle through vertex 0.  The
+        # hand-written tests read the 5-tuple's set, which has four
+        # members, and accepted it.
+        g = Graph.from_edges(7, [(0, 1), (1, 4), (4, 0), (2, 0), (0, 5), (5, 2),
+                                 (1, 6), (6, 2)])
+        w = witness.OddK4Witness((0, 0, 1, 2, 3),
+                                 ((0,), (1, 6, 2), (0, 1), (2, 0), (0, 5, 2), (1, 4, 0)))
+        assert find_odd_k4(g) is None
+        assert reference_k4_verify(w, g)
+        assert not w.verify(g)
+
+    def test_entries_past_the_witness_are_rejected(self):
+        # The hand-written odd-K3^2 test read only the first three paths
+        # (and checked a fourth cycle but joined only three).
+        g = odd_k32((3, 3, 3), (1, 1, 1))
+        w = find_odd_k32(g)
+        for extra in [dataclasses.replace(w, paths=w.paths + ((99,),)),
+                      dataclasses.replace(w, cycles=w.cycles + (w.cycles[0],))]:
+            assert reference_k32_verify(extra, g)
+            assert not extra.verify(g)
+        k4 = find_odd_k4(odd_k4(1, 2, 2))
+        assert not dataclasses.replace(k4, paths=k4.paths + (k4.paths[0],)).verify(odd_k4(1, 2, 2))
 
 
 def reference_paths_between(rows, u, v, forbidden, budget):
