@@ -23,7 +23,7 @@ import sys
 
 from . import constructions as cons
 from .budget import Budget, BudgetExceededError
-from .graphs import INFINITE, Graph, from_graph6, girth, odd_girth, to_graph6
+from .graphs import _ASCII_SPACE, INFINITE, Graph, from_graph6, girth, odd_girth, to_graph6
 from .hom import (
     chromatic_number,
     circular_chromatic_number,
@@ -47,9 +47,10 @@ def _read_graph(arg: str) -> Graph:
     else:
         with open(arg) as fh:
             data = fh.read()
-    for line in data.splitlines():
-        line = line.strip()
-        if line:
+    # Only "\n" ends a line: ``splitlines`` would also split at 0x1c-0x1e
+    # and 0x85, which graph6 never uses.
+    for line in data.split("\n"):
+        if line.strip(_ASCII_SPACE):
             return from_graph6(line)
     raise ValueError(f"no graph6 line found in {arg!r}")
 
@@ -158,8 +159,8 @@ def _cmd_search_eta(args) -> int:
     cfg = SearchConfig(k=args.k, l=args.l, n_max=args.max_n, prune_rules=rules)
     report = eta_search(cfg, jobs=args.jobs, checkpoint=args.checkpoint,
                         budget=_default_budget())
-    for line in report.json_lines():
-        print(line)
+    for rec in report.records:
+        print(rec.to_json())
     mode = "minimal-counterexample mode (claim rules assumed)" if report.minimal_counterexample_mode \
         else "unconditional exhaustive mode"
     if report.truncated:

@@ -19,6 +19,7 @@ thread interiors in declaration order.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .graphs import Graph
 
@@ -65,6 +66,14 @@ def circular_clique(p: int, q: int) -> Graph:
     return Graph.from_edges(p, edges)
 
 
+def _thread(edges, u, v, length, nxt):
+    """Append a u-v path of ``length`` edges to ``edges``, its interior
+    numbered nxt, nxt + 1, ... from u on; return the next free vertex."""
+    walk = [u, *range(nxt, nxt + length - 1), v]
+    edges.extend(zip(walk, walk[1:]))
+    return nxt + length - 1
+
+
 def subdivided_k4(a: int, ap: int, b: int, bp: int, c: int, cp: int) -> Graph:
     """K4 with its six edges subdivided into threads of given lengths.
 
@@ -86,12 +95,7 @@ def subdivided_k4(a: int, ap: int, b: int, bp: int, c: int, cp: int) -> Graph:
     edges = []
     nxt = 4
     for u, v, length in threads:
-        prev = u
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, v))
+        nxt = _thread(edges, u, v, length, nxt)
     return Graph.from_edges(nxt, edges)
 
 
@@ -144,15 +148,8 @@ def odd_k32(cycle_lengths, path_lengths) -> Graph:
     edges = [(label[base[i] + k], label[base[i] + (k + 1) % length])
              for i, length in enumerate(cls) for k in range(length)]
     for (a, b), plen in zip(ends, pls):
-        if plen == 0:
-            continue
-        prev = label[a]
-        for _ in range(plen - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, label[b]))
-
+        if plen:
+            nxt = _thread(edges, label[a], label[b], plen, nxt)
     return Graph.from_edges(nxt, edges)
 
 
@@ -236,12 +233,6 @@ def _case1b():
     return _with_pendants(odd_k4(1, 3, 3), [(12, 9), (13, 11), (12, 13)])
 
 
-def _case2a():
-    # Order-13 odd-K4 with thread lengths (3,3,3) on one triangle and
-    # (2,2,2) opposite; three 7-cycles and one 9-cycle.
-    return subdivided_k4(2, 3, 3, 2, 3, 2)
-
-
 def _case2b():
     # Order-13 odd-K4 with threads (2,3,4)/(1,2,3) plus a 14th vertex joined
     # to its unique diametral pair (interior vertices 9 and 11).  The base has
@@ -252,31 +243,28 @@ def _case2b():
     return _with_pendants(subdivided_k4(1, 2, 3, 2, 4, 3), [(13, 9), (13, 11)])
 
 
-def _case3a():
-    # Order-14 odd-K4, threads (3,4,4)/(1,2,2); three 7-cycles, one 11-cycle.
-    return subdivided_k4(1, 3, 4, 2, 4, 2)
-
-
-_CASE3B = {
-    "case3b_1": (1, 1, 3, 3, 3, 5),
-    "case3b_2": (1, 1, 4, 4, 2, 4),
-    "case3b_3": (2, 2, 2, 2, 3, 5),
-    "case3b_4": (2, 2, 3, 3, 2, 4),
-    "case3b_5": (3, 3, 3, 3, 1, 3),
-}
-
 _FIXTURES = {
     "fig2a": _fig2a,
     "fig2b": _fig2b,
     "fig2c": _fig2c,
     "case1a": _case1a,
     "case1b": _case1b,
-    "case2a": _case2a,
+    # Order-13 odd-K4 with thread lengths (3,3,3) on one triangle and
+    # (2,2,2) opposite; three 7-cycles and one 9-cycle.
+    "case2a": partial(subdivided_k4, 2, 3, 3, 2, 3, 2),
     "case2b": _case2b,
-    "case3a": _case3a,
+    # Order-14 odd-K4, threads (3,4,4)/(1,2,2); three 7-cycles, one 11-cycle.
+    "case3a": partial(subdivided_k4, 1, 3, 4, 2, 4, 2),
+    # case3b_*: two 7-cycles and two 9-cycles; the z-y thread is the common
+    # thread of the two 9-cycles and exceeds its partner by 2.
+    "case3b_1": partial(subdivided_k4, 1, 1, 3, 3, 3, 5),
+    "case3b_2": partial(subdivided_k4, 1, 1, 4, 4, 2, 4),
+    "case3b_3": partial(subdivided_k4, 2, 2, 2, 2, 3, 5),
+    "case3b_4": partial(subdivided_k4, 2, 2, 3, 3, 2, 4),
+    "case3b_5": partial(subdivided_k4, 3, 3, 3, 3, 1, 3),
 }
 
-FIXTURE_NAMES = tuple(list(_FIXTURES) + sorted(_CASE3B))
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture(name: str) -> Graph:
@@ -288,10 +276,7 @@ def fixture(name: str) -> Graph:
     The names are cases of the analysis, not distinct graphs: ``case1a`` and
     ``case2b`` reach the same graph by different routes and are isomorphic.
     """
-    if name in _FIXTURES:
-        return _FIXTURES[name]()
-    if name in _CASE3B:
-        # Two 7-cycles and two 9-cycles; the z-y thread is the common thread
-        # of the two 9-cycles and exceeds its partner by 2.
-        return subdivided_k4(*_CASE3B[name])
-    raise ValueError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    build = _FIXTURES.get(name)
+    if build is None:
+        raise ValueError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    return build()

@@ -355,8 +355,13 @@ def to_graph6(g: Graph) -> str:
     return head + "".join([chr(_REV6[tri >> k & 63] + 63) for k in range(0, n * (n - 1) // 2, 6)])
 
 
+#: The white space a graph6 line may carry: ASCII's only.  ``str.strip()``
+#: would also take 0x1c-0x1f, 0x85 and 0xa0, none of them graph6 bytes.
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
+
+
 def from_graph6(line: str) -> Graph:
-    s = line.strip()
+    s = line.strip(_ASCII_SPACE)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:

@@ -161,7 +161,7 @@ def find_homomorphism(g: Graph, h: Graph) -> VertexMap | None:
     supports = _Supports(h.rows)
     weight = [1] * n
     doms = [(1 << hn) - 1] * n
-    if n >= 1 and _circulant(h):
+    if _circulant(h):
         doms[order[0]] = 1
         if n >= 2:
             doms[order[1]] = sum(1 << c for c in range(hn) if c <= -c % hn)
@@ -251,16 +251,10 @@ def circular_chromatic_number(g: Graph) -> Fraction:
     """
     if g.edge_count() == 0:
         raise ValueError("circular chromatic number needs at least one edge")
-    from math import gcd
-
-    fracs = sorted(
-        (Fraction(p, q), p, q)
-        for p in range(2, g.order + 1)
-        for q in range(1, p // 2 + 1)
-        if gcd(p, q) == 1
-    )
-    for frac, p, q in fracs:
-        if find_homomorphism(g, circular_clique(p, q)) is not None:
+    # Fraction reduces p/q, so the set holds each value once, in lowest terms.
+    fracs = {Fraction(p, q) for p in range(2, g.order + 1) for q in range(1, p // 2 + 1)}
+    for frac in sorted(fracs):
+        if find_homomorphism(g, circular_clique(*frac.as_integer_ratio())) is not None:
             return frac
     raise AssertionError("unreachable: K_n always admits the identity colouring")
 

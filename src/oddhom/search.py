@@ -8,67 +8,20 @@ vertex is chosen by isomorphism-invariant keys: first the earliest
 refined-colour cell holding a non-cutvertex, then, within that cell, the
 non-cutvertex with the least position in the canonical labelling.  A child
 built by attaching a new vertex to a subset S of a parent is accepted iff
-the new vertex lies in the automorphism orbit of that vertex.  Two bounds
-drop sets before a child is built (``_attachment_sets``), and the budget
-ticks only the sets inside both.  The degree bound: an S larger than one
-plus the least degree m of a parent non-cutvertex, or of exactly that size
-but missing a non-cutvertex of that degree, is rejected by degrees.  The
-leaf bound: a singleton {u} is rejected at round one (below) when some
-leaf v != u of the parent has a neighbour w of degree at least
-deg(u) + 2, since v stays a leaf and a non-cutvertex, a rival of the new
-leaf, and its one neighbour w lies in a later degree cell of the child than
-u, which gives v the smaller key.  Both read degrees alone, so an orbit of
-sets drops whole.  The degree stage reads one table of masks per parent
-(``_parent_table``): the parent's degree classes, and the components of
-the parent minus each vertex, walked the first time a child reads them.  A
-parent with a leaf has m = 1, its leaves the non-cutvertices of that
-degree, with no walk.  In a child, a parent vertex of degree d has degree
-d + 1 if it lies in S and d otherwise, which gives the child's degree
-partition, and it is a non-cutvertex iff S meets each of its components.
-No vertex of larger degree is read: the new vertex has degree
-|S| <= m + 1, only a vertex of child degree at most |S| can reject it or
-tie with it, and no vertex has a smaller degree in the child than in the
-parent; so a vertex of degree m + 1 has its components walked only for a
-child with |S| = m + 1.  A remaining child with no
-other non-cutvertex of the new vertex's degree is accepted by the degrees
-alone.  Otherwise the first refinement round's keys of the new
-vertex and of those rivals alone decide most children: a rival with a
-smaller key rejects, and none with an equal key accepts.  Rivals with an
-equal key that are all twins of the new vertex (same neighbours apart from
-each other) accept as well, since swapping twins is an automorphism.  A
-new vertex that is a leaf is decided at the second round without building
-it (the first cannot decide, since the tied rivals share the new vertex's
-round-one cell).  A leaf counts one neighbour, in its neighbour's
-round-one cell.  Tied leaves have neighbours of one degree, so the
-neighbours' round-one keys order those cells, and sub-cells come in
-increasing count vector: of two tied leaves, the one whose neighbour's key
-is greater gets the earlier cell.  A tied rival whose neighbour's key is
-greater rejects, and none with an equal one, or only twins there,
-accepts.  Only the remaining children are refined round by round from the
-degree partition, until the cells place a rival before the new vertex
-(reject) or none beside it, or only twins (accept).  One canonical search
-of the child, which also yields its automorphism generators and orbits,
-settles the rest.  Among siblings, S is tried only if it is the
-first-enumerated member of its orbit under the parent's automorphism
-group.  The tree is walked depth first, in pre-order, on one explicit stack
-of generators, each yielding one node's children (``_descendants``), so a
-graph passes through one generator frame whatever its depth, and a graph
-that is not grown starts none.
+the new vertex lies in the automorphism orbit of that vertex.
 
-A node's group comes from its parent's, unless a search decided its
-acceptance.  A child accepted before the search knows the orbit of its
-added vertex a: a alone, or a and the rivals tied with it, all twins of
-a.  By the orbit-stabiliser theorem the child's group is generated by the
-stabiliser of a and one element taking a to each member of that orbit;
-the transpositions (a t) do, and since twins of a are twins of each
-other, so does one of them together with the stabiliser.  An automorphism
-fixing a maps its neighbourhood S onto itself, so the stabiliser of a is
-the stabiliser of S in the parent's group, extended by a to a.
-Schreier's lemma gives generators of that from the orbit of S, which the
-sibling skip walks anyway: for a transversal u_T taking S to each member
-T and a generator g, the element u_{g(T)}^-1 g u_T.  Only when those
-would number as many as the child's vertices is the child searched
-instead, which keeps the lists that orbits walk short.
+Each stage is stated in full by the function that owns it.  The degree
+bound and the leaf bound drop attachment sets before a child is built
+(``_attachment_sets``); both read one table per parent, its degree classes
+and the components of the parent minus each vertex (``_ParentTable``).  A
+built child is decided by the first of these that settles it: degrees,
+round-one keys, twins, leaf round two, refinement rounds, and one
+canonical search (``_accepted``).  Among siblings, S is tried only if it is
+the first-enumerated member of its orbit under the parent's automorphism
+group (``_children``), and a child accepted without a search takes its
+group from its parent's through Schreier generators on that orbit
+(``_child_gens``, ``_stabiliser``).  The tree is walked depth first, in
+pre-order, on one explicit stack of generators (``_descendants``).
 
 Why this gives one representative per isomorphism class: every connected
 graph has a non-cutvertex, so it has a canonical parent, and the properties
@@ -133,7 +86,7 @@ import time
 from collections import Counter, defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .budget import Budget, BudgetExceededError
 from .canon import canonical_search, refine_round, search_graph
@@ -143,7 +96,6 @@ from .graphs import (
     _bits,
     _neighbors_of_set,
     from_graph6,
-    has_walk_of_length,
     is_connected,
     max_thread_length,
     odd_girth,
@@ -172,8 +124,14 @@ def _second_neighbourhood_ok(rows, v) -> bool:
 
 
 def _five_walks(g: Graph) -> bool:
-    n = g.order
-    return all(has_walk_of_length(g, u, v, 5) for u in range(n) for v in range(u + 1, n))
+    """True iff a walk of exactly 5 edges joins every two distinct vertices.
+
+    A walk of length 1 or 3 grows by 2 when it goes back and forth over its
+    last edge, so a 5-walk joins u and v iff an odd walk of length at most
+    5 does, which ``odd_reach_within`` finds.
+    """
+    full = (1 << g.order) - 1
+    return all(odd_reach_within(g.rows, u, 5) | 1 << u == full for u in range(g.order))
 
 
 def _common_neighbour_partners(rows, u):
@@ -338,37 +296,59 @@ def _conflict_mask(rows, u, limit, conflicts):
     ``u`` (an odd cycle shorter than 2k+1 for limit 2k-3), and those of the
     growth rules' ``conflicts``.  Every part is symmetric, so the mask is.
     """
-    m = odd_reach_within(rows, u, limit) if limit >= 1 else 0
+    m = odd_reach_within(rows, u, limit)
     for conflict in conflicts:
         m |= conflict(rows, u)
     return m & ~(1 << u)
 
 
-class _ParentTable(NamedTuple):
-    """What the children of one parent read from it (``_parent_table``)."""
+class _ParentTable(dict):
+    """What the children of one connected graph read from it.
 
-    classes: list
-    m: int
-    R: int
-    pieces: dict
+    ``classes[d]`` is the mask of the vertices of degree d, for d up to the
+    largest degree plus one.  m is the least degree of a non-cutvertex and R
+    the mask of the non-cutvertices of degree m.  As a dict, ``table[v]``
+    lists the vertex masks of the components of the graph minus ``v``, its
+    pieces, walked the first time it is read.  Every piece holds a
+    neighbour of ``v``, since the graph is connected, so each walk starts at
+    a neighbour not yet reached, and the last one left needs no walk: its
+    piece is the rest (a leaf's one piece is all but the leaf, and an
+    isolated vertex has none).
 
+    ``v`` is a non-cutvertex iff it has at most one piece (none only in the
+    one-vertex graph, whose vertex is one).  In a child that joins a new
+    vertex to a set S of the graph's vertices, ``v`` is a non-cutvertex iff
+    S meets every piece of ``v``: the new vertex then ties the pieces
+    together, and a piece that S misses stays cut off.
 
-class _Pieces(dict):
-    """The components of a connected graph minus each vertex, walked when first read.
-
-    ``pieces[v]`` lists the vertex masks of the components of the graph
-    minus ``v``.  Every piece holds a neighbour of ``v``, since the graph is
-    connected, so each walk starts at a neighbour not yet reached, and the
-    last one left needs no walk: its piece is the rest (a leaf's one piece
-    is all but the leaf, and an isolated vertex has none).
+    A leaf is never a cutvertex, so a graph with a leaf has m = 1 and R its
+    leaves, read off class 1 with no walk.  Otherwise m and R are read from
+    the pieces of the classes in increasing degree, up to the first that
+    holds a non-cutvertex.  The children read the rest: ``_accepted`` asks
+    for the pieces of v only when v's degree in the child is at most
+    |S| <= m + 1, and no vertex has a smaller degree in the child than
+    here, so the pieces of a vertex of degree m + 1 are walked only for a
+    child with |S| = m + 1.
     """
 
-    __slots__ = ("rows", "full")
+    __slots__ = ("rows", "full", "classes", "m", "R")
 
     def __init__(self, rows, n):
         super().__init__()
         self.rows = rows
         self.full = (1 << n) - 1
+        degs = [r.bit_count() for r in rows]
+        self.classes = classes = [0] * (max(degs) + 2)
+        for v, d in enumerate(degs):
+            classes[d] |= 1 << v
+        if classes[1]:
+            self.m, self.R = 1, classes[1]
+            return
+        for m, cls in enumerate(classes):
+            R = sum(1 << v for v in _bits(cls) if len(self[v]) <= 1)
+            if R:
+                self.m, self.R = m, R
+                return
 
     def __missing__(self, v):
         rows = self.rows
@@ -389,46 +369,10 @@ class _Pieces(dict):
         return comps
 
 
-def _parent_table(rows, n):
-    """The degree classes, degree bound and component table of a connected graph.
-
-    ``classes[d]`` is the mask of the vertices of degree d, for d up to the
-    largest degree plus one.  m is the least degree of a non-cutvertex and R
-    the mask of the non-cutvertices of degree m.  ``pieces`` is a
-    ``_Pieces``: ``pieces[v]`` lists the vertex masks of the components of
-    the graph minus ``v``, walked the first time it is read.
-
-    ``v`` is a non-cutvertex iff it has at most one piece (none only in the
-    one-vertex graph, whose vertex is one).  In a child that joins a new
-    vertex to a set S of the graph's vertices, ``v`` is a non-cutvertex iff
-    S meets every piece of ``v``: the new vertex then ties the pieces
-    together, and a piece that S misses stays cut off.
-
-    A leaf is never a cutvertex, so a graph with a leaf has m = 1 and R its
-    leaves, read off class 1 with no walk.  Otherwise m and R are read from
-    the pieces of the classes in increasing degree, up to the first that
-    holds a non-cutvertex.  The children read the rest: ``_accepted`` asks
-    for the pieces of v only when v's degree in the child is at most
-    |S| <= m + 1, so the pieces of a vertex of degree m + 1 are walked only
-    for a child with |S| = m + 1.
-    """
-    degs = [r.bit_count() for r in rows]
-    classes = [0] * (max(degs) + 2)
-    for v, d in enumerate(degs):
-        classes[d] |= 1 << v
-    pieces = _Pieces(rows, n)
-    if classes[1]:
-        return _ParentTable(classes, 1, classes[1], pieces)
-    for m, cls in enumerate(classes):
-        R = sum(1 << v for v in _bits(cls) if len(pieces[v]) <= 1)
-        if R:
-            return _ParentTable(classes, m, R, pieces)
-
-
 def _attachment_sets(rows, n, parent, limit, conflicts):
     """The independent attachment sets that can pass ``_accepted``'s first stages.
 
-    ``parent`` is the parent's ``_parent_table``: m is the least degree of
+    ``parent`` is the parent's ``_ParentTable``: m is the least degree of
     a non-cutvertex of the parent and R the mask of the non-cutvertices of
     degree m.  Two bounds drop sets whose child ``_accepted`` rejects.
 
@@ -513,7 +457,7 @@ def _accepted(rows_t, n, S, parent):
     """Canonical-deletion test for a child whose added vertex is n-1.
 
     The child joins the added vertex to the set ``S`` of its parent, whose
-    ``_parent_table`` is ``parent``.  Returns None when the child is
+    ``_ParentTable`` is ``parent``.  Returns None when the child is
     rejected.  Otherwise returns ``(gens, twins)``: the generators of the
     child's automorphism group if a canonical search decided, else None,
     and, when no search ran, the orbit of the added vertex minus that
@@ -580,14 +524,14 @@ def _accepted(rows_t, n, S, parent):
     da = S.bit_count()
     if da > parent.m + 1:
         return None
-    classes, pieces = parent.classes, parent.pieces
+    classes = parent.classes
     rivals = []
     candidates = sum(classes[:da]) | classes[da] & ~S
     while candidates:
         b = candidates & -candidates
         candidates ^= b
         v = b.bit_length() - 1
-        for piece in pieces[v]:
+        for piece in parent[v]:
             if not S & piece:
                 break
         else:
@@ -797,12 +741,14 @@ def _children(node, cfg: SearchConfig, budget, target, conflicts, checks):
 
     A node is ``(rows, colouring, gens)`` (see ``_descendants``), and
     ``conflicts`` and ``checks`` are the config's growth rules, which the
-    walk reads from the table once.  The node's ``_parent_table`` is built
+    walk reads from the table once.  The node's ``_ParentTable`` is built
     once: its degree classes bound the attachment sets, and every child's
     ``_accepted`` reads its classes and component table.  A child's rows
     differ from the node's only at S, whose rows gain the new vertex, and
     at the new vertex.  The orbit of S that skips its later members also
-    gives the child's gens, for a child of order below ``cfg.n_max``.
+    gives the child's gens, for a child of order below ``cfg.n_max``.  The
+    budget ticks once for each set ``_attachment_sets`` lists, so only for
+    the sets inside both of its bounds.
 
     The growth rules act in two ways.  Their conflicts, with the odd-walk
     limit 2k - 3, shape the attachment sets ``_attachment_sets`` lists,
@@ -818,7 +764,7 @@ def _children(node, cfg: SearchConfig, budget, target, conflicts, checks):
     """
     rows, colour, gens = node
     n = len(rows)
-    parent = _parent_table(rows, n)
+    parent = _ParentTable(rows, n)
     # Later members of an orbit of attachment sets, waiting to be skipped.
     pending = set()
     orbit = None
@@ -974,10 +920,6 @@ class SearchReport:
             return None
         first = self.first_witness_order
         return self.config.n_max + 1 if first is None else first
-
-    def json_lines(self):
-        for rec in self.records:
-            yield rec.to_json()
 
     def witnesses_at(self, n):
         for rec in self.records:

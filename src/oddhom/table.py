@@ -51,21 +51,17 @@ _RANGE_LOWER = {(3, 1): 15, (4, 1): 17, (6, 1): 27, (7, 1): 38, (8, 1): 51, (4, 
 
 
 def designated_odd_k4(k: int):
-    """The thread triple certifying eta(k, l) = 4k for the covered cells.
+    """The thread triple certifying eta(k, l) = 4k for the covered cells, and its p.
 
-    Depending on 2k mod 3, take p = (2k+3)/3, (2k+2)/3 or (2k+1)/3 and the
-    triple (p-1, p-1, p), (p-1, p, p) or (p, p, p); the resulting graph has
-    order 4k, odd-girth 2k+1, and no homomorphism to C_{2p+1}.
+    With q, r = divmod(2k, 3) and p = q + 1, the triple holds 2 - r threads
+    of length p - 1, then r + 1 of length p: (p-1, p-1, p), (p-1, p, p) or
+    (p, p, p) as 2k = 0, 1 or 2 (mod 3).  Its sum is 3p - 2 + r = 2k + 1.
+    The resulting graph has order 4k, odd-girth 2k+1, and no homomorphism to
+    C_{2p+1}.
     """
-    r = 2 * k % 3
-    if r == 0:
-        p = (2 * k + 3) // 3
-        return (p - 1, p - 1, p), p
-    if r == 1:
-        p = (2 * k + 2) // 3
-        return (p - 1, p, p), p
-    p = (2 * k + 1) // 3
-    return (p, p, p), p
+    q, r = divmod(2 * k, 3)
+    p = q + 1
+    return (p - 1,) * (2 - r) + (p,) * (r + 1), p
 
 
 def is_four_k_cell(k: int, l: int) -> bool:

@@ -64,6 +64,22 @@ def test_build_wrong_arity(capsys):
     assert "expected 1 integer parameter(s), got 2" in capsys.readouterr().err
 
 
+def test_graph_file_lines_end_at_newline_only(tmp_path, capsys):
+    # splitlines would end a line at 0x1c and read "Bw", K3; graph6 has no 0x1c.
+    path = tmp_path / "g.g6"
+    path.write_text("Bw\x1cCw\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", str(path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "non-printable characters" in capsys.readouterr().err
+
+
+def test_graph_file_skips_blank_lines(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    path.write_text("\n \r\n\tBw\r\n")
+    assert run(capsys, ["chi", str(path)]) == (EXIT_OK, "3")
+
+
 def test_detect_odd_k4(tmp_path, capsys):
     g = odd_k4(1, 2, 2)
     code, out = run(capsys, ["detect", "odd-k4", write_graph(tmp_path, g)])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -215,6 +216,55 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             fixture("fig9z")
+
+
+def _grid_builds():
+    """Every fixture, then each odd_k4 with an odd sum over 1..4, each
+    subdivided_k4 over {1, 2, 3}^6 and each odd_k32 over cycles {3, 5, 7}^3
+    and paths {0..3}^3: 2,502 builds, each as its graph6 or its ValueError."""
+    builds = [lambda name=name: fixture(name) for name in FIXTURE_NAMES]
+    builds += [lambda t=t: odd_k4(*t) for t in itertools.product(range(1, 5), repeat=3)
+               if sum(t) % 2]
+    builds += [lambda t=t: subdivided_k4(*t) for t in itertools.product((1, 2, 3), repeat=6)]
+    builds += [lambda c=c, p=p: odd_k32(c, p)
+               for c in itertools.product((3, 5, 7), repeat=3)
+               for p in itertools.product(range(4), repeat=3)]
+    for build in builds:
+        try:
+            yield to_graph6(build())
+        except ValueError as exc:
+            yield f"ValueError: {exc}"
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update((line + "\n").encode())
+    return h.hexdigest()
+
+
+class TestLabelling:
+    """The vertex numbering each builder documents, pinned through graph6.
+
+    The digests are the sha256 of one line per build, its graph6 (or its
+    ValueError message) and a newline.  Isomorphism tests would not notice
+    a relabelling; these do, so the builders' graph6 output stays
+    reproducible.
+    """
+
+    FIXTURES_DIGEST = "7061cbd67ca58d475bdc152bcb2daea5087e25ad7ef3506699a92d8ba5fe4847"
+    GRID_DIGEST = "9955f536cb1eba196593fb500bde01f7eea22328bde59e70362291138bda0d7f"
+
+    def test_fixture_names_and_graph6(self):
+        assert FIXTURE_NAMES == (
+            "fig2a", "fig2b", "fig2c", "case1a", "case1b", "case2a", "case2b", "case3a",
+            "case3b_1", "case3b_2", "case3b_3", "case3b_4", "case3b_5")
+        assert _digest(to_graph6(fixture(name)) for name in FIXTURE_NAMES) == self.FIXTURES_DIGEST
+
+    def test_grid(self):
+        lines = list(_grid_builds())
+        assert len(lines) == 2_502
+        assert _digest(lines) == self.GRID_DIGEST
 
 
 def _compositions(total, parts):

@@ -441,8 +441,13 @@ class TestGraph6:
         ("  \n", "empty graph6 line"),
         (">>graph6<<", "empty graph6 line"),
         (chr(1) + "w", "graph6 line contains non-printable characters: '\\x01w'"),
-        # str.strip takes chr(30) for white space, which leaves "w", order 56.
-        (chr(30) + "w", "graph6 body has 0 chunks, expected 257 for order 56"),
+        # Only ASCII white space is stripped, so chr(30) stays and is no graph6 byte.
+        (chr(30) + "w", "graph6 line contains non-printable characters: '\\x1ew'"),
+        # str.strip would take each of these for white space, leaving K3.
+        ("\x1fBw", "graph6 line contains non-printable characters: '\\x1fBw'"),
+        ("Bw\x1c", "graph6 line contains non-printable characters: 'Bw\\x1c'"),
+        ("Bw\x85", "graph6 line contains non-printable characters: 'Bw\\x85'"),
+        ("\xa0Bw", "graph6 line contains non-printable characters: '\\xa0Bw'"),
         ("B\x7f", "graph6 line contains non-printable characters: 'B\\x7f'"),
         ("~??", "truncated graph6 order field"),
         ("?", "graph6 order 0 outside supported range 1..64"),
@@ -462,6 +467,10 @@ class TestGraph6:
 
     def test_accepts_optional_header(self):
         assert from_graph6(">>graph6<<Bw") == complete(3)
+
+    def test_strips_ascii_white_space(self):
+        for line in ("Bw\r\n", " Bw ", "Bw\x0b", "\tBw\x0c"):
+            assert from_graph6(line) == complete(3), line
 
 
 def test_connectivity():

@@ -553,6 +553,31 @@ class TestCircularChromatic:
             assert chi - 1 < chi_c <= chi
 
 
+def coprime_scan_circular_chromatic_number(g):
+    """The least p/q, scanned over coprime pairs (p, q) with p <= n and
+    p >= 2q: the reference of ``circular_chromatic_number``."""
+    fracs = sorted((Fraction(p, q), p, q) for p in range(2, g.order + 1)
+                   for q in range(1, p // 2 + 1) if gcd(p, q) == 1)
+    for frac, p, q in fracs:
+        if find_homomorphism(g, circular_clique(p, q)) is not None:
+            return frac
+
+
+class TestCircularChromaticReference:
+    def test_atlas(self):
+        graphs = [g for g in atlas() if g.edge_count()]
+        assert len(graphs) == 1_245
+        for g in graphs:
+            assert circular_chromatic_number(g) == coprime_scan_circular_chromatic_number(g), g.rows
+
+    def test_random_graphs_up_to_order_9(self, rng):
+        graphs = [random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8)) for _ in range(60)]
+        graphs = [g for g in graphs if g.edge_count()]
+        assert len(graphs) > 50
+        for g in graphs:
+            assert circular_chromatic_number(g) == coprime_scan_circular_chromatic_number(g), g.rows
+
+
 def circular_clique_hom_criterion_check(p: int, q: int, r: int, s: int) -> bool:
     """Self-test of the fraction criterion: C(p,q) -> C(r,s) iff p/q <= r/s.
 

@@ -52,7 +52,7 @@ from oddhom.search import (
     _cycle_colouring,
     _extend_colouring,
     _holds_near,
-    _parent_table,
+    _ParentTable,
     _path4_targets,
     _root_stream,
     _rules,
@@ -194,7 +194,7 @@ class TestDegreeBound:
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
             every = set(indep_sets(n, every_mask(rows, limit, conflicts), n))
-            table = _parent_table(rows, n)
+            table = _ParentTable(rows, n)
             kept = _attachment_sets(rows, n, table, limit, conflicts)
             assert set(kept) <= every
             for S in every - set(kept):
@@ -216,7 +216,7 @@ def component_table(rows, n):
     """The component table of a connected graph, every vertex built: the
     vertex masks of the components of the graph minus each vertex.
 
-    The eager reference of ``_parent_table``, which builds only the
+    The eager reference of ``_ParentTable``, which builds only the
     vertices of degree at most m + 1."""
     full = (1 << n) - 1
     table = []
@@ -282,7 +282,7 @@ class TestAttachmentSetsOnDemand:
         computed = eager = 0
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
-            table = _parent_table(rows, n)
+            table = _ParentTable(rows, n)
             want, m = eager_attachment_sets(rows, n, limit, conflicts)
             calls.clear()
             with monkeypatch.context() as patch:
@@ -310,7 +310,7 @@ class TestLeafBound:
         dropped = 0
         for _, (rows, *_) in _root_stream(cfg, Budget(), cfg.n_max):
             n = len(rows)
-            table = _parent_table(rows, n)
+            table = _ParentTable(rows, n)
             for S in leaf_bound(rows, n):
                 child = child_of(rows, S)
                 assert _accepted(child, n + 1, S, table) is None, (rows, S)
@@ -541,7 +541,7 @@ class TestEarlyExit:
             n = len(rows)
             if n == n_max:
                 continue
-            table = _parent_table(rows, n)
+            table = _ParentTable(rows, n)
             for S in indep_sets(n, every_mask(rows, limit, conflicts), n):
                 child = child_of(rows, S)
                 want = full_refinement_accepted(child, n + 1)
@@ -580,12 +580,12 @@ class TestComponentTable:
         # Every child of order up to 7 of every k = 1 parent (every connected
         # graph): S meets each piece of v iff the child minus v is connected,
         # for every piece the eager table holds and every one that
-        # _parent_table's table walks when it is read.
+        # _ParentTable walks when it is read.
         children = built = 0
         for _, (rows, *_) in _root_stream(SearchConfig(k=1, l=1, n_max=6), Budget(), 6):
             n = len(rows)
             pieces = component_table(rows, n)
-            table = _parent_table(rows, n).pieces
+            table = _ParentTable(rows, n)
             if n > 1:
                 parent = Graph(rows)
                 assert [len(p) <= 1 for p in pieces] == [
@@ -667,7 +667,7 @@ def reference_accepted(rows_t, n, S, pieces):
 
 
 class TestParentTable:
-    """``_parent_table`` against its eager definitions, and ``_accepted``
+    """``_ParentTable`` against its eager definitions, and ``_accepted``
     reading it against ``reference_accepted`` reading the whole component
     table, on every independent set of every parent, the root included.
     The table's pieces are walked as they are read: once ``_accepted`` has
@@ -677,14 +677,14 @@ class TestParentTable:
     @staticmethod
     def assert_matches(rows, sets, outcomes):
         n = len(rows)
-        table = _parent_table(rows, n)
+        table = _ParentTable(rows, n)
         degs = [r.bit_count() for r in rows]
         assert table.classes == [sum(1 << v for v in range(n) if degs[v] == d)
                                  for d in range(max(degs) + 2)]
         assert (table.m, table.R) == degree_bound(rows, n), rows
         # m and R read no pieces above degree m, and none when a leaf gives them.
-        assert all(degs[v] <= table.m and not table.classes[1] for v in table.pieces), rows
-        outcomes["unwalked"] += n - len(table.pieces)
+        assert all(degs[v] <= table.m and not table.classes[1] for v in table), rows
+        outcomes["unwalked"] += n - len(table)
         pieces = component_table(rows, n)
         for S in sets:
             child = child_of(rows, S)
@@ -693,8 +693,8 @@ class TestParentTable:
             outcomes["rejected" if got is None else "searched" if got[0] else
                      "twins" if got[1] else "accepted"] += 1
         for v in range(n):
-            assert sorted(table.pieces[v]) == sorted(pieces[v]), (rows, v)
-        assert sorted(table.pieces) == list(range(n)), rows
+            assert sorted(table[v]) == sorted(pieces[v]), (rows, v)
+        assert sorted(table) == list(range(n)), rows
         outcomes["parents"] += 1
         return table
 
@@ -715,7 +715,7 @@ class TestParentTable:
     def test_one_vertex_root(self):
         # The root's vertex has no pieces and is a non-cutvertex of degree 0.
         table = self.assert_matches((0,), [1], Counter())
-        assert table == ([1, 0], 0, 1, {0: []})
+        assert (table.classes, table.m, table.R, dict(table)) == ([1, 0], 0, 1, {0: []})
 
     def test_least_degree_class_of_cutvertices(self):
         # Two K4s joined through a vertex of degree 2: it alone has the least
@@ -725,7 +725,7 @@ class TestParentTable:
         k4s = Graph.from_edges(9, [*itertools.combinations(range(4), 2),
                                    *itertools.combinations(range(5, 9), 2), (3, 4), (4, 5)])
         # m and R walk the pieces of the classes of degree 2 and 3 only.
-        assert sorted(_parent_table(k4s.rows, 9).pieces) == [0, 1, 2, 4, 6, 7, 8]
+        assert sorted(_ParentTable(k4s.rows, 9)) == [0, 1, 2, 4, 6, 7, 8]
         rng = random.Random(24)
         graphs = [k4s] + [g for g in (random_graph(rng, rng.randint(8, 10), 0.4) for _ in range(40))
                           if is_connected(g)]
@@ -742,7 +742,7 @@ def counted_run():
     """``counted_run(cfg)``: the enumerated counts and every counter of one
     serial ``eta_search(cfg)``, made once per cfg with all the wrappers:
     - ``vertices`` and ``pieces``: the parent-table vertices, and those of
-      them whose pieces are walked, ``len(table.pieces)`` after the run;
+      them whose pieces are walked, ``len(table)`` after the run;
     - ``ticks``: the budget's ticks, one per attachment set tried;
     - ``rounds``: every ``canon.refine_round`` call; ``refine_round``: those
       ``_accepted`` makes itself, the only rounds search makes;
@@ -756,7 +756,7 @@ def counted_run():
             return runs[cfg]
         calls = Counter()
         tables = []
-        real_table = search._parent_table
+        real_table = search._ParentTable
         real_round = canon.refine_round
 
         def counting_table(rows, n):
@@ -778,7 +778,7 @@ def counted_run():
             return wrapper
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_parent_table", counting_table)
+            mp.setattr(search, "_ParentTable", counting_table)
             mp.setattr(search, "refine_round", counting("refine_round", calls))
             mp.setattr(canon, "refine_round", counting_round)
             mp.setattr(canon, "canonical_search", counting("canonical_search", calls))
@@ -787,7 +787,7 @@ def counted_run():
             mp.setattr(search, "_child_gens", inside("fallback", search._child_gens))
             budget = Budget()
             report = eta_search(cfg, budget=budget)
-        calls["pieces"] = sum(len(table.pieces) for table in tables)
+        calls["pieces"] = sum(len(table) for table in tables)
         calls["ticks"] = budget.nodes
         runs[cfg] = [r.enumerated for r in report.records], calls
         return runs[cfg]

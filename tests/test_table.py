@@ -56,6 +56,26 @@ def test_designated_odd_k4_order_and_odd_girth():
         assert odd_girth(g) == 2 * k + 1
 
 
+def case_designated_odd_k4(k):
+    """``designated_odd_k4`` case by case on 2k mod 3, its reference."""
+    r = 2 * k % 3
+    if r == 0:
+        p = (2 * k + 3) // 3
+        return (p - 1, p - 1, p), p
+    if r == 1:
+        p = (2 * k + 2) // 3
+        return (p - 1, p, p), p
+    p = (2 * k + 1) // 3
+    return (p, p, p), p
+
+
+def test_designated_odd_k4_matches_the_case_form():
+    for k in range(1, 501):
+        triple, p = designated_odd_k4(k)
+        assert (triple, p) == case_designated_odd_k4(k), k
+        assert sum(triple) == 2 * k + 1, k
+
+
 def test_table1_matches(capsys):
     assert main(["table1"]) == EXIT_OK
     out = capsys.readouterr().out
