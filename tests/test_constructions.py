@@ -222,16 +222,14 @@ def _grid_builds():
     """Every fixture, then each odd_k4 with an odd sum over 1..4, each
     subdivided_k4 over {1, 2, 3}^6 and each odd_k32 over cycles {3, 5, 7}^3
     and paths {0..3}^3: 2,502 builds, each as its graph6 or its ValueError."""
-    builds = [lambda name=name: fixture(name) for name in FIXTURE_NAMES]
-    builds += [lambda t=t: odd_k4(*t) for t in itertools.product(range(1, 5), repeat=3)
-               if sum(t) % 2]
-    builds += [lambda t=t: subdivided_k4(*t) for t in itertools.product((1, 2, 3), repeat=6)]
-    builds += [lambda c=c, p=p: odd_k32(c, p)
-               for c in itertools.product((3, 5, 7), repeat=3)
+    builds = [(fixture, (name,)) for name in FIXTURE_NAMES]
+    builds += [(odd_k4, t) for t in itertools.product(range(1, 5), repeat=3) if sum(t) % 2]
+    builds += [(subdivided_k4, t) for t in itertools.product((1, 2, 3), repeat=6)]
+    builds += [(odd_k32, (c, p)) for c in itertools.product((3, 5, 7), repeat=3)
                for p in itertools.product(range(4), repeat=3)]
-    for build in builds:
+    for build, args in builds:
         try:
-            yield to_graph6(build())
+            yield to_graph6(build(*args))
         except ValueError as exc:
             yield f"ValueError: {exc}"
 
